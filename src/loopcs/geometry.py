@@ -190,7 +190,8 @@ def _gamma_terms(g, dg):
     # with dg[..., a, b, c] = d_c g_{ab}:
     #   d_b g_{ec} = dg[e, c, b],  d_c g_{eb} = dg[e, b, c],  d_e g_{bc} = dg[b, c, e]
     s = np.swapaxes(dg, -1, -2) + dg - np.moveaxis(dg, -1, -3)
-    gamma = 0.5 * np.einsum("...ae,...ebc->...abc", ginv, s)
+    n = g.shape[-1]
+    gamma = 0.5 * (ginv @ s.reshape(s.shape[:-2] + (n * n,))).reshape(s.shape)
     return ginv, s, gamma
 
 
@@ -223,26 +224,47 @@ class CurvaturePack:
         return self.g.shape[-1]
 
 
-def riemann(metric: MetricField, x) -> CurvaturePack:
-    """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``."""
-    coords = x.coords if isinstance(x, ChartPoint) else np.asarray(x, float)
-    g, dg, d2g = metric_jets(metric, coords)
-    ginv, s, gamma = _gamma_terms(g, dg)
+def _gamma_derivative(ginv, s, dg, d2g):
+    """d_j Gamma^a_bc as ``[..., j, a, b, c]``.
 
+    A function of its own so that its n^4-sized temporaries are freed before
+    :func:`riemann` assembles the curvature.
+    """
+    n = ginv.shape[-1]
+    batch = ginv.shape[:-2]
     # dS[..., j, e, b, c] = d_j S_{ebc}, from the metric Hessian.
     t1 = np.einsum("...ecbj->...jebc", d2g)   # d_j d_b g_{ec}
     t2 = np.einsum("...ebcj->...jebc", d2g)   # d_j d_c g_{eb}
     t3 = np.einsum("...bcej->...jebc", d2g)   # d_j d_e g_{bc}
     ds = t1 + t2 - t3
-    dginv = -np.einsum("...ap,...pqj,...qe->...jae", ginv, dg, ginv)
-    dgamma = 0.5 * (np.einsum("...jae,...ebc->...jabc", dginv, s)
-                    + np.einsum("...ae,...jebc->...jabc", ginv, ds))
+    ginv_j = ginv[..., None, :, :]
+    # dginv[..., j, a, e] = -g^ap d_j g_pq g^qe
+    dginv = -(ginv_j @ np.moveaxis(dg, -1, -3) @ ginv_j)
+    dgamma = dginv @ s.reshape(batch + (1, n, n * n))
+    dgamma += ginv_j @ ds.reshape(batch + (n, n, n * n))
+    dgamma *= 0.5
+    return dgamma.reshape(batch + (n,) * 4)
 
-    rup = (np.einsum("...jabc->...jbca", dgamma)
-           - np.einsum("...bajc->...jbca", dgamma)
-           + np.einsum("...aje,...ebc->...jbca", gamma, gamma)
-           - np.einsum("...abe,...ejc->...jbca", gamma, gamma))
-    rdown = np.einsum("...jbce,...ea->...jbca", rup, g)
+
+def riemann(metric: MetricField, x) -> CurvaturePack:
+    """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``."""
+    coords = x.coords if isinstance(x, ChartPoint) else np.asarray(x, float)
+    g, dg, d2g = metric_jets(metric, coords)
+    ginv, s, gamma = _gamma_terms(g, dg)
+    dgamma = _gamma_derivative(ginv, s, dg, d2g)
+    n = g.shape[-1]
+    batch = g.shape[:-2]
+    # gg[..., a, j, b, c] = Gamma^a_je Gamma^e_bc
+    gg = (gamma.reshape(batch + (n * n, n))
+          @ gamma.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4)
+
+    # Accumulated in place into a C-ordered array, so that rdown and the
+    # integrand reshape riemann_up without copying it.
+    rup = np.einsum("...jabc->...jbca", dgamma).copy()
+    rup -= np.einsum("...bajc->...jbca", dgamma)
+    rup += np.einsum("...ajbc->...jbca", gg)
+    rup -= np.einsum("...abjc->...jbca", gg)
+    rdown = (rup.reshape(batch + (n ** 3, n)) @ g).reshape(rup.shape)
     ricci = np.einsum("...abca->...bc", rup)
     return CurvaturePack(g=g, ginv=ginv, gamma=gamma,
                          riemann_up=rup, riemann_down=rdown, ricci=ricci)
