@@ -6,12 +6,13 @@ Subcommands:
                   for the five-dimensional family); exit 0 iff all pass.
 * ``wcs``      -- cycle integral of the Wodzicki-Chern-Simons form for a
                   metric and circle action; writes a JSON record.
-* ``sweep``    -- batch runs over (p, q) pairs or an a-grid; writes CSV.
+* ``sweep``    -- batch runs over (p, q) pairs and/or an a-grid; writes CSV.
 * ``selftest`` -- the built-in invariant suite.
 
 Exit codes: 0 success, 1 numeric failure (validation or non-convergence),
 2 usage/configuration error.  Flags may also be supplied through a flat
-``key = value`` config file; explicit flags override file entries.
+``key = value`` config file; its entries are parsed as flags placed before
+the explicit ones, so they are type-checked alike and explicit flags win.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ import sys
 import numpy as np
 
 from . import __version__, geometry, metrics, selftest
-from .cycles import CircleAction, a_sweep, integrate_cycle
+from .cycles import CircleAction, integrate_cycle, ypq_sweep
 from .jets import ChartDomainError
 from .quadrature import QuadratureError, QuadratureSpec
 from .records import format_float, result_to_json, sweep_to_csv
@@ -120,32 +121,29 @@ def _read_config(path: str) -> dict[str, str]:
     return table
 
 
-def _merge_config(args: argparse.Namespace, parser_defaults: dict) -> argparse.Namespace:
-    """Config-file entries fill in any argument still at its default."""
+def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """The ``--config`` file's entries as flag tokens for the subcommand parser."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    # Every flag of the subcommand except --help, whose dest is not in args.
+    actions = {a.dest: a for a in sub.choices[args.command]._actions if hasattr(args, a.dest)}
+    tokens = []
+    for key, raw in _read_config(args.config).items():
+        if key not in actions:
+            raise UsageError(f"unknown config key {key!r}")
+        flag = actions[key].option_strings[-1]
+        if actions[key].nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() in ("1", "true", "yes", "on"):
+            tokens.append(flag)
+    return tokens
+
+
+def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+    """Parse ``argv``; config-file flags go first, so explicit flags win."""
+    args = parser.parse_args(argv)
     if not getattr(args, "config", None):
         return args
-    table = _read_config(args.config)
-    for key, raw in table.items():
-        if not hasattr(args, key):
-            raise UsageError(f"unknown config key {key!r}")
-        if getattr(args, key) != parser_defaults.get(key):
-            continue  # explicit flag wins
-        current_default = parser_defaults.get(key)
-        if isinstance(current_default, bool):
-            value = raw.lower() in ("1", "true", "yes", "on")
-        elif isinstance(current_default, int) and not isinstance(current_default, bool):
-            value = int(raw)
-        elif isinstance(current_default, float):
-            value = float(raw)
-        else:
-            value = raw
-            if key in ("p", "q", "samples", "seed", "nodes", "k", "workers",
-                       "loop_nodes", "refine_factor", "max_refinements", "scan_p_max"):
-                value = int(raw)
-            elif key in ("a", "ell", "tol", "s_scale"):
-                value = float(raw)
-        setattr(args, key, value)
-    return args
+    return parser.parse_args([argv[0], *_config_tokens(parser, args), *argv[1:]])
 
 
 def _select_metric(args) -> geometry.MetricField:
@@ -166,34 +164,34 @@ def _select_metric(args) -> geometry.MetricField:
     return metrics.catalog(name)
 
 
-def _axis_index(metric: geometry.MetricField, token: str) -> int:
+def _axis_index(names: tuple[str, ...], token: str) -> int:
     token = _AXIS_ALIASES.get(token, token)
-    names = list(metric.coord_names)
     if token in names:
         return names.index(token)
     try:
         idx = int(token)
     except ValueError:
-        raise UsageError(f"unknown axis {token!r}; coordinates are {names}") from None
-    if not 0 <= idx < metric.dim:
-        raise UsageError(f"axis index {idx} out of range for dim {metric.dim}")
+        raise UsageError(f"unknown axis {token!r}; coordinates are {list(names)}") from None
+    if not 0 <= idx < len(names):
+        raise UsageError(f"axis index {idx} out of range for dim {len(names)}")
     return idx
 
 
-def _select_action(metric: geometry.MetricField, text: str | None) -> CircleAction:
+def _select_action(names: tuple[str, ...], text: str | None) -> CircleAction:
+    """Parse an --action value against the chart's coordinate names."""
     if text is None or text == "trivial":
         return CircleAction.trivial()
     parts = text.split(":")
     if parts[0] == "rotate":
         if len(parts) not in (2, 3):
             raise UsageError("expected rotate:AXIS or rotate:AXIS:SPEED")
-        axis = _axis_index(metric, parts[1])
+        axis = _axis_index(names, parts[1])
         speed = float(parts[2]) if len(parts) == 3 else None
         return CircleAction.rotation(axis=axis, speed=speed)
     if parts[0] == "iterate":
         if len(parts) != 3:
             raise UsageError("expected iterate:AXIS:N")
-        axis = _axis_index(metric, parts[1])
+        axis = _axis_index(names, parts[1])
         return CircleAction.iterate(CircleAction.rotation(axis=axis), int(parts[2]))
     raise UsageError(f"unknown action {text!r}")
 
@@ -241,7 +239,7 @@ def cmd_verify(args) -> int:
 
 def cmd_wcs(args) -> int:
     metric = _select_metric(args)
-    action = _select_action(metric, args.action)
+    action = _select_action(metric.coord_names, args.action)
     k = args.k if args.k is not None else (metric.dim + 1) // 2
     spec = _quad_spec(args)
     result = integrate_cycle(metric, action, k, quad=spec, variant=args.variant,
@@ -270,70 +268,48 @@ def _parse_pq_list(text: str) -> list[tuple[int, int]]:
     return pairs
 
 
+def _exact_pairs(p_max: int) -> list[tuple[int, int]]:
+    """Coprime (p, q) with p <= p_max whose 4p^2 - 3q^2 is a perfect square."""
+    pairs = []
+    for p in range(2, p_max + 1):
+        for q in range(1, p):
+            disc = 4 * p * p - 3 * q * q
+            if math.gcd(p, q) == 1 and math.isqrt(disc) ** 2 == disc:
+                pairs.append((p, q))
+    return pairs
+
+
 def cmd_sweep(args) -> int:
-    from .cycles import SweepResult, SweepRow
-
-    spec = QuadratureSpec(nodes=args.nodes, refinement_factor=args.refine_factor,
-                          max_refinements=args.max_refinements, rel_tol=args.tol,
-                          workers=_workers(args))
-    if args.sweep_a:
-        grid = [float(tok) for tok in args.sweep_a.split(",") if tok.strip()]
-        if not grid:
-            raise UsageError("empty a-grid")
-        ell = 1.0 if args.ell is None else args.ell
-        sweep = a_sweep(grid, k=3, quad=spec, ell=ell, variant=args.variant)
-        _write(sweep_to_csv(sweep), args.out)
-        return EXIT_OK
-
-    pairs: list[tuple[int, int]] = []
-    if args.sweep_pq:
-        pairs += _parse_pq_list(args.sweep_pq)
-    if args.scan_p_max:
-        for p in range(2, args.scan_p_max + 1):
-            for q in range(1, p):
-                if math.gcd(p, q) != 1:
-                    continue
-                n = math.isqrt(4 * p * p - 3 * q * q)
-                if n * n == 4 * p * p - 3 * q * q:
-                    pairs.append((p, q))
-    if not pairs:
-        raise UsageError("sweep needs --sweep-pq, --scan-p-max, or --sweep-a")
-
-    rows = []
-    for (p, q) in pairs:
-        label = {"p": p, "q": q}
-        try:
-            metric = metrics.ypq_metric(metrics.solve_ypq(p, q))
-            action = _select_action(metric, args.action or "rotate:alpha")
-            k = args.k if args.k is not None else 3
-            res = integrate_cycle(metric, action, k, quad=spec,
-                                  variant=args.variant, s_scale=args.s_scale,
-                                  loop_nodes=args.loop_nodes)
-            rows.append(SweepRow(label=label, result=res))
-        except Exception as exc:
-            rows.append(SweepRow(label=label, result=None, error=str(exc)))
-    _write(sweep_to_csv(SweepResult(rows=rows)), args.out)
+    labels = [{"a": float(tok)} for tok in (args.sweep_a or "").split(",") if tok.strip()]
+    pairs = _parse_pq_list(args.sweep_pq or "") + _exact_pairs(args.scan_p_max or 0)
+    labels += [{"p": p, "q": q} for p, q in pairs]
+    if not labels:
+        raise UsageError("sweep needs --sweep-pq, --scan-p-max, or a non-empty --sweep-a")
+    action = _select_action(metrics.YPQ_COORDS, args.action or "rotate:alpha")
+    sweep = ypq_sweep(labels, action, args.k if args.k is not None else 3,
+                      quad=_quad_spec(args), variant=args.variant, s_scale=args.s_scale,
+                      loop_nodes=args.loop_nodes,
+                      ell=1.0 if args.ell is None else args.ell)
+    _write(sweep_to_csv(sweep), args.out)
     return EXIT_OK
+
+
+_COMMANDS = {
+    "verify": cmd_verify,
+    "wcs": cmd_wcs,
+    "sweep": cmd_sweep,
+    "selftest": lambda args: selftest.run_all(),
+}
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
+        args = _parse_args(parser, argv)
+        return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # argparse: --help, --version or a rejected value
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    defaults = vars(parser.parse_args([args.command]))
-    try:
-        args = _merge_config(args, defaults)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "wcs":
-            return cmd_wcs(args)
-        if args.command == "sweep":
-            return cmd_sweep(args)
-        if args.command == "selftest":
-            return selftest.run_all()
-        raise UsageError(f"unknown command {args.command!r}")
     except (QuadratureError, ChartDomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

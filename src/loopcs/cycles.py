@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -45,6 +45,7 @@ __all__ = [
     "pullback_density",
     "integrate_cycle",
     "a_sweep",
+    "ypq_sweep",
     "SweepRow",
     "SweepResult",
     "snap_pi4_multiple",
@@ -126,18 +127,35 @@ class CircleAction:
         return v
 
 
-_killing_cache: dict[tuple[MetricField, int], bool] = {}
-
-
 def _axis_is_killing(metric: MetricField, axis: int, samples: int = 16) -> bool:
     """Numerically verify that all metric components are constant along ``axis``."""
-    key = (metric, axis)
-    if key not in _killing_cache:
-        rng = np.random.default_rng(20240 + axis)
-        pts = metric.box.sample_interior(rng, samples, margin=0.1)
-        _, dg, _ = metric_jets(metric, pts)
-        _killing_cache[key] = bool(np.max(np.abs(dg[..., axis])) < KILLING_TOL)
-    return _killing_cache[key]
+    rng = np.random.default_rng(20240 + axis)
+    pts = metric.box.sample_interior(rng, samples, margin=0.1)
+    _, dg, _ = metric_jets(metric, pts)
+    return bool(np.max(np.abs(dg[..., axis])) < KILLING_TOL)
+
+
+def _cycle_plan(metric: MetricField, action: CircleAction,
+                mask: tuple[int, ...] = ()) -> bool:
+    """Check the mask axes and decide the loop integral, once per call.
+
+    Every candidate axis is checked for being Killing at most once; a mask
+    axis that fails raises.  Returns whether the loop integral is the
+    analytic 2 pi shortcut: only for rotations along axes the metric
+    declares constant and that pass the check.  Undeclared axes take the
+    generic orbit path.
+    """
+    for a in mask:
+        if not 0 <= a < metric.dim:
+            raise ValueError(f"mask axis {a} out of range")
+    loop_axis = action.axis if action.axis in metric.symmetry_axes else None
+    killing = {a: _axis_is_killing(metric, a) for a in {*mask, loop_axis} - {None}}
+    for a in mask:
+        if not killing[a]:
+            raise ValueError(
+                f"axis {metric.coord_names[a]} declared constant but the metric "
+                "varies along it")
+    return loop_axis is not None and killing[loop_axis]
 
 
 def _frame_vectors(metric: MetricField) -> np.ndarray:
@@ -147,8 +165,12 @@ def _frame_vectors(metric: MetricField) -> np.ndarray:
 
 
 def _density_batch(metric: MetricField, action: CircleAction, k: int,
-                   coords: np.ndarray, loop_nodes: int, variant: str) -> np.ndarray:
-    """Density f(m) of the pulled-back form at a batch of chart points."""
+                   coords: np.ndarray, loop_nodes: int, variant: str,
+                   analytic_loop: bool) -> np.ndarray:
+    """Density f(m) of the pulled-back form at a batch of chart points.
+
+    ``analytic_loop`` is the :func:`_cycle_plan` decision for this action.
+    """
     coords = np.asarray(coords, dtype=float)
     batch = coords.shape[:-1]
     if action.kind == "trivial":
@@ -156,9 +178,7 @@ def _density_batch(metric: MetricField, action: CircleAction, k: int,
     vel = action.velocity(metric)
     frame = _frame_vectors(metric)
     axis = action.axis
-    # Analytic loop shortcut only for axes the metric declares constant,
-    # re-verified numerically; undeclared axes take the generic orbit path.
-    if axis in metric.symmetry_axes and _axis_is_killing(metric, axis):
+    if analytic_loop:
         pack = riemann(metric, coords)
         value = wcs_integrand(pack, WcsFrame(k, vel, frame), variant=variant)
         return 2.0 * math.pi * np.asarray(value)
@@ -182,7 +202,8 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
     coords = m.coords if isinstance(m, ChartPoint) else np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
-    out = _density_batch(metric, action, k, coords, loop_nodes, variant)
+    out = _density_batch(metric, action, k, coords, loop_nodes, variant,
+                         _cycle_plan(metric, action))
     return float(out)
 
 
@@ -195,6 +216,7 @@ class _DensityIntegrand:
     k: int
     loop_nodes: int
     variant: str
+    analytic_loop: bool
     free_axes: tuple[int, ...]
     pinned: np.ndarray
 
@@ -202,7 +224,7 @@ class _DensityIntegrand:
         coords = np.repeat(self.pinned[None, :], len(points), axis=0)
         coords[:, list(self.free_axes)] = points
         return _density_batch(self.metric, self.action, self.k, coords,
-                              self.loop_nodes, self.variant)
+                              self.loop_nodes, self.variant, self.analytic_loop)
 
 
 @dataclass(frozen=True)
@@ -215,22 +237,6 @@ class CycleResult:
     node_counts: tuple[int, ...]
     wall_time: float
     provenance: dict
-
-
-def _resolve_mask(metric: MetricField, action: CircleAction,
-                  spec: QuadratureSpec) -> tuple[int, ...]:
-    if spec.mask is not None:
-        mask = tuple(sorted(set(int(a) for a in spec.mask)))
-    else:
-        mask = tuple(a for a in metric.symmetry_axes)
-    for a in mask:
-        if not 0 <= a < metric.dim:
-            raise ValueError(f"mask axis {a} out of range")
-        if not _axis_is_killing(metric, a):
-            raise ValueError(
-                f"axis {metric.coord_names[a]} declared constant but the metric "
-                "varies along it")
-    return mask
 
 
 def best_rational_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
@@ -325,7 +331,9 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
                            wall_time=time.perf_counter() - start, provenance=prov)
 
-    mask = _resolve_mask(metric, action, quad)
+    mask = (tuple(metric.symmetry_axes) if quad.mask is None
+            else tuple(sorted(set(int(a) for a in quad.mask))))
+    analytic_loop = _cycle_plan(metric, action, mask)
     free = tuple(a for a in range(metric.dim) if a not in mask)
     factor = 1.0
     for a in mask:
@@ -335,7 +343,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     if not free:
         # Every axis is a verified constant direction: one density evaluation
         # times the box volume is exact.
-        density = float(_density_batch(metric, action, k, pinned, loop_nodes, variant))
+        density = float(_density_batch(metric, action, k, pinned, loop_nodes, variant,
+                                       analytic_loop))
         value = s_scale * (factor * density)
         prov["node_counts"] = (0,) * metric.dim
         prov["masked_axes"] = [metric.coord_names[a] for a in mask]
@@ -346,16 +355,14 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
 
     integrand = _DensityIntegrand(metric=metric, action=action, k=k,
                                   loop_nodes=loop_nodes, variant=variant,
-                                  free_axes=free, pinned=pinned)
+                                  analytic_loop=analytic_loop, free_axes=free,
+                                  pinned=pinned)
     sub_box = [metric.box.intervals[a] for a in free]
     # Tuple node counts are per unmasked axis, in increasing axis order.
-    if any(c < 2 for c in quad.counts_for(len(free))):
+    counts = quad.counts_for(len(free))
+    if any(c < 2 for c in counts):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    sub_spec = QuadratureSpec(nodes=quad.counts_for(len(free)),
-                              refinement_factor=quad.refinement_factor,
-                              max_refinements=quad.max_refinements,
-                              rel_tol=quad.rel_tol, workers=quad.workers)
-    box_result = integrate_box(integrand, sub_box, sub_spec)
+    box_result = integrate_box(integrand, sub_box, replace(quad, nodes=counts, mask=None))
 
     value = s_scale * (factor * box_result.value)
     error = abs(s_scale) * factor * box_result.error_estimate
@@ -385,6 +392,45 @@ class SweepResult:
     fitted_exponent: float | None = None
 
 
+def ypq_sweep(labels, action: CircleAction, k: int = 3,
+              quad: QuadratureSpec | None = None, variant: str = "reduced",
+              s_scale: float = 1.0, loop_nodes: int = 64,
+              ell: float = 1.0) -> SweepResult:
+    """Cycle integrals of ``action`` across members of the five-dimensional family.
+
+    Each label names one member: ``{"p": p, "q": q}`` for the (p, q) metric,
+    or ``{"a": a}`` for the direct parameter with fiber period ``ell``.  A
+    member that fails (degenerate parameters, a quadrature error) becomes
+    an error row and the sweep continues.  When at least two ``a`` rows
+    give nonzero values, the result carries the fitted log-log slope of
+    |value| against (1 - a).
+    """
+    from .metrics import solve_ypq, ypq_metric, ypq_params_from_a
+
+    rows: list[SweepRow] = []
+    xs, ys = [], []
+    for label in labels:
+        try:
+            if "a" in label:
+                params = ypq_params_from_a(label["a"], ell=ell)
+            else:
+                params = solve_ypq(label["p"], label["q"])
+            res = integrate_cycle(ypq_metric(params), action, k, quad=quad,
+                                  variant=variant, s_scale=s_scale,
+                                  loop_nodes=loop_nodes)
+            rows.append(SweepRow(label=label, result=res))
+            if "a" in label and res.value != 0.0:
+                xs.append(math.log1p(-label["a"]))
+                ys.append(math.log(abs(res.value)))
+        except Exception as exc:  # per-row errors recorded, run continues
+            rows.append(SweepRow(label=label, result=None, error=str(exc)))
+    exponent = None
+    if len(xs) >= 2:
+        slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
+        exponent = float(slope)
+    return SweepResult(rows=rows, fitted_exponent=exponent)
+
+
 def a_sweep(a_grid, k: int = 3, quad: QuadratureSpec | None = None,
             ell: float = 1.0, variant: str = "reduced") -> SweepResult:
     """Cycle integrals of the fiber rotation across a grid of ``a`` values.
@@ -396,25 +442,5 @@ def a_sweep(a_grid, k: int = 3, quad: QuadratureSpec | None = None,
     integrated value decays more slowly because the collapsing cubic root
     concentrates mass in a boundary layer at the upper y-endpoint.
     """
-    from .metrics import ypq_metric, ypq_params_from_a
-
-    rows: list[SweepRow] = []
-    xs, ys = [], []
-    for a in a_grid:
-        label = {"a": float(a)}
-        try:
-            params = ypq_params_from_a(float(a), ell=ell)
-            metric = ypq_metric(params)
-            action = CircleAction.rotation(axis=4)
-            res = integrate_cycle(metric, action, k, quad=quad, variant=variant)
-            rows.append(SweepRow(label=label, result=res))
-            if res.value != 0.0:
-                xs.append(math.log1p(-float(a)))
-                ys.append(math.log(abs(res.value)))
-        except Exception as exc:  # per-row errors recorded, run continues
-            rows.append(SweepRow(label=label, result=None, error=str(exc)))
-    exponent = None
-    if len(xs) >= 2:
-        slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
-        exponent = float(slope)
-    return SweepResult(rows=rows, fitted_exponent=exponent)
+    return ypq_sweep([{"a": float(a)} for a in a_grid], CircleAction.rotation(axis=4),
+                     k, quad=quad, variant=variant, ell=ell)

@@ -24,8 +24,6 @@ __all__ = [
     "Jet2",
     "jet_variable",
     "jet_constant",
-    "jet_arith",
-    "jet_fn",
     "sin",
     "cos",
     "sqrt",
@@ -180,37 +178,3 @@ def pow_int(a: Jet2, m: int) -> Jet2:
     v = a.value
     return _chain(a, v**m, m * v ** (m - 1), m * (m - 1) * v ** (m - 2))
 
-
-_BINARY = {
-    "add": lambda a, b: a + b,
-    "sub": lambda a, b: a - b,
-    "mul": lambda a, b: a * b,
-    "div": lambda a, b: a / b,
-}
-
-_UNARY = {
-    "sin": sin,
-    "cos": cos,
-    "sqrt": sqrt,
-    "recip": recip,
-}
-
-
-def jet_arith(a: Jet2, b: Jet2, op: str) -> Jet2:
-    """Dispatch form of the binary operations: op in {add, sub, mul, div}."""
-    try:
-        return _BINARY[op](a, b)
-    except KeyError:
-        raise ValueError(f"unknown binary op {op!r}") from None
-
-
-def jet_fn(a: Jet2, f: str, exponent: int | None = None) -> Jet2:
-    """Dispatch form of the unary functions: f in {sin, cos, sqrt, recip, pow_int}."""
-    if f == "pow_int":
-        if exponent is None:
-            raise ValueError("pow_int requires an exponent")
-        return pow_int(a, exponent)
-    try:
-        return _UNARY[f](a)
-    except KeyError:
-        raise ValueError(f"unknown function {f!r}") from None

@@ -49,9 +49,12 @@ __all__ = [
     "catalog",
     "einstein_residual",
     "EINSTEIN_CONSTANT_DIM5",
+    "YPQ_COORDS",
 ]
 
 TWO_PI = 2.0 * math.pi
+# Chart coordinates of the five-dimensional family, in chart order.
+YPQ_COORDS = ("phi", "theta", "psi", "y", "alpha")
 
 # Einstein constant of the dim-5 family: Ric = 4 g (dimension minus one).
 EINSTEIN_CONSTANT_DIM5 = 4.0
@@ -218,7 +221,7 @@ def ypq_metric(params: YpqParams) -> MetricField:
         dim=5,
         box=box,
         components=_YpqComponents(a=params.a, c=params.c),
-        coord_names=("phi", "theta", "psi", "y", "alpha"),
+        coord_names=YPQ_COORDS,
         symmetry_axes=(0, 2, 4),
         form_order=(0, 1, 3, 2, 4),
         name=label,

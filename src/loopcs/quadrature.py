@@ -41,8 +41,10 @@ class QuadratureSpec:
     refinement_factor: node-count multiplier for the error-estimation pass.
     max_refinements: extra refinement rounds allowed when rel_tol is set.
     rel_tol: target relative tolerance; None accepts the two-level estimate.
-    mask: axis indices along which the integrand is declared constant; those
-        axes contribute their exact extent as a factor instead of nodes.
+    mask: axis indices along which the integrand is declared constant.
+        ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
+        axes from the box and multiplies by their exact extents.  None means
+        the metric's declared symmetry axes, () means no mask.
     """
 
     nodes: int | tuple[int, ...] = 32
@@ -133,25 +135,14 @@ def _tensor_points(box, counts):
     return points, weights.ravel()
 
 
-class _ChunkTask:
-    """Picklable wrapper evaluating one chunk of nodes (used by worker pools)."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __call__(self, chunk: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(chunk), dtype=float)
-
-
 def _evaluate(f, points: np.ndarray, workers: int) -> np.ndarray:
     chunks = [points[i: i + CHUNK] for i in range(0, len(points), CHUNK)]
-    task = _ChunkTask(f)
     if workers <= 1 or len(chunks) <= 1:
-        results = [task(c) for c in chunks]
+        results = [f(c) for c in chunks]
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(task, chunks))
-    return np.concatenate(results) if results else np.zeros(0)
+            results = list(pool.map(f, chunks))
+    return np.asarray(np.concatenate(results), dtype=float) if results else np.zeros(0)
 
 
 def _single_level(f, box, counts, workers):

@@ -2,7 +2,8 @@
 
 Each suite returns the worst residual observed together with its tolerance;
 the runner prints one line per suite with timing and fails naming the
-offending suite.  Runtime is a couple of minutes on a laptop.
+offending suite.  Runtime is well under a second (about 0.5 s on a 2-core
+Intel Xeon).
 """
 from __future__ import annotations
 

@@ -69,6 +69,10 @@ def test_wcs_bad_action_exit_2():
     assert run(["wcs", "--metric", "round_sphere3", "--action", "rotate:w"]) == 2
 
 
+def _csv_values(path):
+    return [float(line.split(",")[4]) for line in path.read_text().splitlines()[1:]]
+
+
 def test_sweep_pq_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--sweep-pq", "7:3,3:3", "--nodes", "6",
@@ -77,6 +81,15 @@ def test_sweep_pq_csv(tmp_path):
     assert lines[0].startswith("kind,")
     assert any("error" in line and "3" in line for line in lines[1:])
     assert any(line.startswith("result,7,3") and ",ok," in line for line in lines[1:])
+    # every quadrature flag reaches the sweep: bitwise equal to wcs
+    flags = ["--nodes", "3", "--refine-factor", "1", "--no-mask"]
+    assert run(["sweep", "--sweep-pq", "7:3", *flags, "--out", str(out)]) == 0
+    rec = tmp_path / "wcs.json"
+    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
+                "--action", "rotate:alpha", *flags, "--out", str(rec)]) == 0
+    data = json.loads(rec.read_text())
+    assert data["node_counts"] == [3, 3, 3, 3, 3]
+    assert _csv_values(out) == [data["value"]]
 
 
 def test_sweep_scan_exact_pairs(tmp_path):
@@ -93,11 +106,19 @@ def test_sweep_a_grid_appends_exponent(tmp_path):
                 "--out", str(out)]) == 0
     lines = out.read_text().splitlines()
     assert lines[-1].startswith("fitted_exponent")
+    # --s-scale reaches the a-grid rows and stays exactly linear
+    values = {}
+    for s in ("1", "2"):
+        assert run(["sweep", "--sweep-a", "0.5", "--s-scale", s, "--nodes", "6",
+                    "--out", str(out)]) == 0
+        values[s] = _csv_values(out)
+    assert values["2"] == [2.0 * v for v in values["1"]]
 
 
 def test_sweep_empty_exit_2():
     assert run(["sweep"]) == 2
     assert run(["sweep", "--sweep-a", ""]) == 2
+    assert run(["sweep", "--sweep-pq", "7:3", "--action", "spin:alpha"]) == 2
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -110,12 +131,31 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert run(["verify", "--config", str(cfg), "--metric", "flat_torus3"]) == 0
     out = capsys.readouterr().out
     assert "flat_torus3" in out
+    # an explicit flag wins even when it equals the flag's default
+    assert run(["verify", "--config", str(cfg), "--samples", "100"]) == 0
+    assert "100 interior points" in capsys.readouterr().out
 
 
 def test_config_unknown_key_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("metricc = ypq\n")
     assert run(["verify", "--config", str(cfg), "--metric", "flat_torus3"]) == 2
+    # values are checked like the flags' own type and choices
+    for entry in ("variant = bogus", "nodes = 4.5"):
+        cfg.write_text(f"metric = round_sphere3\naction = rotate:phi\n{entry}\n")
+        assert run(["wcs", "--config", str(cfg)]) == 2
+
+
+def test_config_store_true_key(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    out = tmp_path / "res.json"
+    argv = ["wcs", "--config", str(cfg), "--metric", "ypq", "--p", "7", "--q", "3",
+            "--action", "rotate:alpha", "--nodes", "3", "--refine-factor", "1",
+            "--out", str(out)]
+    for raw, counts in (("yes", [3, 3, 3, 3, 3]), ("off", [0, 3, 0, 3, 0])):
+        cfg.write_text(f"no_mask = {raw}\n")
+        assert run(argv) == 0
+        assert json.loads(out.read_text())["node_counts"] == counts
 
 
 def test_selftest_passes(capsys):

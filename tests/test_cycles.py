@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loopcs import metrics
+from loopcs import cycles, metrics
 from loopcs.cycles import (
     CircleAction,
     a_sweep,
@@ -176,6 +176,23 @@ def test_mask_shortcut_matches_bruteforce(y73):
     assert abs(fast.value - slow.value) / abs(fast.value) < 1e-9
     assert fast.node_counts == (0, 6, 0, 6, 0)
     assert slow.node_counts == (6, 6, 6, 6, 6)
+
+
+def test_each_axis_checked_once_per_call(y73, monkeypatch):
+    calls = []
+    real = cycles._axis_is_killing
+
+    def counted(metric, axis, *args):
+        calls.append(axis)
+        return real(metric, axis, *args)
+
+    monkeypatch.setattr(cycles, "_axis_is_killing", counted)
+    action = CircleAction.rotation(axis=4)
+    integrate_cycle(y73, action, 3, QuadratureSpec(nodes=6))
+    assert sorted(calls) == [0, 2, 4]  # the mask axes; the loop axis is among them
+    calls.clear()
+    integrate_cycle(y73, action, 3, QuadratureSpec(nodes=3, refinement_factor=1, mask=()))
+    assert calls == [4]  # unmasked 3^5 box: one check, not one per chunk
 
 
 def test_mask_rejects_non_killing_axis(y73):
