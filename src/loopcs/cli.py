@@ -57,12 +57,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"loopcs {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_action=True):
+    def add_common(p, with_metric=True, with_action=True):
         p.add_argument("--config", help="flat key = value config file; flags override")
-        p.add_argument("--metric", help="catalog name, 'ypq', or 'ypq-a'")
-        p.add_argument("--p", type=int, help="first integer of the (p, q) family")
-        p.add_argument("--q", type=int, help="second integer of the (p, q) family")
-        p.add_argument("--a", type=float, help="direct family parameter in (0, 1)")
+        if with_metric:
+            p.add_argument("--metric", help="catalog name, 'ypq', or 'ypq-a'")
+            p.add_argument("--p", type=int, help="first integer of the (p, q) family")
+            p.add_argument("--q", type=int, help="second integer of the (p, q) family")
+            p.add_argument("--a", type=float, help="direct family parameter in (0, 1)")
         p.add_argument("--ell", type=float, default=None,
                        help="fiber period parameter when using --a (default 1)")
         if with_action:
@@ -94,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_wcs = sub.add_parser("wcs", help="cycle integral of the WCS form")
     add_common(p_wcs)
 
+    # The sweep picks its own family members, so it takes no metric flags.
     p_sweep = sub.add_parser("sweep", help="batch cycle integrals")
-    add_common(p_sweep)
+    add_common(p_sweep, with_metric=False)
     p_sweep.add_argument("--sweep-pq", default=None,
                          help="comma list like 7:3,13:8 of (p, q) pairs")
     p_sweep.add_argument("--scan-p-max", type=int, default=None,

@@ -37,7 +37,7 @@ from . import __version__
 from .geometry import ChartPoint, MetricField, metric_jets, riemann
 from .jets import ChartDomainError
 from .quadrature import QuadratureSpec, integrate_box
-from .wcs import WcsFrame, wcs_integrand
+from .wcs import WcsFrame, _check_variant, wcs_integrand
 
 __all__ = [
     "CircleAction",
@@ -199,6 +199,7 @@ def _density_batch(metric: MetricField, action: CircleAction, k: int,
 def pullback_density(metric: MetricField, action: CircleAction, k: int,
                      m, loop_nodes: int = 64, variant: str = "reduced") -> float:
     """Density f(m) of the pulled-back form at a single chart point."""
+    _check_variant(variant)
     coords = m.coords if isinstance(m, ChartPoint) else np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
@@ -299,6 +300,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     final factor.
     """
     start = time.perf_counter()
+    _check_variant(variant)
     if metric.dim != 2 * k - 1:
         raise ValueError(f"metric dimension {metric.dim} != 2k-1 = {2 * k - 1}")
     quad = quad or QuadratureSpec()

@@ -4,11 +4,16 @@ A metric is supplied as component functions evaluated in second-order jet
 arithmetic; everything here is index bookkeeping on the resulting value /
 gradient / Hessian arrays.  Conventions:
 
-* Christoffel symbols   Gamma^a_bc = 1/2 g^ae (d_b g_ec + d_c g_eb - d_e g_bc)
+* Christoffel symbols   Gamma^a_bc = g^ae Gamma_e,bc, with the first kind
+                        Gamma_e,bc = 1/2 (d_b g_ec + d_c g_eb - d_e g_bc)
 * Riemann tensor        R_jbc^a    = d_j Gamma^a_bc - d_b Gamma^a_jc
                                      + Gamma^a_je Gamma^e_bc - Gamma^a_be Gamma^e_jc
-  stored as ``riemann_up[j, b, c, a]``; the lowered form is
-  ``riemann_down[j, b, c, a] = riemann_up[j, b, c, e] g_ea``.
+  stored as ``riemann_up[j, b, c, a]``.  It is computed lowered, straight
+  from the metric Hessian, with no derivative of g^-1 or of Gamma:
+  ``riemann_down[j, b, c, a]`` = R_jbca = R_jbc^e g_ea
+      = 1/2 (d_j d_c g_ab - d_j d_a g_bc - d_b d_c g_aj + d_b d_a g_jc)
+        + Gamma^e_jc Gamma_e,ba - Gamma^e_bc Gamma_e,ja,
+  and ``riemann_up`` is its raise by g^-1 in the last slot.
 * Ricci tensor          Ric_bc = R_abc^a, which makes round spheres
   positively curved: Ric = ((n-1)/r^2) g.
 
@@ -174,8 +179,15 @@ def metric_jets(metric: MetricField, coords: np.ndarray):
     return g, dg, d2g
 
 
+def _condition_number(g: np.ndarray) -> np.ndarray:
+    """2-norm condition number of symmetric matrices: max|lambda| / min|lambda|."""
+    lam = np.abs(np.linalg.eigvalsh(g))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return lam.max(axis=-1) / lam.min(axis=-1)
+
+
 def _inverse_guarded(g: np.ndarray) -> np.ndarray:
-    cond = np.linalg.cond(g)
+    cond = _condition_number(g)
     if np.any(~np.isfinite(cond)) or np.any(cond > COND_LIMIT):
         worst = float(np.max(cond[np.isfinite(cond)])) if np.any(np.isfinite(cond)) else np.inf
         raise SingularMetricError(
@@ -224,26 +236,22 @@ class CurvaturePack:
         return self.g.shape[-1]
 
 
-def _gamma_derivative(ginv, s, dg, d2g):
-    """d_j Gamma^a_bc as ``[..., j, a, b, c]``.
+def _riemann_down(d2g, s, gamma):
+    """R_jbca as A - A^(j<->b), exactly antisymmetric in (j, b), with
+    A_jbca = 1/2 (d_j d_c g_ab - d_j d_a g_bc + Gamma^e_jc S_eba).
 
-    A function of its own so that its n^4-sized temporaries are freed before
-    :func:`riemann` assembles the curvature.
+    A function of its own so that A is freed before the raise.
     """
-    n = ginv.shape[-1]
-    batch = ginv.shape[:-2]
-    # dS[..., j, e, b, c] = d_j S_{ebc}, from the metric Hessian.
-    t1 = np.einsum("...ecbj->...jebc", d2g)   # d_j d_b g_{ec}
-    t2 = np.einsum("...ebcj->...jebc", d2g)   # d_j d_c g_{eb}
-    t3 = np.einsum("...bcej->...jebc", d2g)   # d_j d_e g_{bc}
-    ds = t1 + t2 - t3
-    ginv_j = ginv[..., None, :, :]
-    # dginv[..., j, a, e] = -g^ap d_j g_pq g^qe
-    dginv = -(ginv_j @ np.moveaxis(dg, -1, -3) @ ginv_j)
-    dgamma = dginv @ s.reshape(batch + (1, n, n * n))
-    dgamma += ginv_j @ ds.reshape(batch + (n, n, n * n))
-    dgamma *= 0.5
-    return dgamma.reshape(batch + (n,) * 4)
+    n = gamma.shape[-1]
+    batch = gamma.shape[:-3]
+    # C order: every later pass then runs over contiguous memory.
+    a = np.subtract(np.einsum("...abjc->...jbca", d2g),
+                    np.einsum("...bcja->...jbca", d2g), order="C")
+    # Gamma^e_jc S_eba as [..., j, c, b, a], one (n^2 x n) @ (n x n^2) product.
+    a += np.swapaxes((np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2)
+                      @ s.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4), -3, -2)
+    a *= 0.5
+    return a - np.swapaxes(a, -4, -3)
 
 
 def riemann(metric: MetricField, x) -> CurvaturePack:
@@ -251,20 +259,9 @@ def riemann(metric: MetricField, x) -> CurvaturePack:
     coords = x.coords if isinstance(x, ChartPoint) else np.asarray(x, float)
     g, dg, d2g = metric_jets(metric, coords)
     ginv, s, gamma = _gamma_terms(g, dg)
-    dgamma = _gamma_derivative(ginv, s, dg, d2g)
+    rdown = _riemann_down(d2g, s, gamma)
     n = g.shape[-1]
-    batch = g.shape[:-2]
-    # gg[..., a, j, b, c] = Gamma^a_je Gamma^e_bc
-    gg = (gamma.reshape(batch + (n * n, n))
-          @ gamma.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4)
-
-    # Accumulated in place into a C-ordered array, so that rdown and the
-    # integrand reshape riemann_up without copying it.
-    rup = np.einsum("...jabc->...jbca", dgamma).copy()
-    rup -= np.einsum("...bajc->...jbca", dgamma)
-    rup += np.einsum("...ajbc->...jbca", gg)
-    rup -= np.einsum("...abjc->...jbca", gg)
-    rdown = (rup.reshape(batch + (n ** 3, n)) @ g).reshape(rup.shape)
+    rup = (rdown.reshape(g.shape[:-2] + (n ** 3, n)) @ ginv).reshape(rdown.shape)
     ricci = np.einsum("...abca->...bc", rup)
     return CurvaturePack(g=g, ginv=ginv, gamma=gamma,
                          riemann_up=rup, riemann_down=rdown, ricci=ricci)

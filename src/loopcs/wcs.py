@@ -61,6 +61,11 @@ __all__ = [
 _VARIANTS = ("full", "reduced")
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in _VARIANTS:
+        raise ValueError(f"variant must be one of {_VARIANTS}")
+
+
 @dataclass(frozen=True)
 class WcsFrame:
     """Degree parameter k, loop velocity, and a frame of 2k - 1 vectors."""
@@ -85,8 +90,7 @@ def _bracket(rup, rows, gammadot, variant: str) -> np.ndarray:
     ``rows`` has shape ``(..., r, n)``; the result ``(..., r, n, n)`` holds
     B(X)^a_b at ``[..., a, b]``.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
+    _check_variant(variant)
     n = rup.shape[-1]
     # t[..., c, b, a] = (R_{cbd}^^a - R_{bdc}^^a [- 2 R_{cdb}^^a]) gd^d
     r_cdb = np.einsum("...cdba,...d->...cba", rup, gammadot)
@@ -153,8 +157,6 @@ def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced",
     module.  Alternating in the frame, linear in the velocity, and scaled
     linearly by ``s_scale``.
     """
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
     n = pack.dim
     m = 2 * wf.k - 1
     if n != m:

@@ -119,6 +119,9 @@ def test_sweep_empty_exit_2():
     assert run(["sweep"]) == 2
     assert run(["sweep", "--sweep-a", ""]) == 2
     assert run(["sweep", "--sweep-pq", "7:3", "--action", "spin:alpha"]) == 2
+    # the sweep picks its own family members: metric flags are refused
+    for flag, val in (("--metric", "round_sphere3"), ("--p", "1"), ("--q", "1"), ("--a", "0.5")):
+        assert run(["sweep", flag, val, "--scan-p-max", "7"]) == 2
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -140,6 +143,8 @@ def test_config_unknown_key_exit_2(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("metricc = ypq\n")
     assert run(["verify", "--config", str(cfg), "--metric", "flat_torus3"]) == 2
+    cfg.write_text("metric = round_sphere3\n")  # not a sweep flag
+    assert run(["sweep", "--config", str(cfg), "--scan-p-max", "7"]) == 2
     # values are checked like the flags' own type and choices
     for entry in ("variant = bogus", "nodes = 4.5"):
         cfg.write_text(f"metric = round_sphere3\naction = rotate:phi\n{entry}\n")

@@ -227,6 +227,18 @@ def test_wrong_dimension_rejected():
         integrate_cycle(m, CircleAction.rotation(axis=2), 3)
 
 
+def test_bad_variant_rejected_before_any_evaluation(y73, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    action = CircleAction.rotation(axis=4)
+    with pytest.raises(ValueError, match="variant"):
+        integrate_cycle(y73, action, 3, QuadratureSpec(nodes=3), variant="bogus")
+    with pytest.raises(ValueError, match="variant"):
+        pullback_density(y73, action, 3, np.array([1.0, 1.2, 2.0, 0.1, 0.5]),
+                         variant="bogus")
+    assert calls == []
+
+
 def test_best_rational_in_interval():
     assert best_rational_in_interval(Fraction(1, 3), Fraction(1, 2)) == Fraction(1, 2)
     assert best_rational_in_interval(Fraction(-1, 2), Fraction(1, 5)) == 0

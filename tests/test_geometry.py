@@ -1,4 +1,6 @@
 """Christoffel/Riemann machinery against closed-form oracles."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -123,6 +125,69 @@ def test_finite_difference_oracle_confirms_jet_route(case):
     rscale = max(np.max(np.abs(pack.riemann_up)), 1.0)
     assert np.max(np.abs(gamma - gamma_fd)) / gscale < 1e-6
     assert np.max(np.abs(pack.riemann_up - rup_fd)) / rscale < 1e-4
+
+
+def riemann_via_dgamma(metric, coords):
+    """Independent route: R_jbc^a from d_j Gamma^a_bc, with d(g^-1) = -g^-1 dg g^-1.
+
+    Returns ``(riemann_up, riemann_down, ricci)`` in the layout of
+    :class:`geometry.CurvaturePack`.
+    """
+    g, dg, d2g = metric_jets(metric, coords)
+    ginv = np.linalg.inv(g)
+    s = np.swapaxes(dg, -1, -2) + dg - np.moveaxis(dg, -1, -3)
+    gamma = 0.5 * np.einsum("...ae,...ebc->...abc", ginv, s)
+    # d_j S_ebc = d_j d_b g_ec + d_j d_c g_eb - d_j d_e g_bc
+    ds = (np.einsum("...ecbj->...jebc", d2g) + np.einsum("...ebcj->...jebc", d2g)
+          - np.einsum("...bcej->...jebc", d2g))
+    dginv = -np.einsum("...ap,...pqj,...qe->...jae", ginv, dg, ginv)
+    dgamma = 0.5 * (np.einsum("...jae,...ebc->...jabc", dginv, s)
+                    + np.einsum("...ae,...jebc->...jabc", ginv, ds))
+    rup = (np.einsum("...jabc->...jbca", dgamma) - np.einsum("...bajc->...jbca", dgamma)
+           + np.einsum("...aje,...ebc->...jbca", gamma, gamma)
+           - np.einsum("...abe,...ejc->...jbca", gamma, gamma))
+    rdown = np.einsum("...jbce,...ea->...jbca", rup, g)
+    return rup, rdown, np.einsum("...abca->...bc", rup)
+
+
+@pytest.mark.parametrize("name", ["round_sphere5", "perturbed_torus5", "ypq73", "s2xs3"])
+def test_lowered_route_matches_dgamma_oracle(name):
+    metric = {
+        "round_sphere5": lambda: metrics.round_sphere(5),
+        "perturbed_torus5": lambda: metrics.perturbed_torus(5),
+        "ypq73": lambda: metrics.ypq_metric(metrics.solve_ypq(7, 3)),
+        "s2xs3": lambda: metrics.catalog("s2xs3"),
+    }[name]()
+    pts = metric.box.sample_interior(np.random.default_rng(5), 500)
+    pack = riemann(metric, pts)
+    for got, want in zip((pack.riemann_up, pack.riemann_down, pack.ricci),
+                         riemann_via_dgamma(metric, pts)):
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_condition_number_matches_svd():
+    rng = np.random.default_rng(3)
+    for n in (2, 3, 5, 7):
+        a = rng.standard_normal((200, n, n))
+        sym = a + np.swapaxes(a, -1, -2)  # indefinite
+        spd = a @ np.swapaxes(a, -1, -2) + 1e-3 * np.eye(n)
+        for g in (sym, spd):
+            want = np.linalg.cond(g)
+            assert np.max(np.abs(geometry._condition_number(g) - want) / want) <= 1e-10
+
+
+def test_riemann_peak_memory():
+    m = metrics.perturbed_torus(3)
+    pts = m.box.sample_interior(np.random.default_rng(0), 4096)
+    riemann(m, pts)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        riemann(m, pts)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14.5e6
 
 
 def test_metric_compatibility_y73():
