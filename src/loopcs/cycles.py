@@ -10,10 +10,11 @@ the coordinate box,
 
 where o is the metric's declared form order and f(m) is the loop integral
 over t in [0, 2 pi) of the pointwise integrand with velocity da/dt and the
-frame of pushed-forward coordinate vectors.  For rotations along an axis on
-which every metric component is constant (a verified Killing axis) the loop
-integrand is t-independent and the loop integral is exactly 2 pi times the
-pointwise value; otherwise it falls back to the periodic trapezoid rule.
+frame of pushed-forward coordinate vectors.  The loop integral is always the
+periodic trapezoid rule, spectrally accurate for smooth periodic integrands.
+Along an axis on which every metric component is constant (a verified
+Killing axis) the loop integrand is t-independent, so one sample is exact:
+2 pi times the pointwise value.  Orbits must wrap a periodic axis.
 
 Conventions recorded in every result's provenance:
 
@@ -98,26 +99,24 @@ class CircleAction:
         return tag if self.n_fold == 1 else f"iterate({tag}, n={self.n_fold})"
 
     def resolved_speed(self, metric: MetricField) -> float:
-        """Total coordinate speed, including the iterate factor."""
+        """Total coordinate speed, including the iterate factor; the orbit must
+        close on a periodic axis (one along a non-periodic axis exits the chart)."""
         if self.kind != "rotation":
             return 0.0
         if self.axis is None or not 0 <= self.axis < metric.dim:
             raise ValueError(f"rotation axis {self.axis} invalid for dim {metric.dim}")
-        base = self.speed
-        if base is None:
-            if not metric.box.periodic[self.axis]:
-                raise ValueError(
-                    f"axis {metric.coord_names[self.axis]} is not periodic; "
-                    "an explicit speed is required")
-            base = metric.box.extent(self.axis) / (2.0 * math.pi)
+        if not metric.box.periodic[self.axis]:
+            raise ChartDomainError(
+                f"orbit along non-periodic axis {metric.coord_names[self.axis]} "
+                "exits the chart")
+        period = metric.box.extent(self.axis)
+        base = period / (2.0 * math.pi) if self.speed is None else self.speed
         speed = base * self.n_fold
-        if metric.box.periodic[self.axis]:
-            period = metric.box.extent(self.axis)
-            winding = speed * 2.0 * math.pi / period
-            if abs(winding - round(winding)) > 1e-9:
-                raise ValueError(
-                    f"speed {speed} does not close the orbit: winding {winding} "
-                    "is not an integer")
+        winding = speed * 2.0 * math.pi / period
+        if abs(winding - round(winding)) > 1e-9:
+            raise ValueError(
+                f"speed {speed} does not close the orbit: winding {winding} "
+                "is not an integer")
         return speed
 
     def velocity(self, metric: MetricField) -> np.ndarray:
@@ -135,16 +134,18 @@ def _axis_is_killing(metric: MetricField, axis: int, samples: int = 16) -> bool:
     return bool(np.max(np.abs(dg[..., axis])) < KILLING_TOL)
 
 
-def _cycle_plan(metric: MetricField, action: CircleAction,
-                mask: tuple[int, ...] = ()) -> bool:
-    """Check the mask axes and decide the loop integral, once per call.
+def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
+                mask: tuple[int, ...] = ()) -> int:
+    """Check the rotation and the mask axes and size the loop rule, once per call.
 
-    Every candidate axis is checked for being Killing at most once; a mask
-    axis that fails raises.  Returns whether the loop integral is the
-    analytic 2 pi shortcut: only for rotations along axes the metric
-    declares constant and that pass the check.  Undeclared axes take the
-    generic orbit path.
+    The rotation must close on a periodic axis.  Every candidate axis is
+    checked for being Killing at most once; a mask axis that fails raises.
+    Returns the number of trapezoid samples per orbit: 1 for a rotation
+    along an axis the metric declares constant and that passes the check
+    (the loop integrand is then t-independent, so one sample is exact),
+    else ``loop_nodes``.
     """
+    action.resolved_speed(metric)
     for a in mask:
         if not 0 <= a < metric.dim:
             raise ValueError(f"mask axis {a} out of range")
@@ -155,7 +156,7 @@ def _cycle_plan(metric: MetricField, action: CircleAction,
             raise ValueError(
                 f"axis {metric.coord_names[a]} declared constant but the metric "
                 "varies along it")
-    return loop_axis is not None and killing[loop_axis]
+    return 1 if loop_axis is not None and killing[loop_axis] else loop_nodes
 
 
 def _frame_vectors(metric: MetricField) -> np.ndarray:
@@ -165,35 +166,21 @@ def _frame_vectors(metric: MetricField) -> np.ndarray:
 
 
 def _density_batch(metric: MetricField, action: CircleAction, k: int,
-                   coords: np.ndarray, loop_nodes: int, variant: str,
-                   analytic_loop: bool) -> np.ndarray:
-    """Density f(m) of the pulled-back form at a batch of chart points.
-
-    ``analytic_loop`` is the :func:`_cycle_plan` decision for this action.
-    """
+                   coords: np.ndarray, loop_samples: int, variant: str) -> np.ndarray:
+    """Density f(m) of the pulled-back form at a batch of chart points: the
+    periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
+    all orbit points of the batch evaluated as one flat batch."""
     coords = np.asarray(coords, dtype=float)
-    batch = coords.shape[:-1]
-    if action.kind == "trivial":
-        return np.zeros(batch)
     vel = action.velocity(metric)
-    frame = _frame_vectors(metric)
     axis = action.axis
-    if analytic_loop:
-        pack = riemann(metric, coords)
-        value = wcs_integrand(pack, WcsFrame(k, vel, frame), variant=variant)
-        return 2.0 * math.pi * np.asarray(value)
-    # Non-Killing rotation: periodic trapezoid over the orbit (spectral for
-    # smooth periodic integrands).  The orbit must wrap a periodic axis.
-    if not metric.box.periodic[axis]:
-        raise ChartDomainError(
-            f"orbit along non-periodic axis {metric.coord_names[axis]} exits the chart")
-    ts = np.linspace(0.0, 2.0 * math.pi, loop_nodes, endpoint=False)
-    orbit = np.repeat(coords[None, ...], loop_nodes, axis=0)
-    orbit[..., axis] = orbit[..., axis] + vel[axis] * ts.reshape((-1,) + (1,) * len(batch))
-    orbit = metric.box.wrap(orbit, axis)
+    ts = np.linspace(0.0, 2.0 * math.pi, loop_samples, endpoint=False)
+    orbit = np.repeat(coords.reshape(1, -1, metric.dim), loop_samples, axis=0)
+    orbit[..., axis] = orbit[..., axis] + vel[axis] * ts[:, None]
+    orbit = metric.box.wrap(orbit, axis).reshape(-1, metric.dim)
     pack = riemann(metric, orbit)
-    values = np.asarray(wcs_integrand(pack, WcsFrame(k, vel, frame), variant=variant))
-    return (2.0 * math.pi / loop_nodes) * np.sum(values, axis=0)
+    values = wcs_integrand(pack, WcsFrame(k, vel, _frame_vectors(metric)), variant=variant)
+    values = values.reshape((loop_samples,) + coords.shape[:-1])
+    return (2.0 * math.pi / loop_samples) * np.sum(values, axis=0)
 
 
 def pullback_density(metric: MetricField, action: CircleAction, k: int,
@@ -203,9 +190,10 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
     coords = m.coords if isinstance(m, ChartPoint) else np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
-    out = _density_batch(metric, action, k, coords, loop_nodes, variant,
-                         _cycle_plan(metric, action))
-    return float(out)
+    if action.kind == "trivial":
+        return 0.0
+    samples = _cycle_plan(metric, action, loop_nodes)
+    return float(_density_batch(metric, action, k, coords, samples, variant))
 
 
 @dataclass
@@ -215,9 +203,8 @@ class _DensityIntegrand:
     metric: MetricField
     action: CircleAction
     k: int
-    loop_nodes: int
+    loop_samples: int
     variant: str
-    analytic_loop: bool
     free_axes: tuple[int, ...]
     pinned: np.ndarray
 
@@ -225,7 +212,7 @@ class _DensityIntegrand:
         coords = np.repeat(self.pinned[None, :], len(points), axis=0)
         coords[:, list(self.free_axes)] = points
         return _density_batch(self.metric, self.action, self.k, coords,
-                              self.loop_nodes, self.variant, self.analytic_loop)
+                              self.loop_samples, self.variant)
 
 
 @dataclass(frozen=True)
@@ -335,32 +322,20 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
 
     mask = (tuple(metric.symmetry_axes) if quad.mask is None
             else tuple(sorted(set(int(a) for a in quad.mask))))
-    analytic_loop = _cycle_plan(metric, action, mask)
+    loop_samples = _cycle_plan(metric, action, loop_nodes, mask)
     free = tuple(a for a in range(metric.dim) if a not in mask)
     factor = 1.0
     for a in mask:
         factor *= metric.box.extent(a)
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
 
-    if not free:
-        # Every axis is a verified constant direction: one density evaluation
-        # times the box volume is exact.
-        density = float(_density_batch(metric, action, k, pinned, loop_nodes, variant,
-                                       analytic_loop))
-        value = s_scale * (factor * density)
-        prov["node_counts"] = (0,) * metric.dim
-        prov["masked_axes"] = [metric.coord_names[a] for a in mask]
-        snapped = snap_pi4_multiple(value, 0.0) if exact_mode else None
-        return CycleResult(value=value, pi4_multiple=snapped, error_estimate=0.0,
-                           node_counts=(0,) * metric.dim,
-                           wall_time=time.perf_counter() - start, provenance=prov)
-
     integrand = _DensityIntegrand(metric=metric, action=action, k=k,
-                                  loop_nodes=loop_nodes, variant=variant,
-                                  analytic_loop=analytic_loop, free_axes=free,
-                                  pinned=pinned)
+                                  loop_samples=loop_samples, variant=variant,
+                                  free_axes=free, pinned=pinned)
     sub_box = [metric.box.intervals[a] for a in free]
-    # Tuple node counts are per unmasked axis, in increasing axis order.
+    # Tuple node counts are per unmasked axis, in increasing axis order.  With
+    # every axis masked the box has no axes and the rule is one point of
+    # weight 1: the box volume times one density evaluation.
     counts = quad.counts_for(len(free))
     if any(c < 2 for c in counts):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")

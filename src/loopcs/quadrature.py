@@ -7,6 +7,7 @@ are bit-identical across repeated runs and across worker counts.
 """
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -24,6 +25,9 @@ __all__ = [
 # Chunk size is a fixed constant (not worker-dependent) so that the batches
 # handed to the integrand are identical for every worker count.
 CHUNK = 64
+
+# Largest grid one level may build: 2**22 5-D points hold about 168 MB.
+MAX_LEVEL_POINTS = 2**22
 
 _NEWTON_TOL = 1e-15
 
@@ -125,14 +129,15 @@ def pairwise_sum(values: np.ndarray) -> float:
 
 
 def _tensor_points(box, counts):
-    axes = [gauss_nodes(c, iv) for c, iv in zip(counts, box)]
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=-1)
-    wgrids = np.meshgrid(*[a[1] for a in axes], indexing="ij")
-    weights = np.ones_like(wgrids[0])
-    for w in wgrids:
-        weights = weights * w
-    return points, weights.ravel()
+    """Row-major grid points and product weights; no axes give one empty point
+    of weight 1."""
+    points = np.empty(tuple(counts) + (len(counts),))
+    weights = np.ones(())
+    for axis, (c, iv) in enumerate(zip(counts, box)):
+        x, w = gauss_nodes(c, iv)
+        points[..., axis] = x.reshape((c,) + (1,) * (len(counts) - axis - 1))
+        weights = np.multiply.outer(weights, w)
+    return points.reshape(weights.size, len(counts)), weights.ravel()
 
 
 def _evaluate(f, points: np.ndarray, workers: int) -> np.ndarray:
@@ -179,13 +184,19 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     values and must be pure.  The returned ``value`` is the refined-level
     result and ``error_estimate`` the absolute difference between the two
     finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
-    set and unmet after ``spec.max_refinements`` extra rounds.
+    set and unmet after ``spec.max_refinements`` extra rounds, and raises
+    ValueError before building any grid if the finest level allowed would
+    exceed ``MAX_LEVEL_POINTS``.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     counts = spec.counts_for(len(box))
     fac = int(spec.refinement_factor)
     if fac < 1:
         raise ValueError("refinement factor must be >= 1")
+    finest = math.prod(c * fac ** (spec.max_refinements + 1) for c in counts)
+    if finest > MAX_LEVEL_POINTS:
+        raise ValueError(f"the finest quadrature level would evaluate {finest} points, "
+                         f"over the budget of {MAX_LEVEL_POINTS}")
 
     coarse = _single_level(f, box, counts, spec.workers)
     if fac == 1:

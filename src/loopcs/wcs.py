@@ -122,11 +122,11 @@ def _wedge_tables(m: int):
 
     Returns ``(levels, complement)``.  Level sets are sorted index sets in
     ``combinations`` order, starting from the pairs a < b.  Each level above
-    the pairs is ``(prev, pair, sign, count)``: row t of the stacked products
-    multiplies W[prev[t]] of the level below by Omega[pair[t]] with
-    ``sign[t]``; rows come in ``count`` consecutive groups of equal size, one
-    group per index set of the level.  ``complement[i]`` is the position of
-    J_i in the top level.
+    the pairs is ``(prev, pair, sign)``, three ``(slots, count)`` arrays with
+    one column per index set J of the level and one row per pair slot {a, b}
+    of J: slot s of set J multiplies W[prev[s, J]] of the level below by
+    Omega[pair[s, J]] with ``sign[s, J]``.  ``complement[i]`` is the position
+    of J_i in the top level.
     """
     pair_pos = {p: t for t, p in enumerate(combinations(range(m), 2))}
     below = pair_pos
@@ -141,7 +141,8 @@ def _wedge_tables(m: int):
                 prev.append(below[rest])
                 pair.append(pair_pos[(a, b)])
                 sign.append(-1.0 if inversions % 2 else 1.0)
-        levels.append((np.array(prev), np.array(pair), np.array(sign), len(sets)))
+        levels.append(tuple(np.array(t).reshape(len(sets), -1).T
+                            for t in (prev, pair, sign)))
         below = {J: t for t, J in enumerate(sets)}
     complement = np.array([below[tuple(x for x in range(m) if x != i)]
                            for i in range(m)])
@@ -174,13 +175,15 @@ def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced",
     pairs = bivectors @ rup.reshape(batch + (n * n, n * n))
     pairs = np.swapaxes(pairs.reshape(pairs.shape[:-1] + (n, n)), -1, -2)
 
+    # Summing each level's pair slots one at a time keeps every temporary at
+    # (count, n, n) instead of materialising the (count * slots, n, n) stack.
     levels, complement = _wedge_tables(m)
     wedge = pairs
-    for prev, pair, sign, count in levels:
-        products = wedge[..., prev, :, :] @ pairs[..., pair, :, :]
-        products = (sign[:, None, None] * products).reshape(
-            batch + (count, -1, n, n))
-        wedge = products.sum(axis=-3)
+    for prev, pair, sign in levels:
+        acc = np.zeros(batch + (prev.shape[1], n, n))
+        for p, q, s in zip(prev, pair, sign):
+            acc += s[:, None, None] * (wedge[..., p, :, :] @ pairs[..., q, :, :])
+        wedge = acc
     traces = np.einsum("...iab,...iba->...i", B, wedge[..., complement, :, :])
     signs = np.where(np.arange(m) % 2, -1.0, 1.0)
     result = (2.0 ** (wf.k - 1) * 2.0 / math.factorial(m)) * (traces @ signs)

@@ -30,6 +30,18 @@ def test_verify_requires_metric():
     assert run(["verify"]) == 2
 
 
+def test_over_budget_run_refused_before_any_evaluation(monkeypatch, capsys):
+    from loopcs import cycles, quadrature
+
+    calls = []
+    monkeypatch.setattr(quadrature, "MAX_LEVEL_POINTS", 1000)
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
+                "--action", "rotate:alpha", "--no-mask", "--nodes", "4"]) == 2
+    assert "32768 points" in capsys.readouterr().err  # 8^5 at the refined level
+    assert calls == []
+
+
 def test_wcs_record_round_trips(tmp_path, capsys):
     out = tmp_path / "res.json"
     code = run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",

@@ -135,10 +135,60 @@ def test_non_closing_speed_rejected(y73):
                         QuadratureSpec(nodes=4))
 
 
-def test_orbit_exits_non_periodic_axis(y73):
-    action = CircleAction.rotation(axis=1, speed=0.25)  # theta is not periodic
-    with pytest.raises(ChartDomainError):
-        pullback_density(y73, action, 3, np.array([1.0, 1.2, 2.0, 0.1, 0.5]))
+def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
+    # Refused before any chunk, whether the axis is undeclared (theta) or a
+    # declared Killing axis of a flat torus whose box is not periodic there.
+    from dataclasses import replace
+
+    from loopcs.geometry import CoordBox
+
+    flat = metrics.flat_torus(3)
+    open_x0 = replace(flat, box=CoordBox(flat.box.intervals, (False, True, True)))
+    assert 0 in open_x0.symmetry_axes
+    cases = [(y73, CircleAction.rotation(axis=1, speed=0.25), 3),
+             (open_x0, CircleAction.rotation(axis=0, speed=1.0), 2)]
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    for metric, action, k in cases:
+        with pytest.raises(ChartDomainError, match="non-periodic"):
+            pullback_density(metric, action, k, metric.box.sample_interior(
+                np.random.default_rng(0), 1)[0])
+        with pytest.raises(ChartDomainError, match="non-periodic"):
+            integrate_cycle(metric, action, k, QuadratureSpec(nodes=4))
+    assert calls == []
+
+
+def _closed_form_density(params, theta, y):
+    """Fiber-rotation density of the five-dimensional family, k = 3:
+    f = -(16/135) pi ell (1-a)^2 sin(theta) G'(y), G'(y) = -12 y/(y-1)^5,
+    the pointwise form of :func:`closed_form_value`."""
+    return (-16.0 / 135.0 * math.pi * params.ell * (1.0 - params.a) ** 2
+            * np.sin(theta) * (-12.0 * y / (y - 1.0) ** 5))
+
+
+@pytest.mark.parametrize("params", [
+    metrics.solve_ypq(7, 3),
+    metrics.solve_ypq(5, 3),  # 4p^2 - 3q^2 = 73 is not a square
+    metrics.ypq_params_from_a(0.6, ell=0.7),
+    metrics.ypq_params_from_a(0.3, ell=0.7),
+], ids=["7-3", "5-3", "a0.6", "a0.3"])
+def test_density_matches_closed_form(params):
+    # The one-sample trapezoid on the declared Killing axis and the 16-sample
+    # trapezoid of a clone that declares no axes both reproduce the closed form.
+    # The error is scaled by the largest |f| of the sample: f changes sign at
+    # y = 0, where the pointwise relative error measures cancellation only.
+    from dataclasses import replace
+
+    m = metrics.ypq_metric(params)
+    pts = m.box.sample_interior(np.random.default_rng(5), 50, margin=0.1)
+    want = _closed_form_density(params, pts[:, 1], pts[:, 3])
+    action = CircleAction.rotation(axis=4)
+    for metric, nodes in ((m, 64), (replace(m, symmetry_axes=()), 16)):
+        for variant in ("reduced", "full"):
+            got = np.array([pullback_density(metric, action, 3, x, loop_nodes=nodes,
+                                             variant=variant) for x in pts])
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (
+                variant, nodes)
 
 
 @pytest.mark.parametrize("p,q", [(7, 3), (7, 5)])

@@ -15,6 +15,16 @@ def test_one_point_rule():
     x, w = gauss_nodes(1, (-1.0, 1.0))
     assert np.allclose(x, [0.0], atol=1e-15)
     assert np.allclose(w, [2.0], atol=1e-15)
+    # A box with no axes is one empty point of weight 1.
+    seen = []
+
+    def constant(p):
+        seen.append(p.shape)
+        return np.full(len(p), 3.0)
+
+    res = integrate_box(constant, [], QuadratureSpec(nodes=5))
+    assert res.value == 3.0 and res.error_estimate == 0.0
+    assert res.counts == () and seen == [(1, 0), (1, 0)]
 
 
 def test_two_point_rule_textbook():
