@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 
 from .jets import ChartDomainError, Jet2, jet_constant, jet_variable
 from .geometry import (
-    ChartPoint,
     CoordBox,
     CurvaturePack,
     MetricField,
@@ -46,7 +45,6 @@ __all__ = [
     "Jet2",
     "jet_constant",
     "jet_variable",
-    "ChartPoint",
     "CoordBox",
     "CurvaturePack",
     "MetricField",

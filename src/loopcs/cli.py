@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 
 import numpy as np
@@ -34,8 +33,6 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
-
-WORKER_ENV = "LOOPCS_WORKERS"
 
 _AXIS_ALIASES = {
     "phi": "phi", "φ": "phi",
@@ -83,8 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--loop-nodes", type=int, default=64)
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut")
-            p.add_argument("--workers", type=int, default=None,
-                           help=f"evaluation workers (default ${WORKER_ENV} or 1)")
+            p.add_argument("--workers", type=int, default=1,
+                           help="evaluation workers (default 1)")
         p.add_argument("--out", help="output file path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="curvature identity residuals")
@@ -198,18 +195,11 @@ def _select_action(names: tuple[str, ...], text: str | None) -> CircleAction:
     raise UsageError(f"unknown action {text!r}")
 
 
-def _workers(args) -> int:
-    if getattr(args, "workers", None) is not None:
-        return max(1, args.workers)
-    env = os.environ.get(WORKER_ENV)
-    return max(1, int(env)) if env else 1
-
-
 def _quad_spec(args) -> QuadratureSpec:
     mask: tuple[int, ...] | None = () if getattr(args, "no_mask", False) else None
     return QuadratureSpec(nodes=args.nodes, refinement_factor=args.refine_factor,
                           max_refinements=args.max_refinements, rel_tol=args.tol,
-                          mask=mask, workers=_workers(args))
+                          mask=mask, workers=max(1, args.workers))
 
 
 def _write(text: str, path: str | None):

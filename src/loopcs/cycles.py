@@ -35,7 +35,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .geometry import ChartPoint, MetricField, metric_jets, riemann
+from .geometry import MetricField, metric_jets, riemann
 from .jets import ChartDomainError
 from .quadrature import QuadratureSpec, integrate_box
 from .wcs import WcsFrame, _check_variant, wcs_integrand
@@ -106,7 +106,7 @@ class CircleAction:
         if self.axis is None or not 0 <= self.axis < metric.dim:
             raise ValueError(f"rotation axis {self.axis} invalid for dim {metric.dim}")
         if not metric.box.periodic[self.axis]:
-            raise ChartDomainError(
+            raise ValueError(
                 f"orbit along non-periodic axis {metric.coord_names[self.axis]} "
                 "exits the chart")
         period = metric.box.extent(self.axis)
@@ -138,13 +138,16 @@ def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
                 mask: tuple[int, ...] = ()) -> int:
     """Check the rotation and the mask axes and size the loop rule, once per call.
 
-    The rotation must close on a periodic axis.  Every candidate axis is
-    checked for being Killing at most once; a mask axis that fails raises.
+    ``loop_nodes`` must be positive and the rotation must close on a periodic
+    axis.  Every candidate axis is checked for being Killing at most once; a
+    mask axis that fails raises.
     Returns the number of trapezoid samples per orbit: 1 for a rotation
     along an axis the metric declares constant and that passes the check
     (the loop integrand is then t-independent, so one sample is exact),
     else ``loop_nodes``.
     """
+    if loop_nodes < 1:
+        raise ValueError(f"loop_nodes must be >= 1, got {loop_nodes}")
     action.resolved_speed(metric)
     for a in mask:
         if not 0 <= a < metric.dim:
@@ -187,7 +190,7 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
                      m, loop_nodes: int = 64, variant: str = "reduced") -> float:
     """Density f(m) of the pulled-back form at a single chart point."""
     _check_variant(variant)
-    coords = m.coords if isinstance(m, ChartPoint) else np.asarray(m, dtype=float)
+    coords = np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
     if action.kind == "trivial":
@@ -303,7 +306,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         "orientation": "^".join(metric.coord_names[i] for i in metric.orientation()),
         "orbit_speed": None if action.kind == "trivial" else action.resolved_speed(metric),
         "speed_convention": "axis period / (2 pi) per unit loop parameter",
-        "loop_integral": "analytic 2 pi on verified constant axes, else trapezoid",
+        "loop_integral": "periodic trapezoid rule, one sample on verified constant axes",
         "normalization": "2/(2k-1)! signed sum over S(2k-1), plain endomorphism products",
         "version": __version__,
     }

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import ChartDomainError, Jet2, jet_constant, jet_variable
+from .jets import ChartDomainError, Jet2, jet_variable
 
 __all__ = [
     "SingularMetricError",
-    "ChartPoint",
     "CoordBox",
     "MetricField",
     "CurvaturePack",
@@ -49,17 +48,6 @@ IDENTITY_TOL = 1e-9
 
 class SingularMetricError(ChartDomainError):
     """Metric matrix numerically singular: chart-boundary degeneracy."""
-
-
-@dataclass(frozen=True)
-class ChartPoint:
-    """A point in a metric's coordinate chart."""
-
-    coords: np.ndarray
-    chart_id: str = ""
-
-    def __post_init__(self):
-        object.__setattr__(self, "coords", np.asarray(self.coords, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -111,9 +99,8 @@ class MetricField:
 
     ``components`` is a picklable callable taking the list of coordinate jets
     and returning the n x n (nested-list) matrix of Jet2 entries; entries may
-    also be plain numbers for constant components.  Symmetry is enforced by
-    mirroring the upper triangle, so g_{ab} == g_{ba} holds exactly at jet
-    level.
+    also be plain numbers for constant components.  :func:`metric_jets` reads
+    only the upper triangle and mirrors it, so g_{ab} == g_{ba} holds exactly.
     """
 
     dim: int
@@ -128,30 +115,15 @@ class MetricField:
     def orientation(self) -> tuple[int, ...]:
         return self.form_order if self.form_order is not None else tuple(range(self.dim))
 
-    def jet_matrix(self, point: ChartPoint | np.ndarray) -> list[list[Jet2]]:
-        """Metric components as a symmetric matrix of jets at one point."""
-        coords = point.coords if isinstance(point, ChartPoint) else np.asarray(point, float)
-        xs = [jet_variable(i, coords[..., i], self.dim) for i in range(self.dim)]
-        rows = self.components(xs)
-        n = self.dim
-        out = [[None] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                entry = rows[a][b]
-                if not isinstance(entry, Jet2):
-                    entry = jet_constant(np.broadcast_to(
-                        np.asarray(entry, float), coords[..., 0].shape), n)
-                out[a][b] = entry
-                out[b][a] = entry
-        return out
-
 
 def metric_jets(metric: MetricField, coords: np.ndarray):
-    """Stack the jet matrix into value/gradient/Hessian arrays.
+    """Metric value, gradient and Hessian arrays at a batch of chart points.
 
     Returns ``(g, dg, d2g)`` with shapes ``(..., n, n)``, ``(..., n, n, n)``
     and ``(..., n, n, n, n)``; derivative indices are the trailing axes:
     ``dg[..., a, b, c] = d_c g_{ab}`` and ``d2g[..., a, b, c, d] = d_c d_d g_{ab}``.
+    Each upper-triangle component is read once and mirrored by assignment;
+    a plain-number component fills ``g`` only, its derivatives stay zero.
     """
     coords = np.asarray(coords, dtype=float)
     n = metric.dim
@@ -166,16 +138,19 @@ def metric_jets(metric: MetricField, coords: np.ndarray):
             raise ChartDomainError(
                 f"coordinate {metric.coord_names[i]} outside the open chart "
                 f"interval ({lo}, {hi})")
-    rows = metric.jet_matrix(coords)
-    g = np.empty(batch + (n, n))
-    dg = np.empty(batch + (n, n, n))
-    d2g = np.empty(batch + (n, n, n, n))
+    rows = metric.components([jet_variable(i, coords[..., i], n) for i in range(n)])
+    g = np.zeros(batch + (n, n))
+    dg = np.zeros(batch + (n, n, n))
+    d2g = np.zeros(batch + (n, n, n, n))
     for a in range(n):
-        for b in range(n):
-            jet = rows[a][b]
-            g[..., a, b] = jet.value
-            dg[..., a, b, :] = jet.grad
-            d2g[..., a, b, :, :] = jet.hess
+        for b in range(a, n):
+            entry = rows[a][b]
+            if not isinstance(entry, Jet2):
+                g[..., a, b] = g[..., b, a] = entry
+                continue
+            g[..., a, b] = g[..., b, a] = entry.value
+            dg[..., a, b, :] = dg[..., b, a, :] = entry.grad
+            d2g[..., a, b, :, :] = d2g[..., b, a, :, :] = entry.hess
     return g, dg, d2g
 
 
@@ -209,8 +184,7 @@ def _gamma_terms(g, dg):
 
 def christoffel(metric: MetricField, x) -> np.ndarray:
     """Levi-Civita connection coefficients Gamma^a_{bc} at ``x``."""
-    coords = x.coords if isinstance(x, ChartPoint) else np.asarray(x, float)
-    g, dg, _ = metric_jets(metric, coords)
+    g, dg, _ = metric_jets(metric, x)
     _, _, gamma = _gamma_terms(g, dg)
     return gamma
 
@@ -256,8 +230,7 @@ def _riemann_down(d2g, s, gamma):
 
 def riemann(metric: MetricField, x) -> CurvaturePack:
     """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``."""
-    coords = x.coords if isinstance(x, ChartPoint) else np.asarray(x, float)
-    g, dg, d2g = metric_jets(metric, coords)
+    g, dg, d2g = metric_jets(metric, x)
     ginv, s, gamma = _gamma_terms(g, dg)
     rdown = _riemann_down(d2g, s, gamma)
     n = g.shape[-1]

@@ -62,15 +62,13 @@ class Jet2:
         return f"Jet2(value={self.value!r}, nvars={self.nvars})"
 
     # -- arithmetic ---------------------------------------------------------
-
-    def _promote(self, other):
-        if isinstance(other, Jet2):
-            return other
-        return jet_constant(other, self.nvars)
+    # A plain-number operand is a constant: it changes only the value, and the
+    # result shares this jet's derivative arrays, so no jet is ever mutated.
 
     def __add__(self, other):
-        o = self._promote(other)
-        return Jet2(self.value + o.value, self.grad + o.grad, self.hess + o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value + _as_value(other), self.grad, self.hess)
+        return Jet2(self.value + other.value, self.grad + other.grad, self.hess + other.hess)
 
     __radd__ = __add__
 
@@ -78,11 +76,12 @@ class Jet2:
         return Jet2(-self.value, -self.grad, -self.hess)
 
     def __sub__(self, other):
-        o = self._promote(other)
-        return Jet2(self.value - o.value, self.grad - o.grad, self.hess - o.hess)
+        if not isinstance(other, Jet2):
+            return Jet2(self.value - _as_value(other), self.grad, self.hess)
+        return Jet2(self.value - other.value, self.grad - other.grad, self.hess - other.hess)
 
     def __rsub__(self, other):
-        return self._promote(other).__sub__(self)
+        return Jet2(_as_value(other) - self.value, -self.grad, -self.hess)
 
     def __mul__(self, other):
         if not isinstance(other, Jet2):
@@ -109,7 +108,7 @@ class Jet2:
         return self * recip(other)
 
     def __rtruediv__(self, other):
-        return self._promote(other) * recip(self)
+        return recip(self) * other
 
     def __pow__(self, exponent):
         return pow_int(self, exponent)

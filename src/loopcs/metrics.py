@@ -35,7 +35,7 @@ import numpy as np
 
 from . import jets
 from .geometry import CoordBox, MetricField, leading_minors_positive, metric_jets
-from .jets import ChartDomainError, jet_constant
+from .jets import ChartDomainError
 
 __all__ = [
     "YpqParams",
@@ -256,9 +256,8 @@ class _SphereComponents:
 
     def __call__(self, xs):
         n = len(xs)
-        r2 = self.radius * self.radius
         diag = []
-        factor = jet_constant(np.ones_like(xs[0].value), xs[0].nvars) * r2
+        factor = self.radius * self.radius
         for i in range(n):
             diag.append(factor)
             if i < n - 1:

@@ -185,14 +185,16 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     result and ``error_estimate`` the absolute difference between the two
     finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
     set and unmet after ``spec.max_refinements`` extra rounds, and raises
-    ValueError before building any grid if the finest level allowed would
-    exceed ``MAX_LEVEL_POINTS``.
+    ValueError before building any grid if ``spec.max_refinements`` is
+    negative or the finest level allowed would exceed ``MAX_LEVEL_POINTS``.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     counts = spec.counts_for(len(box))
     fac = int(spec.refinement_factor)
     if fac < 1:
         raise ValueError("refinement factor must be >= 1")
+    if spec.max_refinements < 0:
+        raise ValueError(f"max_refinements must be >= 0, got {spec.max_refinements}")
     finest = math.prod(c * fac ** (spec.max_refinements + 1) for c in counts)
     if finest > MAX_LEVEL_POINTS:
         raise ValueError(f"the finest quadrature level would evaluate {finest} points, "

@@ -79,6 +79,24 @@ def test_wcs_unicode_axis_alias(tmp_path):
 def test_wcs_bad_action_exit_2():
     assert run(["wcs", "--metric", "round_sphere3", "--action", "spin:phi"]) == 2
     assert run(["wcs", "--metric", "round_sphere3", "--action", "rotate:w"]) == 2
+    # theta is not periodic: the orbit would leave the chart
+    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
+                "--action", "rotate:theta"]) == 2
+
+
+def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
+    from loopcs import cycles
+
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha"]
+    torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
+    for argv, flags, needle in [(ypq, ["--max-refinements", "-1"], "max_refinements"),
+                                (ypq, ["--loop-nodes", "0"], "loop_nodes"),
+                                (torus, ["--loop-nodes", "0"], "loop_nodes")]:
+        assert run(argv + flags) == 2
+        assert needle in capsys.readouterr().err
+    assert calls == []
 
 
 def _csv_values(path):
@@ -203,15 +221,3 @@ def test_selftest_names_broken_suite(monkeypatch, capsys):
 
 def test_version_flag():
     assert run(["--version"]) == 0
-
-
-def test_workers_env(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKER_ENV, "2")
-    out1 = tmp_path / "a.json"
-    out2 = tmp_path / "b.json"
-    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
-                "--action", "rotate:alpha", "--nodes", "6", "--out", str(out1)]) == 0
-    monkeypatch.delenv(cli.WORKER_ENV)
-    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
-                "--action", "rotate:alpha", "--nodes", "6", "--out", str(out2)]) == 0
-    assert json.loads(out1.read_text())["value"] == json.loads(out2.read_text())["value"]

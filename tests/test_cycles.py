@@ -149,12 +149,15 @@ def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
              (open_x0, CircleAction.rotation(axis=0, speed=1.0), 2)]
     calls = []
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    # A refused input, not a chart exit met during evaluation.
     for metric, action, k in cases:
-        with pytest.raises(ChartDomainError, match="non-periodic"):
+        with pytest.raises(ValueError, match="non-periodic") as exc:
             pullback_density(metric, action, k, metric.box.sample_interior(
                 np.random.default_rng(0), 1)[0])
-        with pytest.raises(ChartDomainError, match="non-periodic"):
+        assert not isinstance(exc.value, ChartDomainError)
+        with pytest.raises(ValueError, match="non-periodic") as exc:
             integrate_cycle(metric, action, k, QuadratureSpec(nodes=4))
+        assert not isinstance(exc.value, ChartDomainError)
     assert calls == []
 
 
@@ -286,6 +289,25 @@ def test_bad_variant_rejected_before_any_evaluation(y73, monkeypatch):
     with pytest.raises(ValueError, match="variant"):
         pullback_density(y73, action, 3, np.array([1.0, 1.2, 2.0, 0.1, 0.5]),
                          variant="bogus")
+    assert calls == []
+
+
+@pytest.mark.parametrize("loop_nodes", [0, -3])
+def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypatch):
+    # Both loop plans: the Killing fiber axis of (7,3) (one sample) and an
+    # axis of the perturbed torus, which varies along it (loop_nodes samples).
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    torus = metrics.perturbed_torus(3)
+    cases = [(y73, CircleAction.rotation(axis=4), 3),
+             (torus, CircleAction.rotation(axis=0), 2)]
+    for metric, action, k in cases:
+        with pytest.raises(ValueError, match="loop_nodes"):
+            integrate_cycle(metric, action, k, QuadratureSpec(nodes=3, mask=()),
+                            loop_nodes=loop_nodes)
+        with pytest.raises(ValueError, match="loop_nodes"):
+            pullback_density(metric, action, k, metric.box.sample_interior(
+                np.random.default_rng(0), 1)[0], loop_nodes=loop_nodes)
     assert calls == []
 
 

@@ -6,7 +6,6 @@ import pytest
 
 from loopcs import geometry, metrics
 from loopcs.geometry import (
-    ChartPoint,
     SingularMetricError,
     christoffel,
     curvature_endo,
@@ -39,7 +38,7 @@ def test_flat_metric_vanishes():
 
 def test_sphere_christoffels_at_pi_over_3():
     m = metrics.round_sphere(2)
-    gam = christoffel(m, ChartPoint(np.array([np.pi / 3, 0.3])))
+    gam = christoffel(m, np.array([np.pi / 3, 0.3]))
     # Gamma^theta_{phi phi} = -sin cos = -sqrt(3)/4; Gamma^phi_{theta phi} = cot
     assert gam[0, 1, 1] == pytest.approx(-np.sqrt(3) / 4, abs=1e-13)
     assert gam[1, 0, 1] == pytest.approx(1 / np.sqrt(3), abs=1e-13)
@@ -255,12 +254,22 @@ def test_singular_metric_guard():
         christoffel(m, np.array([1e-9, 1.0]))
 
 
-def test_jet_matrix_symmetry_is_bit_exact():
+def test_metric_jets_symmetry_is_bit_exact():
     m = metrics.ypq_metric(metrics.solve_ypq(7, 3))
-    rows = m.jet_matrix(np.array([1.0, 1.2, 2.0, 0.1, 0.5]))
-    for a in range(5):
-        for b in range(5):
-            assert rows[a][b] is rows[b][a]
+    pts = m.box.sample_interior(np.random.default_rng(3), 40)
+    g, dg, d2g = metric_jets(m, pts)
+    assert np.array_equal(g, np.swapaxes(g, -1, -2))
+    assert np.array_equal(dg, np.swapaxes(dg, -2, -3))
+    assert np.array_equal(d2g, np.swapaxes(d2g, -3, -4))
+    assert np.max(np.abs(dg)) > 0.0 and np.max(np.abs(d2g)) > 0.0
+    # The round sphere's first component is the plain number r^2: it fills g
+    # only, and every derivative of it is an exact zero.
+    r = 1.5
+    g, dg, d2g = metric_jets(metrics.round_sphere(3, r), np.array([[1.0, 2.0, 0.5],
+                                                                  [0.3, 1.1, 6.0]]))
+    assert np.all(g[:, 0, 0] == r * r)
+    assert np.all(dg[:, 0, 0] == 0.0) and np.all(d2g[:, 0, 0] == 0.0)
+    assert np.max(np.abs(dg[:, 1, 1])) > 0.0
 
 
 def test_leading_minors_positive():

@@ -167,6 +167,16 @@ def test_algebraic_identities():
         assert np.max(np.abs(cube.grad)) < 1e-12
         assert np.max(np.abs(cube.hess)) < 1e-12
 
+        # A plain-number operand acts as the constant jet it stands for.
+        c = float(rng.uniform(0.5, 2.0))
+        const = jet_constant(c, a.nvars)
+        pairs = [(a + c, a + const), (c + a, const + a), (a - c, a - const),
+                 (c - a, const - a), (c / a, const * J.recip(a))]
+        for plain, jet in pairs:
+            assert plain.value == jet.value
+            assert np.array_equal(plain.grad, jet.grad)
+            assert np.array_equal(plain.hess, jet.hess)
+
 
 def _random_jet(rng, nvars=3):
     expr = random_expression(nvars, 2, rng)

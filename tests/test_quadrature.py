@@ -53,6 +53,11 @@ def test_bad_rule_arguments():
         gauss_nodes(0, (0.0, 1.0))
     with pytest.raises(ValueError):
         gauss_nodes(3, (1.0, 1.0))
+    calls = []
+    with pytest.raises(ValueError, match="max_refinements"):
+        integrate_box(lambda p: calls.append(p) or p[:, 0], [(0.0, 1.0)],
+                      QuadratureSpec(nodes=2, max_refinements=-1))
+    assert calls == []
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
