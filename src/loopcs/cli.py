@@ -199,7 +199,7 @@ def _quad_spec(args) -> QuadratureSpec:
     mask: tuple[int, ...] | None = () if getattr(args, "no_mask", False) else None
     return QuadratureSpec(nodes=args.nodes, refinement_factor=args.refine_factor,
                           max_refinements=args.max_refinements, rel_tol=args.tol,
-                          mask=mask, workers=max(1, args.workers))
+                          mask=mask, workers=args.workers)
 
 
 def _write(text: str, path: str | None):
@@ -211,6 +211,8 @@ def _write(text: str, path: str | None):
 
 
 def cmd_verify(args) -> int:
+    if args.samples < 1:
+        raise UsageError(f"--samples must be >= 1, got {args.samples}")
     metric = _select_metric(args)
     rng = np.random.default_rng(args.seed)
     pts = metric.box.sample_interior(rng, args.samples)

@@ -16,6 +16,15 @@ Along an axis on which every metric component is constant (a verified
 Killing axis) the loop integrand is t-independent, so one sample is exact:
 2 pi times the pointwise value.  Orbits must wrap a periodic axis.
 
+The loop average does not depend on the coordinate of the rotation axis:
+the orbit wraps that axis a whole number of times, so moving the base point
+along it only shifts t.  This holds whether or not the axis is Killing.  An
+unmasked rotation axis is therefore not gridded: its coordinate is pinned,
+the density is evaluated once per line along it and weighted by the axis
+extent, which is exactly what its Gauss-Legendre rule gives a constant.  It
+keeps its node count in the result and is listed under
+``loop_averaged_axes`` in the provenance.
+
 Conventions recorded in every result's provenance:
 
 * coordinate rotations default to speed = (axis period) / (2 pi), so one
@@ -284,10 +293,11 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     """Integrate the pulled-back form density over the coordinate box.
 
     Axes in the symmetry mask (default: the metric's verified constant axes)
-    contribute their exact extents; the remaining axes carry a tensor-product
-    Gauss-Legendre rule with a refined pass for the error estimate.  The
-    result scales exactly linearly in ``s_scale``, which is applied as a
-    final factor.
+    contribute their exact extents, and so does an unmasked rotation axis,
+    along which the loop average is constant; the remaining axes carry a
+    tensor-product Gauss-Legendre rule with a refined pass for the error
+    estimate.  The result scales exactly linearly in ``s_scale``, which is
+    applied as a final factor.
     """
     start = time.perf_counter()
     _check_variant(variant)
@@ -326,9 +336,17 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     mask = (tuple(metric.symmetry_axes) if quad.mask is None
             else tuple(sorted(set(int(a) for a in quad.mask))))
     loop_samples = _cycle_plan(metric, action, loop_nodes, mask)
-    free = tuple(a for a in range(metric.dim) if a not in mask)
+    unmasked = tuple(a for a in range(metric.dim) if a not in mask)
+    # Tuple node counts are per unmasked axis, in increasing axis order.
+    counts = dict(zip(unmasked, quad.counts_for(len(unmasked))))
+    if any(c < 2 for c in counts.values()):
+        raise ValueError("unmasked axes need at least 2 quadrature nodes")
+    # An unmasked rotation axis is shared (see the module docstring): pinned
+    # like a masked axis and weighted by its extent.
+    shared = tuple(a for a in unmasked if a == action.axis)
+    free = tuple(a for a in unmasked if a not in shared)
     factor = 1.0
-    for a in mask:
+    for a in mask + shared:
         factor *= metric.box.extent(a)
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
 
@@ -336,21 +354,25 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                                   loop_samples=loop_samples, variant=variant,
                                   free_axes=free, pinned=pinned)
     sub_box = [metric.box.intervals[a] for a in free]
-    # Tuple node counts are per unmasked axis, in increasing axis order.  With
-    # every axis masked the box has no axes and the rule is one point of
-    # weight 1: the box volume times one density evaluation.
-    counts = quad.counts_for(len(free))
-    if any(c < 2 for c in counts):
-        raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    box_result = integrate_box(integrand, sub_box, replace(quad, nodes=counts, mask=None))
+    # With no free axis the box has no axes and the rule is one point of
+    # weight 1: the volume of the rest times one density evaluation.
+    box_counts = tuple(counts[a] for a in free)
+    box_result = integrate_box(integrand, sub_box,
+                               replace(quad, nodes=box_counts, mask=None))
+    # Every level multiplies all counts by the refinement factor; with no free
+    # axis the first refinement repeats the coarse value exactly and stops.
+    growth = (box_result.counts[0] // box_counts[0] if free
+              else quad.refinement_factor)
 
     value = s_scale * (factor * box_result.value)
     error = abs(s_scale) * factor * box_result.error_estimate
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(box_result.counts[free.index(a)] if a in free else 0
+    node_counts = tuple(box_result.counts[free.index(a)] if a in free
+                        else counts[a] * growth if a in shared else 0
                         for a in range(metric.dim))
     prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in mask]
+    prov["loop_averaged_axes"] = [metric.coord_names[a] for a in shared]
     prov["refinement_factor"] = quad.refinement_factor
 
     snapped = snap_pi4_multiple(value, error, coarse) if exact_mode else None

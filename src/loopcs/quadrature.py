@@ -186,7 +186,8 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
     set and unmet after ``spec.max_refinements`` extra rounds, and raises
     ValueError before building any grid if ``spec.max_refinements`` is
-    negative or the finest level allowed would exceed ``MAX_LEVEL_POINTS``.
+    negative, ``spec.rel_tol`` is not positive, ``spec.workers`` is below 1
+    or the finest level allowed would exceed ``MAX_LEVEL_POINTS``.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     counts = spec.counts_for(len(box))
@@ -195,6 +196,10 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
         raise ValueError("refinement factor must be >= 1")
     if spec.max_refinements < 0:
         raise ValueError(f"max_refinements must be >= 0, got {spec.max_refinements}")
+    if spec.rel_tol is not None and not spec.rel_tol > 0:
+        raise ValueError(f"rel_tol must be > 0, got {spec.rel_tol}")
+    if spec.workers < 1:
+        raise ValueError(f"workers must be >= 1, got {spec.workers}")
     finest = math.prod(c * fac ** (spec.max_refinements + 1) for c in counts)
     if finest > MAX_LEVEL_POINTS:
         raise ValueError(f"the finest quadrature level would evaluate {finest} points, "

@@ -30,15 +30,26 @@ def test_verify_requires_metric():
     assert run(["verify"]) == 2
 
 
+def test_verify_bad_samples_exit_2(capsys):
+    for samples in ("0", "-4"):
+        assert run(["verify", "--metric", "round_sphere3", "--samples", samples]) == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
+
+
 def test_over_budget_run_refused_before_any_evaluation(monkeypatch, capsys):
     from loopcs import cycles, quadrature
 
     calls = []
     monkeypatch.setattr(quadrature, "MAX_LEVEL_POINTS", 1000)
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    # alpha, the rotation axis, is not gridded: 8^4 points at the refined level
     assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
                 "--action", "rotate:alpha", "--no-mask", "--nodes", "4"]) == 2
-    assert "32768 points" in capsys.readouterr().err  # 8^5 at the refined level
+    assert "4096 points" in capsys.readouterr().err
+    # non-Killing rotation axis x0, likewise shared: 32^2 points
+    assert run(["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0",
+                "--no-mask", "--nodes", "16"]) == 2
+    assert "1024 points" in capsys.readouterr().err
     assert calls == []
 
 
@@ -93,7 +104,12 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
     for argv, flags, needle in [(ypq, ["--max-refinements", "-1"], "max_refinements"),
                                 (ypq, ["--loop-nodes", "0"], "loop_nodes"),
-                                (torus, ["--loop-nodes", "0"], "loop_nodes")]:
+                                (torus, ["--loop-nodes", "0"], "loop_nodes"),
+                                (ypq, ["--workers", "0"], "workers"),
+                                (torus, ["--workers", "-3"], "workers"),
+                                (ypq, ["--tol", "-1"], "rel_tol"),
+                                (torus, ["--tol", "0"], "rel_tol"),
+                                (ypq, ["--tol", "nan"], "rel_tol")]:
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err
     assert calls == []

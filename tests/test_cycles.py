@@ -229,6 +229,79 @@ def test_mask_shortcut_matches_bruteforce(y73):
     assert abs(fast.value - slow.value) / abs(fast.value) < 1e-9
     assert fast.node_counts == (0, 6, 0, 6, 0)
     assert slow.node_counts == (6, 6, 6, 6, 6)
+    assert slow.provenance["loop_averaged_axes"] == ["alpha"]
+    assert fast.provenance["loop_averaged_axes"] == []
+
+
+def test_rotation_axis_evaluated_once_per_line(monkeypatch):
+    # The non-Killing orbit problem: a k = 2 rotation along x0 of the
+    # perturbed 3-torus on the unmasked box.  x0 keeps its node count but is
+    # not gridded: 6^2 + 12^2 lines of 64 loop samples, not 6^3 + 12^3.
+    seen = []
+    real = cycles.riemann
+
+    def counted(metric, coords):
+        seen.append(len(coords))
+        return real(metric, coords)
+
+    monkeypatch.setattr(cycles, "riemann", counted)
+    res = integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
+                          QuadratureSpec(nodes=6, mask=()))
+    assert sum(seen) == (36 + 144) * 64
+    assert res.node_counts == (12, 12, 12)
+    assert res.provenance["loop_averaged_axes"] == ["x0"]
+
+
+def test_shared_rotation_axis_matches_bruteforce():
+    # Sum w * f over the full 3^5 Gauss grid, x0 included.  The integral is
+    # ~1e-18, so the bound is relative to the sum of w |f|.
+    from loopcs.quadrature import gauss_nodes
+
+    m = metrics.perturbed_torus(5)
+    action = CircleAction.rotation(axis=0)
+    res = integrate_cycle(m, action, 3, QuadratureSpec(nodes=3, refinement_factor=1,
+                                                      mask=()), loop_nodes=64)
+    rules = [gauss_nodes(3, iv) for iv in m.box.intervals]
+    total = scale = 0.0
+    for idx in np.ndindex(*(3,) * 5):
+        x = np.array([rules[a][0][i] for a, i in enumerate(idx)])
+        w = math.prod(rules[a][1][i] for a, i in enumerate(idx))
+        f = pullback_density(m, action, 3, x, loop_nodes=64)
+        total += w * f
+        scale += w * abs(f)
+    assert res.node_counts == (3, 3, 3, 3, 3)
+    assert abs(res.value - total) <= 1e-13 * scale
+
+
+def test_density_independent_of_rotation_coordinate():
+    # x0 is not Killing on the perturbed torus, yet moving the base point
+    # along the orbit's axis only shifts the loop parameter.
+    m = metrics.perturbed_torus(5)
+    base = np.array([1.3, 2.1, 0.7, 4.0, 2.6])
+    rotation = CircleAction.rotation(axis=0)
+    for action in (rotation, CircleAction.iterate(rotation, 3)):
+        f0 = pullback_density(m, action, 3, base)
+        assert abs(f0) > 1e-8
+        for x0 in np.linspace(0.2, 6.1, 7):
+            moved = base.copy()
+            moved[0] = x0
+            assert abs(pullback_density(m, action, 3, moved) - f0) <= 1e-13 * abs(f0)
+
+
+def test_shared_axis_reports_refined_count(y73):
+    # 4 -> 8 misses the tolerance, 8 -> 16 meets it: the shared alpha axis is
+    # reported at 16 like the gridded theta and y.
+    action = CircleAction.rotation(axis=4)
+    spec = QuadratureSpec(nodes=4, rel_tol=1e-4, max_refinements=2, mask=(0, 2))
+    res = integrate_cycle(y73, action, 3, spec)
+    assert res.node_counts == (0, 16, 0, 16, 16)
+    # With every other axis masked no axis is gridded; the count still refines.
+    flat = metrics.flat_torus(3)
+    res = integrate_cycle(flat, CircleAction.rotation(axis=0), 2,
+                          QuadratureSpec(nodes=4, rel_tol=1e-6, max_refinements=2,
+                                         mask=(1, 2)))
+    assert res.node_counts == (8, 0, 0)
+    assert res.provenance["loop_averaged_axes"] == ["x0"]
 
 
 def test_each_axis_checked_once_per_call(y73, monkeypatch):

@@ -54,9 +54,14 @@ def test_bad_rule_arguments():
     with pytest.raises(ValueError):
         gauss_nodes(3, (1.0, 1.0))
     calls = []
-    with pytest.raises(ValueError, match="max_refinements"):
-        integrate_box(lambda p: calls.append(p) or p[:, 0], [(0.0, 1.0)],
-                      QuadratureSpec(nodes=2, max_refinements=-1))
+    for spec, needle in [(QuadratureSpec(nodes=2, max_refinements=-1), "max_refinements"),
+                         (QuadratureSpec(nodes=2, rel_tol=-1.0), "rel_tol"),
+                         (QuadratureSpec(nodes=2, rel_tol=0.0), "rel_tol"),
+                         (QuadratureSpec(nodes=2, rel_tol=float("nan")), "rel_tol"),
+                         (QuadratureSpec(nodes=2, workers=0), "workers"),
+                         (QuadratureSpec(nodes=2, workers=-3), "workers")]:
+        with pytest.raises(ValueError, match=needle):
+            integrate_box(lambda p: calls.append(p) or p[:, 0], [(0.0, 1.0)], spec)
     assert calls == []
 
 
