@@ -66,9 +66,6 @@ def build_parser() -> argparse.ArgumentParser:
         if with_action:
             p.add_argument("--action", default=None,
                            help="trivial | rotate:AXIS[:SPEED] | iterate:AXIS:N")
-            p.add_argument("--k", type=int, default=None,
-                           help="form degree parameter (default (dim+1)/2)")
-            p.add_argument("--variant", choices=("reduced", "full"), default="reduced")
             p.add_argument("--s-scale", type=float, default=1.0,
                            help="regularization parameter scaling (exactly linear)")
             p.add_argument("--nodes", type=int, default=32,
@@ -138,17 +135,23 @@ def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    """Parse ``argv``; config-file flags go first, so explicit flags win."""
-    args = parser.parse_args(argv)
-    if not getattr(args, "config", None):
-        return args
-    return parser.parse_args([argv[0], *_config_tokens(parser, args), *argv[1:]])
+    """Parse ``argv``; config-file flags go first, so explicit flags win.
+    ``args.given`` holds the flags of ``argv`` alone."""
+    given = parser.parse_args(argv)
+    tokens = _config_tokens(parser, given) if getattr(given, "config", None) else []
+    args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+    args.given = given
+    return args
 
 
 def _select_metric(args) -> geometry.MetricField:
     name = args.metric
     if not name:
         raise UsageError("--metric is required")
+    # A config file may hold family flags for other metrics: check argv only.
+    for flag, owner in (("p", "ypq"), ("q", "ypq"), ("a", "ypq-a"), ("ell", "ypq-a")):
+        if getattr(args.given, flag) is not None and name != owner:
+            raise UsageError(f"--{flag} applies only to --metric {owner}")
     if name == "ypq":
         if args.p is None or args.q is None:
             raise UsageError("--metric ypq requires --p and --q")
@@ -234,9 +237,8 @@ def cmd_verify(args) -> int:
 def cmd_wcs(args) -> int:
     metric = _select_metric(args)
     action = _select_action(metric.coord_names, args.action)
-    k = args.k if args.k is not None else (metric.dim + 1) // 2
     spec = _quad_spec(args)
-    result = integrate_cycle(metric, action, k, quad=spec, variant=args.variant,
+    result = integrate_cycle(metric, action, (metric.dim + 1) // 2, quad=spec,
                              s_scale=args.s_scale, loop_nodes=args.loop_nodes)
     _write(result_to_json(result), args.out)
     pi4 = result.pi4_multiple
@@ -275,14 +277,15 @@ def _exact_pairs(p_max: int) -> list[tuple[int, int]]:
 
 def cmd_sweep(args) -> int:
     labels = [{"a": float(tok)} for tok in (args.sweep_a or "").split(",") if tok.strip()]
+    if args.given.ell is not None and not labels:
+        raise UsageError("--ell applies only to --sweep-a rows")
     pairs = _parse_pq_list(args.sweep_pq or "") + _exact_pairs(args.scan_p_max or 0)
     labels += [{"p": p, "q": q} for p, q in pairs]
     if not labels:
         raise UsageError("sweep needs --sweep-pq, --scan-p-max, or a non-empty --sweep-a")
     action = _select_action(metrics.YPQ_COORDS, args.action or "rotate:alpha")
-    sweep = ypq_sweep(labels, action, args.k if args.k is not None else 3,
-                      quad=_quad_spec(args), variant=args.variant, s_scale=args.s_scale,
-                      loop_nodes=args.loop_nodes,
+    sweep = ypq_sweep(labels, action, 3, quad=_quad_spec(args),  # dim 5 = 2k - 1
+                      s_scale=args.s_scale, loop_nodes=args.loop_nodes,
                       ell=1.0 if args.ell is None else args.ell)
     _write(sweep_to_csv(sweep), args.out)
     return EXIT_OK

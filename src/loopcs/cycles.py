@@ -32,7 +32,9 @@ Conventions recorded in every result's provenance:
 * the orientation is the metric's form order; integration over the box is a
   plain iterated integral in that order;
 * the n-fold iterate of an action multiplies the velocity by n, which scales
-  the cycle integral exactly linearly.
+  the cycle integral exactly linearly;
+* the velocity bracket is the reduced one: the full one adds the contraction
+  of a 2k-form with the velocity, and 2k-forms vanish on a (2k-1)-manifold.
 """
 from __future__ import annotations
 
@@ -46,8 +48,8 @@ import numpy as np
 from . import __version__
 from .geometry import MetricField, metric_jets, riemann
 from .jets import ChartDomainError
-from .quadrature import QuadratureSpec, integrate_box
-from .wcs import WcsFrame, _check_variant, wcs_integrand
+from .quadrature import QuadratureError, QuadratureSpec, integrate_box
+from .wcs import WcsFrame, wcs_integrand
 
 __all__ = [
     "CircleAction",
@@ -178,7 +180,7 @@ def _frame_vectors(metric: MetricField) -> np.ndarray:
 
 
 def _density_batch(metric: MetricField, action: CircleAction, k: int,
-                   coords: np.ndarray, loop_samples: int, variant: str) -> np.ndarray:
+                   coords: np.ndarray, loop_samples: int) -> np.ndarray:
     """Density f(m) of the pulled-back form at a batch of chart points: the
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
     all orbit points of the batch evaluated as one flat batch."""
@@ -190,22 +192,21 @@ def _density_batch(metric: MetricField, action: CircleAction, k: int,
     orbit[..., axis] = orbit[..., axis] + vel[axis] * ts[:, None]
     orbit = metric.box.wrap(orbit, axis).reshape(-1, metric.dim)
     pack = riemann(metric, orbit)
-    values = wcs_integrand(pack, WcsFrame(k, vel, _frame_vectors(metric)), variant=variant)
+    values = wcs_integrand(pack, WcsFrame(k, vel, _frame_vectors(metric)))
     values = values.reshape((loop_samples,) + coords.shape[:-1])
     return (2.0 * math.pi / loop_samples) * np.sum(values, axis=0)
 
 
 def pullback_density(metric: MetricField, action: CircleAction, k: int,
-                     m, loop_nodes: int = 64, variant: str = "reduced") -> float:
+                     m, loop_nodes: int = 64) -> float:
     """Density f(m) of the pulled-back form at a single chart point."""
-    _check_variant(variant)
     coords = np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
+    samples = _cycle_plan(metric, action, loop_nodes)
     if action.kind == "trivial":
         return 0.0
-    samples = _cycle_plan(metric, action, loop_nodes)
-    return float(_density_batch(metric, action, k, coords, samples, variant))
+    return float(_density_batch(metric, action, k, coords, samples))
 
 
 @dataclass
@@ -216,7 +217,6 @@ class _DensityIntegrand:
     action: CircleAction
     k: int
     loop_samples: int
-    variant: str
     free_axes: tuple[int, ...]
     pinned: np.ndarray
 
@@ -224,7 +224,7 @@ class _DensityIntegrand:
         coords = np.repeat(self.pinned[None, :], len(points), axis=0)
         coords[:, list(self.free_axes)] = points
         return _density_batch(self.metric, self.action, self.k, coords,
-                              self.loop_samples, self.variant)
+                              self.loop_samples)
 
 
 @dataclass(frozen=True)
@@ -288,7 +288,7 @@ def snap_pi4_multiple(value: float, error_estimate: float,
 
 
 def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
-                    quad: QuadratureSpec | None = None, variant: str = "reduced",
+                    quad: QuadratureSpec | None = None,
                     s_scale: float = 1.0, loop_nodes: int = 64) -> CycleResult:
     """Integrate the pulled-back form density over the coordinate box.
 
@@ -300,7 +300,6 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     applied as a final factor.
     """
     start = time.perf_counter()
-    _check_variant(variant)
     if metric.dim != 2 * k - 1:
         raise ValueError(f"metric dimension {metric.dim} != 2k-1 = {2 * k - 1}")
     quad = quad or QuadratureSpec()
@@ -311,7 +310,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         "metric": metric.name,
         "action": action.describe(),
         "k": k,
-        "variant": variant,
+        "variant": "reduced",
         "s_scale": s_scale,
         "orientation": "^".join(metric.coord_names[i] for i in metric.orientation()),
         "orbit_speed": None if action.kind == "trivial" else action.resolved_speed(metric),
@@ -327,15 +326,14 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             "exact_mode": params.exact_mode,
         }
 
+    mask = (tuple(metric.symmetry_axes) if quad.mask is None
+            else tuple(sorted(set(int(a) for a in quad.mask))))
+    loop_samples = _cycle_plan(metric, action, loop_nodes, mask)
     if action.kind == "trivial":
         prov["node_counts"] = (0,) * metric.dim
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
                            wall_time=time.perf_counter() - start, provenance=prov)
-
-    mask = (tuple(metric.symmetry_axes) if quad.mask is None
-            else tuple(sorted(set(int(a) for a in quad.mask))))
-    loop_samples = _cycle_plan(metric, action, loop_nodes, mask)
     unmasked = tuple(a for a in range(metric.dim) if a not in mask)
     # Tuple node counts are per unmasked axis, in increasing axis order.
     counts = dict(zip(unmasked, quad.counts_for(len(unmasked))))
@@ -351,8 +349,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
 
     integrand = _DensityIntegrand(metric=metric, action=action, k=k,
-                                  loop_samples=loop_samples, variant=variant,
-                                  free_axes=free, pinned=pinned)
+                                  loop_samples=loop_samples, free_axes=free, pinned=pinned)
     sub_box = [metric.box.intervals[a] for a in free]
     # With no free axis the box has no axes and the rule is one point of
     # weight 1: the volume of the rest times one density evaluation.
@@ -395,17 +392,17 @@ class SweepResult:
 
 
 def ypq_sweep(labels, action: CircleAction, k: int = 3,
-              quad: QuadratureSpec | None = None, variant: str = "reduced",
+              quad: QuadratureSpec | None = None,
               s_scale: float = 1.0, loop_nodes: int = 64,
               ell: float = 1.0) -> SweepResult:
     """Cycle integrals of ``action`` across members of the five-dimensional family.
 
     Each label names one member: ``{"p": p, "q": q}`` for the (p, q) metric,
     or ``{"a": a}`` for the direct parameter with fiber period ``ell``.  A
-    member that fails (degenerate parameters, a quadrature error) becomes
-    an error row and the sweep continues.  When at least two ``a`` rows
-    give nonzero values, the result carries the fitted log-log slope of
-    |value| against (1 - a).
+    member's own failure (bad parameters, a chart or quadrature error) is an
+    error row; any other ValueError refuses a shared setting and propagates.
+    When at least two ``a`` rows give nonzero values, the result carries the
+    fitted log-log slope of |value| against (1 - a).
     """
     from .metrics import solve_ypq, ypq_metric, ypq_params_from_a
 
@@ -413,19 +410,21 @@ def ypq_sweep(labels, action: CircleAction, k: int = 3,
     xs, ys = [], []
     for label in labels:
         try:
-            if "a" in label:
-                params = ypq_params_from_a(label["a"], ell=ell)
-            else:
-                params = solve_ypq(label["p"], label["q"])
-            res = integrate_cycle(ypq_metric(params), action, k, quad=quad,
-                                  variant=variant, s_scale=s_scale,
-                                  loop_nodes=loop_nodes)
-            rows.append(SweepRow(label=label, result=res))
-            if "a" in label and res.value != 0.0:
-                xs.append(math.log1p(-label["a"]))
-                ys.append(math.log(abs(res.value)))
-        except Exception as exc:  # per-row errors recorded, run continues
+            params = (ypq_params_from_a(label["a"], ell=ell) if "a" in label
+                      else solve_ypq(label["p"], label["q"]))
+        except ValueError as exc:
             rows.append(SweepRow(label=label, result=None, error=str(exc)))
+            continue
+        try:
+            res = integrate_cycle(ypq_metric(params), action, k, quad=quad,
+                                  s_scale=s_scale, loop_nodes=loop_nodes)
+        except (ChartDomainError, QuadratureError) as exc:
+            rows.append(SweepRow(label=label, result=None, error=str(exc)))
+            continue
+        rows.append(SweepRow(label=label, result=res))
+        if "a" in label and res.value != 0.0:
+            xs.append(math.log1p(-label["a"]))
+            ys.append(math.log(abs(res.value)))
     exponent = None
     if len(xs) >= 2:
         slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
@@ -434,7 +433,7 @@ def ypq_sweep(labels, action: CircleAction, k: int = 3,
 
 
 def a_sweep(a_grid, k: int = 3, quad: QuadratureSpec | None = None,
-            ell: float = 1.0, variant: str = "reduced") -> SweepResult:
+            ell: float = 1.0) -> SweepResult:
     """Cycle integrals of the fiber rotation across a grid of ``a`` values.
 
     The fiber period parameter is held fixed (default 1: it is a linear
@@ -445,4 +444,4 @@ def a_sweep(a_grid, k: int = 3, quad: QuadratureSpec | None = None,
     concentrates mass in a boundary layer at the upper y-endpoint.
     """
     return ypq_sweep([{"a": float(a)} for a in a_grid], CircleAction.rotation(axis=4),
-                     k, quad=quad, variant=variant, ell=ell)
+                     k, quad=quad, ell=ell)

@@ -49,6 +49,8 @@ class QuadratureSpec:
         ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
         axes from the box and multiplies by their exact extents.  None means
         the metric's declared symmetry axes, () means no mask.
+    Construction raises ValueError for a refinement factor or ``workers``
+    below 1, negative ``max_refinements`` or a ``rel_tol`` that is not > 0.
     """
 
     nodes: int | tuple[int, ...] = 32
@@ -57,6 +59,16 @@ class QuadratureSpec:
     rel_tol: float | None = None
     mask: tuple[int, ...] | None = None
     workers: int = 1
+
+    def __post_init__(self):
+        if int(self.refinement_factor) < 1:
+            raise ValueError("refinement factor must be >= 1")
+        if self.max_refinements < 0:
+            raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
+        if self.rel_tol is not None and not self.rel_tol > 0:
+            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if self.workers < 1:
+            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
     def counts_for(self, naxes: int) -> tuple[int, ...]:
         if isinstance(self.nodes, int):
@@ -185,21 +197,12 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     result and ``error_estimate`` the absolute difference between the two
     finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
     set and unmet after ``spec.max_refinements`` extra rounds, and raises
-    ValueError before building any grid if ``spec.max_refinements`` is
-    negative, ``spec.rel_tol`` is not positive, ``spec.workers`` is below 1
-    or the finest level allowed would exceed ``MAX_LEVEL_POINTS``.
+    ValueError before building any grid if the finest level allowed would
+    exceed ``MAX_LEVEL_POINTS``.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     counts = spec.counts_for(len(box))
     fac = int(spec.refinement_factor)
-    if fac < 1:
-        raise ValueError("refinement factor must be >= 1")
-    if spec.max_refinements < 0:
-        raise ValueError(f"max_refinements must be >= 0, got {spec.max_refinements}")
-    if spec.rel_tol is not None and not spec.rel_tol > 0:
-        raise ValueError(f"rel_tol must be > 0, got {spec.rel_tol}")
-    if spec.workers < 1:
-        raise ValueError(f"workers must be >= 1, got {spec.workers}")
     finest = math.prod(c * fac ** (spec.max_refinements + 1) for c in counts)
     if finest > MAX_LEVEL_POINTS:
         raise ValueError(f"the finest quadrature level would evaluate {finest} points, "

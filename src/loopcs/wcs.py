@@ -35,7 +35,8 @@ tensor in the ``riemann_up`` slot, metric-derived or not.
 
 The extra term of the full bracket contributes the contraction of a 2k-form
 with gd, which cancels in the signed sum whenever gd lies in the span of the
-frame, so both variants agree on frames spanning a (2k-1)-manifold.  The
+frame, so both variants agree on frames spanning a (2k-1)-manifold; cycle
+integrals take the reduced one, and both stay here for pointwise checks.  The
 subprincipal-symbol endomorphism itself (:func:`symbol_endo`) carries an
 additional factor 1/2 in the full variant.
 
@@ -57,14 +58,6 @@ __all__ = [
     "symbol_endo",
     "wcs_integrand",
 ]
-
-_VARIANTS = ("full", "reduced")
-
-
-def _check_variant(variant: str) -> None:
-    if variant not in _VARIANTS:
-        raise ValueError(f"variant must be one of {_VARIANTS}")
-
 
 @dataclass(frozen=True)
 class WcsFrame:
@@ -90,7 +83,8 @@ def _bracket(rup, rows, gammadot, variant: str) -> np.ndarray:
     ``rows`` has shape ``(..., r, n)``; the result ``(..., r, n, n)`` holds
     B(X)^a_b at ``[..., a, b]``.
     """
-    _check_variant(variant)
+    if variant not in ("full", "reduced"):
+        raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
     n = rup.shape[-1]
     # t[..., c, b, a] = (R_{cbd}^^a - R_{bdc}^^a [- 2 R_{cdb}^^a]) gd^d
     r_cdb = np.einsum("...cdba,...d->...cba", rup, gammadot)

@@ -101,6 +101,7 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     calls = []
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
     ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha"]
+    trivial = ["wcs", "--metric", "round_sphere3", "--action", "trivial"]
     torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
     for argv, flags, needle in [(ypq, ["--max-refinements", "-1"], "max_refinements"),
                                 (ypq, ["--loop-nodes", "0"], "loop_nodes"),
@@ -109,9 +110,70 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
                                 (torus, ["--workers", "-3"], "workers"),
                                 (ypq, ["--tol", "-1"], "rel_tol"),
                                 (torus, ["--tol", "0"], "rel_tol"),
-                                (ypq, ["--tol", "nan"], "rel_tol")]:
+                                (ypq, ["--tol", "nan"], "rel_tol"),
+                                (trivial, ["--workers", "0", "--tol", "-1"], "rel_tol"),
+                                (trivial, ["--loop-nodes", "0"], "loop_nodes")]:
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err
+    assert calls == []
+
+
+def test_removed_form_settings_exit_2(tmp_path, capsys):
+    # The degree is fixed by the dimension and both brackets give the same
+    # cycle integral, so neither is a setting: flags and config keys exit 2.
+    sphere = ["wcs", "--metric", "round_sphere3", "--action", "rotate:phi"]
+    assert run(sphere + ["--variant", "full"]) == 2
+    assert run(sphere + ["--k", "3"]) == 2
+    assert run(["sweep", "--sweep-pq", "7:3", "--nodes", "4", "--k", "2"]) == 2
+    cfg = tmp_path / "run.cfg"
+    for entry in ("variant = reduced", "k = 3"):
+        cfg.write_text(f"{entry}\n")
+        assert run(sphere + ["--config", str(cfg)]) == 2
+        assert "unknown config key" in capsys.readouterr().err
+
+
+def test_ignored_family_flags_exit_2(monkeypatch, capsys):
+    from loopcs import cycles
+
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    ypq = ["--metric", "ypq", "--p", "7", "--q", "3"]
+    sphere = ["--metric", "round_sphere3"]
+    family_a = ["--metric", "ypq-a", "--a", "0.6"]
+    for argv, flag in [(["wcs", *ypq, "--ell", "5"], "--ell"),
+                       (["wcs", *ypq, "--a", "0.9"], "--a"),
+                       (["wcs", *sphere, "--p", "7"], "--p"),
+                       (["wcs", *family_a, "--q", "3"], "--q"),
+                       (["verify", *sphere, "--ell", "2"], "--ell"),
+                       (["verify", *ypq, "--a", "0.5"], "--a"),
+                       (["sweep", "--sweep-pq", "7:3", "--ell", "5"], "--ell"),
+                       (["sweep", "--scan-p-max", "7", "--ell", "5"], "--ell")]:
+        assert run(argv) == 2, argv
+        assert flag in capsys.readouterr().err, argv
+    assert calls == []
+    # the flags each family reads still reach it
+    assert run(["wcs", *family_a, "--ell", "0.7", "--action", "trivial"]) == 0
+    assert run(["sweep", "--sweep-a", "0.6", "--ell", "0.7", "--nodes", "3",
+                "--refine-factor", "1"]) == 0
+
+
+def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
+    # A setting every member shares is refused once, before any member is
+    # evaluated, instead of becoming one error row per member.
+    from loopcs import cycles
+
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    sweep = ["sweep", "--sweep-pq", "7:3,3:3", "--nodes", "4"]
+    for flags, needle in [(["--workers", "0"], "workers"),
+                          (["--tol", "-1"], "rel_tol"),
+                          (["--max-refinements", "-1"], "max_refinements"),
+                          (["--loop-nodes", "0"], "loop_nodes"),
+                          (["--nodes", "1"], "at least 2"),
+                          (["--action", "rotate:theta"], "non-periodic"),
+                          (["--no-mask", "--nodes", "64"], "budget")]:
+        assert run(sweep + flags) == 2, flags
+        assert needle in capsys.readouterr().err, flags
     assert calls == []
 
 
@@ -192,7 +254,7 @@ def test_config_unknown_key_exit_2(tmp_path):
     cfg.write_text("metric = round_sphere3\n")  # not a sweep flag
     assert run(["sweep", "--config", str(cfg), "--scan-p-max", "7"]) == 2
     # values are checked like the flags' own type and choices
-    for entry in ("variant = bogus", "nodes = 4.5"):
+    for entry in ("s_scale = bogus", "nodes = 4.5"):
         cfg.write_text(f"metric = round_sphere3\naction = rotate:phi\n{entry}\n")
         assert run(["wcs", "--config", str(cfg)]) == 2
 

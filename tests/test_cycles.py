@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from loopcs import cycles, metrics
+from loopcs.geometry import riemann
 from loopcs.cycles import (
     CircleAction,
     a_sweep,
@@ -16,6 +17,7 @@ from loopcs.cycles import (
 )
 from loopcs.jets import ChartDomainError
 from loopcs.quadrature import QuadratureSpec
+from loopcs.wcs import WcsFrame, wcs_integrand
 
 PI4 = math.pi**4
 
@@ -177,7 +179,8 @@ def _closed_form_density(params, theta, y):
 ], ids=["7-3", "5-3", "a0.6", "a0.3"])
 def test_density_matches_closed_form(params):
     # The one-sample trapezoid on the declared Killing axis and the 16-sample
-    # trapezoid of a clone that declares no axes both reproduce the closed form.
+    # trapezoid of a clone that declares no axes both reproduce the closed form,
+    # and so does the full bracket, 2 pi times the t-independent pointwise value.
     # The error is scaled by the largest |f| of the sample: f changes sign at
     # y = 0, where the pointwise relative error measures cancellation only.
     from dataclasses import replace
@@ -185,16 +188,18 @@ def test_density_matches_closed_form(params):
     m = metrics.ypq_metric(params)
     pts = m.box.sample_interior(np.random.default_rng(5), 50, margin=0.1)
     want = _closed_form_density(params, pts[:, 1], pts[:, 3])
+    bound = 1e-13 * np.max(np.abs(want))
     action = CircleAction.rotation(axis=4)
     for metric, nodes in ((m, 64), (replace(m, symmetry_axes=()), 16)):
-        for variant in ("reduced", "full"):
-            got = np.array([pullback_density(metric, action, 3, x, loop_nodes=nodes,
-                                             variant=variant) for x in pts])
-            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), (
-                variant, nodes)
+        got = np.array([pullback_density(metric, action, 3, x, loop_nodes=nodes)
+                        for x in pts])
+        assert np.max(np.abs(got - want)) <= bound, nodes
+    frame = WcsFrame(3, action.velocity(m), np.eye(5)[list(m.orientation())])
+    full = 2.0 * math.pi * wcs_integrand(riemann(m, pts), frame, "full")
+    assert np.max(np.abs(full - want)) <= bound
 
 
-@pytest.mark.parametrize("p,q", [(7, 3), (7, 5)])
+@pytest.mark.parametrize("p,q", [(7, 3), (7, 5), (13, 7)])
 def test_quadrature_matches_symbolic_closed_form(p, q):
     m = metrics.ypq_metric(metrics.solve_ypq(p, q))
     res = integrate_cycle(m, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=16))
@@ -353,27 +358,17 @@ def test_wrong_dimension_rejected():
         integrate_cycle(m, CircleAction.rotation(axis=2), 3)
 
 
-def test_bad_variant_rejected_before_any_evaluation(y73, monkeypatch):
-    calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
-    action = CircleAction.rotation(axis=4)
-    with pytest.raises(ValueError, match="variant"):
-        integrate_cycle(y73, action, 3, QuadratureSpec(nodes=3), variant="bogus")
-    with pytest.raises(ValueError, match="variant"):
-        pullback_density(y73, action, 3, np.array([1.0, 1.2, 2.0, 0.1, 0.5]),
-                         variant="bogus")
-    assert calls == []
-
-
 @pytest.mark.parametrize("loop_nodes", [0, -3])
 def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypatch):
     # Both loop plans: the Killing fiber axis of (7,3) (one sample) and an
-    # axis of the perturbed torus, which varies along it (loop_nodes samples).
+    # axis of the perturbed torus, which varies along it (loop_nodes samples);
+    # the trivial action, whose value needs no loop, is refused alike.
     calls = []
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
     torus = metrics.perturbed_torus(3)
     cases = [(y73, CircleAction.rotation(axis=4), 3),
-             (torus, CircleAction.rotation(axis=0), 2)]
+             (torus, CircleAction.rotation(axis=0), 2),
+             (y73, CircleAction.trivial(), 3)]
     for metric, action, k in cases:
         with pytest.raises(ValueError, match="loop_nodes"):
             integrate_cycle(metric, action, k, QuadratureSpec(nodes=3, mask=()),
@@ -404,13 +399,6 @@ def test_snap_pi4_multiple_gates():
     # huge-denominator truth is refused rather than mis-snapped
     ugly = float(Fraction(-32768, 1035125)) * PI4
     assert snap_pi4_multiple(ugly, 1e-13) is None
-
-
-def test_variants_agree_at_integral_level(y73):
-    quad = QuadratureSpec(nodes=6)
-    red = integrate_cycle(y73, CircleAction.rotation(axis=4), 3, quad, variant="reduced")
-    full = integrate_cycle(y73, CircleAction.rotation(axis=4), 3, quad, variant="full")
-    assert abs(full.value - red.value) / abs(red.value) < 1e-10
 
 
 def test_non_exact_mode_never_snaps():

@@ -53,16 +53,16 @@ def test_bad_rule_arguments():
         gauss_nodes(0, (0.0, 1.0))
     with pytest.raises(ValueError):
         gauss_nodes(3, (1.0, 1.0))
-    calls = []
-    for spec, needle in [(QuadratureSpec(nodes=2, max_refinements=-1), "max_refinements"),
-                         (QuadratureSpec(nodes=2, rel_tol=-1.0), "rel_tol"),
-                         (QuadratureSpec(nodes=2, rel_tol=0.0), "rel_tol"),
-                         (QuadratureSpec(nodes=2, rel_tol=float("nan")), "rel_tol"),
-                         (QuadratureSpec(nodes=2, workers=0), "workers"),
-                         (QuadratureSpec(nodes=2, workers=-3), "workers")]:
+    # A bad rule is refused when the spec is built, before any box is seen.
+    for kwargs, needle in [({"refinement_factor": 0}, "refinement factor"),
+                           ({"max_refinements": -1}, "max_refinements"),
+                           ({"rel_tol": -1.0}, "rel_tol"),
+                           ({"rel_tol": 0.0}, "rel_tol"),
+                           ({"rel_tol": float("nan")}, "rel_tol"),
+                           ({"workers": 0}, "workers"),
+                           ({"workers": -3}, "workers")]:
         with pytest.raises(ValueError, match=needle):
-            integrate_box(lambda p: calls.append(p) or p[:, 0], [(0.0, 1.0)], spec)
-    assert calls == []
+            QuadratureSpec(nodes=2, **kwargs)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
