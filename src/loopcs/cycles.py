@@ -12,7 +12,7 @@ where o is the metric's declared form order and f(m) is the loop integral
 over t in [0, 2 pi) of the pointwise integrand with velocity da/dt and the
 frame of pushed-forward coordinate vectors.  The loop integral is always the
 periodic trapezoid rule, spectrally accurate for smooth periodic integrands.
-Along an axis on which every metric component is constant (a verified
+Along an axis on which every metric component is measured constant (a
 Killing axis) the loop integrand is t-independent, so one sample is exact:
 2 pi times the pointwise value.  Orbits must wrap a periodic axis.
 
@@ -64,7 +64,6 @@ __all__ = [
     "best_rational_in_interval",
 ]
 
-KILLING_TOL = 1e-12
 PI4 = math.pi**4
 MAX_SNAP_DENOMINATOR = 10**6
 
@@ -137,40 +136,39 @@ class CircleAction:
         return v
 
 
-def _axis_is_killing(metric: MetricField, axis: int, samples: int = 16) -> bool:
-    """Numerically verify that all metric components are constant along ``axis``."""
-    rng = np.random.default_rng(20240 + axis)
-    pts = metric.box.sample_interior(rng, samples, margin=0.1)
+def _constant_axes(metric: MetricField) -> tuple[int, ...]:
+    """Axes whose jet derivative ``dg[..., a]`` is exactly zero at 16 interior
+    samples.  Exact, not a tolerance: a coordinate no component reads carries
+    exact zeros, while ``round_sphere(3, radius=1e-7)`` varies by ~1e-14."""
+    pts = metric.box.sample_interior(np.random.default_rng(20240), 16, margin=0.1)
     _, dg, _ = metric_jets(metric, pts)
-    return bool(np.max(np.abs(dg[..., axis])) < KILLING_TOL)
+    return tuple(a for a in range(metric.dim) if not np.any(dg[..., a]))
 
 
 def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
-                mask: tuple[int, ...] = ()) -> int:
-    """Check the rotation and the mask axes and size the loop rule, once per call.
+                mask: tuple[int, ...] | None = None) -> tuple[tuple[int, ...], int]:
+    """Check the rotation and the mask and size the loop rule, once per call.
 
     ``loop_nodes`` must be positive and the rotation must close on a periodic
-    axis.  Every candidate axis is checked for being Killing at most once; a
-    mask axis that fails raises.
-    Returns the number of trapezoid samples per orbit: 1 for a rotation
-    along an axis the metric declares constant and that passes the check
-    (the loop integrand is then t-independent, so one sample is exact),
-    else ``loop_nodes``.
+    axis.  The constant axes are measured once: ``mask=None`` masks them all,
+    and an explicit mask axis that is not constant raises.  Returns the sorted
+    mask and the trapezoid samples per orbit: 1 for a rotation along a
+    constant axis (the loop integrand is then t-independent), else
+    ``loop_nodes``.
     """
     if loop_nodes < 1:
         raise ValueError(f"loop_nodes must be >= 1, got {loop_nodes}")
     action.resolved_speed(metric)
+    constant = _constant_axes(metric)
+    mask = tuple(sorted({int(a) for a in (constant if mask is None else mask)}))
     for a in mask:
         if not 0 <= a < metric.dim:
             raise ValueError(f"mask axis {a} out of range")
-    loop_axis = action.axis if action.axis in metric.symmetry_axes else None
-    killing = {a: _axis_is_killing(metric, a) for a in {*mask, loop_axis} - {None}}
-    for a in mask:
-        if not killing[a]:
+        if a not in constant:
             raise ValueError(
                 f"axis {metric.coord_names[a]} declared constant but the metric "
                 "varies along it")
-    return 1 if loop_axis is not None and killing[loop_axis] else loop_nodes
+    return mask, 1 if action.axis in constant else loop_nodes
 
 
 def _frame_vectors(metric: MetricField) -> np.ndarray:
@@ -203,7 +201,7 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
     coords = np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
-    samples = _cycle_plan(metric, action, loop_nodes)
+    _, samples = _cycle_plan(metric, action, loop_nodes)
     if action.kind == "trivial":
         return 0.0
     return float(_density_batch(metric, action, k, coords, samples))
@@ -292,9 +290,9 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                     s_scale: float = 1.0, loop_nodes: int = 64) -> CycleResult:
     """Integrate the pulled-back form density over the coordinate box.
 
-    Axes in the symmetry mask (default: the metric's verified constant axes)
-    contribute their exact extents, and so does an unmasked rotation axis,
-    along which the loop average is constant; the remaining axes carry a
+    Axes in the mask (default: the measured constant axes) contribute their
+    exact extents, and so does an unmasked rotation axis, along which the
+    loop average is constant; the remaining axes carry a
     tensor-product Gauss-Legendre rule with a refined pass for the error
     estimate.  The result scales exactly linearly in ``s_scale``, which is
     applied as a final factor.
@@ -326,9 +324,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             "exact_mode": params.exact_mode,
         }
 
-    mask = (tuple(metric.symmetry_axes) if quad.mask is None
-            else tuple(sorted(set(int(a) for a in quad.mask))))
-    loop_samples = _cycle_plan(metric, action, loop_nodes, mask)
+    mask, loop_samples = _cycle_plan(metric, action, loop_nodes, quad.mask)
     if action.kind == "trivial":
         prov["node_counts"] = (0,) * metric.dim
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
@@ -400,12 +396,16 @@ def ypq_sweep(labels, action: CircleAction, k: int = 3,
     Each label names one member: ``{"p": p, "q": q}`` for the (p, q) metric,
     or ``{"a": a}`` for the direct parameter with fiber period ``ell``.  A
     member's own failure (bad parameters, a chart or quadrature error) is an
-    error row; any other ValueError refuses a shared setting and propagates.
+    error row; any other ValueError, ``ell`` included, refuses a shared
+    setting and propagates before any row.
     When at least two ``a`` rows give nonzero values, the result carries the
     fitted log-log slope of |value| against (1 - a).
     """
-    from .metrics import solve_ypq, ypq_metric, ypq_params_from_a
+    from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
 
+    labels = list(labels)
+    if any("a" in label for label in labels):
+        _check_ell(ell)
     rows: list[SweepRow] = []
     xs, ys = [], []
     for label in labels:

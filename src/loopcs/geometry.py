@@ -101,13 +101,13 @@ class MetricField:
     and returning the n x n (nested-list) matrix of Jet2 entries; entries may
     also be plain numbers for constant components.  :func:`metric_jets` reads
     only the upper triangle and mirrors it, so g_{ab} == g_{ba} holds exactly.
+    Cycle integrals measure its constant axes (``cycles._constant_axes``).
     """
 
     dim: int
     box: CoordBox
     components: object
     coord_names: tuple[str, ...]
-    symmetry_axes: tuple[int, ...] = ()
     form_order: tuple[int, ...] | None = None
     name: str = ""
     params: object = None

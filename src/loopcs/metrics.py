@@ -98,6 +98,12 @@ def _check_root_order(a: float, y1: float, y2: float, c: float) -> None:
         raise ValueError(f"expected y1 < 0 < y2, got ({y1}, {y2}) for a={a}")
 
 
+def _check_ell(ell: float) -> None:
+    """Refuse a fiber period parameter that is not > 0 (NaN included)."""
+    if not ell > 0.0:
+        raise ValueError(f"fiber period parameter ell must be > 0, got {ell}")
+
+
 def solve_ypq(p: int, q: int) -> YpqParams:
     """Resolve integers (p, q) into metric parameters.
 
@@ -139,8 +145,7 @@ def solve_ypq(p: int, q: int) -> YpqParams:
         if abs(params.cubic_residual(y)) > 1e-12:
             raise ValueError(f"cubic residual at y={y} too large")
     _check_root_order(params.a, params.y1, params.y2, params.c)
-    if params.ell <= 0.0:
-        raise ValueError("fiber period parameter must be positive")
+    _check_ell(params.ell)
     return params
 
 
@@ -149,12 +154,13 @@ def ypq_params_from_a(a: float, ell: float = 1.0, c: float = 1.0) -> YpqParams:
 
     Solves 2 c y^3 - 3 y^2 + a = 0 for its two smaller roots.  ``a`` must lie
     strictly inside (0, 1): at a = 1 the two larger roots collide and the
-    y-interval degenerates.
+    y-interval degenerates.  ``ell`` must be > 0.  Both are input checks, so
+    they raise a plain ValueError.
     """
     a = float(a)
     if not 0.0 < a < 1.0:
-        raise ChartDomainError(
-            f"a={a} is degenerate: need 0 < a < 1 for an open y-interval")
+        raise ValueError(f"a={a} is degenerate: need 0 < a < 1 for an open y-interval")
+    _check_ell(ell)
     roots = np.roots([2.0 * c, -3.0, 0.0, a])
     real = np.sort(roots[np.abs(roots.imag) < 1e-9].real)
     if len(real) != 3:
@@ -222,7 +228,6 @@ def ypq_metric(params: YpqParams) -> MetricField:
         box=box,
         components=_YpqComponents(a=params.a, c=params.c),
         coord_names=YPQ_COORDS,
-        symmetry_axes=(0, 2, 4),
         form_order=(0, 1, 3, 2, 4),
         name=label,
         params=params,
@@ -245,7 +250,7 @@ def flat_torus(n: int) -> MetricField:
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
     return MetricField(dim=n, box=box, components=_ConstantDiagonal((1.0,) * n),
                        coord_names=tuple(f"x{i}" for i in range(n)),
-                       symmetry_axes=tuple(range(n)), name=f"flat_torus{n}")
+                       name=f"flat_torus{n}")
 
 
 @dataclass(frozen=True)
@@ -277,8 +282,7 @@ def round_sphere(n: int, radius: float = 1.0) -> MetricField:
     names = tuple(f"theta{i+1}" for i in range(n - 1)) + ("phi",)
     return MetricField(dim=n, box=CoordBox(intervals, periodic),
                        components=_SphereComponents(radius=radius),
-                       coord_names=names, symmetry_axes=(n - 1,),
-                       name=f"round_sphere{n}(r={radius:g})")
+                       coord_names=names, name=f"round_sphere{n}(r={radius:g})")
 
 
 @dataclass(frozen=True)
@@ -306,11 +310,9 @@ def product(m1: MetricField, m2: MetricField) -> MetricField:
     box = CoordBox(intervals=m1.box.intervals + m2.box.intervals,
                    periodic=m1.box.periodic + m2.box.periodic)
     names = tuple(f"l_{s}" for s in m1.coord_names) + tuple(f"r_{s}" for s in m2.coord_names)
-    sym = m1.symmetry_axes + tuple(m1.dim + i for i in m2.symmetry_axes)
     return MetricField(dim=m1.dim + m2.dim, box=box,
                        components=_ProductComponents(m1.components, m2.components, m1.dim),
-                       coord_names=names, symmetry_axes=sym,
-                       name=f"product({m1.name},{m2.name})")
+                       coord_names=names, name=f"product({m1.name},{m2.name})")
 
 
 @dataclass(frozen=True)
@@ -337,7 +339,7 @@ def perturbed_torus(n: int, amplitude: float = 0.35, seed: int = 7) -> MetricFie
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
     return MetricField(dim=n, box=box, components=_PerturbedTorusComponents(amps),
                        coord_names=tuple(f"x{i}" for i in range(n)),
-                       symmetry_axes=(), name=f"perturbed_torus{n}")
+                       name=f"perturbed_torus{n}")
 
 
 def catalog(name: str) -> MetricField:

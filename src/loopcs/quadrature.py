@@ -45,10 +45,10 @@ class QuadratureSpec:
     refinement_factor: node-count multiplier for the error-estimation pass.
     max_refinements: extra refinement rounds allowed when rel_tol is set.
     rel_tol: target relative tolerance; None accepts the two-level estimate.
-    mask: axis indices along which the integrand is declared constant.
+    mask: axis indices along which the integrand is constant.
         ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
         axes from the box and multiplies by their exact extents.  None means
-        the metric's declared symmetry axes, () means no mask.
+        the metric's measured constant axes, () means no mask.
     Construction raises ValueError for a refinement factor or ``workers``
     below 1, negative ``max_refinements`` or a ``rel_tol`` that is not > 0.
     """

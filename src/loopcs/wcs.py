@@ -3,7 +3,7 @@
 For a loop point with curvature pack R, loop velocity gd and a frame of
 m = 2k - 1 tangent vectors X_1 .. X_m, the integrand is
 
-    s_scale * 2/m! * sum_{sigma in S_m} sgn(sigma)
+    2/m! * sum_{sigma in S_m} sgn(sigma)
         tr[ B(X_{sigma(1)}) . Omega(X_{sigma(2)}, X_{sigma(3)}) . ...
                             . Omega(X_{sigma(m-1)}, X_{sigma(m)}) ]
 
@@ -25,7 +25,7 @@ size 2j,
 where sgn(J - {a,b}, a, b) is the sign of the permutation that moves a and b
 to the end of J.  Grouping the signed sum by sigma(1) = i then gives
 
-    s_scale * 2^{k-1} * 2/m! * sum_i (-1)^i tr[ B(X_i) . W_{J_i} ],
+    2^{k-1} * 2/m! * sum_i (-1)^i tr[ B(X_i) . W_{J_i} ],
 
 with J_i the complement of i (0-based i).  Level j of the recursion costs
 C(m, 2j) * C(2j, 2) matrix products, e.g. 30 for k = 3 and 315 for k = 4,
@@ -143,14 +143,12 @@ def _wedge_tables(m: int):
     return levels, complement
 
 
-def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced",
-                  s_scale: float = 1.0) -> float | np.ndarray:
+def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced") -> float | np.ndarray:
     """Evaluate the integrand at one loop point (batched over the pack).
 
     The returned value is the density of the (2k-1)-form against the given
     frame; the loop integral and orientation bookkeeping live in the cycle
-    module.  Alternating in the frame, linear in the velocity, and scaled
-    linearly by ``s_scale``.
+    module.  Alternating in the frame and linear in the velocity.
     """
     n = pack.dim
     m = 2 * wf.k - 1
@@ -181,7 +179,6 @@ def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced",
     traces = np.einsum("...iab,...iba->...i", B, wedge[..., complement, :, :])
     signs = np.where(np.arange(m) % 2, -1.0, 1.0)
     result = (2.0 ** (wf.k - 1) * 2.0 / math.factorial(m)) * (traces @ signs)
-    result = s_scale * result
     if result.ndim == 0:
         return float(result)
     return result

@@ -157,6 +157,27 @@ def test_ignored_family_flags_exit_2(monkeypatch, capsys):
                 "--refine-factor", "1"]) == 0
 
 
+def test_bad_ypq_a_inputs_exit_2(monkeypatch, capsys):
+    # An a outside (0, 1) or an ell that is not > 0 is an input error, refused
+    # before any evaluation; a sweep refuses the shared ell before any row.
+    from loopcs import cycles
+
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    wcs = ["wcs", "--metric", "ypq-a", "--action", "rotate:alpha", "--nodes", "4"]
+    sweep = ["sweep", "--nodes", "4", "--sweep-a"]
+    for argv, needle in [(wcs + ["--a", "1.5"], "degenerate"),
+                         (wcs + ["--a", "0.5", "--ell", "0"], "ell must be > 0"),
+                         (wcs + ["--a", "0.5", "--ell", "-1"], "ell must be > 0"),
+                         (wcs + ["--a", "0.5", "--ell", "nan"], "ell must be > 0"),
+                         (sweep + ["0.5", "--ell", "-1"], "ell must be > 0"),
+                         (sweep + ["0.5,1.5", "--sweep-pq", "7:3", "--ell", "0"],
+                          "ell must be > 0")]:
+        assert run(argv) == 2, argv
+        assert needle in capsys.readouterr().err, argv
+    assert calls == []
+
+
 def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
     # A setting every member shares is refused once, before any member is
     # evaluated, instead of becoming one error row per member.

@@ -82,16 +82,12 @@ def test_iterate_density_scales_exactly(y73):
 
 
 def test_killing_shortcut_matches_trapezoid_loop(y73):
-    # A metric clone without declared symmetry axes takes the generic orbit
-    # path; the alpha axis is still Killing, so the loop integrand is
-    # constant and the trapezoid must agree with the 2 pi shortcut.
-    from dataclasses import replace
-
-    no_shortcut = replace(y73, symmetry_axes=())
+    # The alpha axis is Killing, so the loop integrand is constant and a
+    # 16-sample trapezoid must agree with the one-sample 2 pi shortcut.
     action = CircleAction.rotation(axis=4)
     m0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
     fast = pullback_density(y73, action, 3, m0)
-    slow = pullback_density(no_shortcut, action, 3, m0, loop_nodes=16)
+    slow = float(cycles._density_batch(y73, action, 3, m0, 16))
     assert abs(fast - slow) / abs(fast) < 1e-12
 
 
@@ -138,15 +134,15 @@ def test_non_closing_speed_rejected(y73):
 
 
 def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
-    # Refused before any chunk, whether the axis is undeclared (theta) or a
-    # declared Killing axis of a flat torus whose box is not periodic there.
+    # Refused before any chunk, whether the axis varies (theta) or is a
+    # constant axis of a flat torus whose box is not periodic there.
     from dataclasses import replace
 
     from loopcs.geometry import CoordBox
 
     flat = metrics.flat_torus(3)
     open_x0 = replace(flat, box=CoordBox(flat.box.intervals, (False, True, True)))
-    assert 0 in open_x0.symmetry_axes
+    assert 0 in cycles._constant_axes(open_x0)
     cases = [(y73, CircleAction.rotation(axis=1, speed=0.25), 3),
              (open_x0, CircleAction.rotation(axis=0, speed=1.0), 2)]
     calls = []
@@ -178,22 +174,20 @@ def _closed_form_density(params, theta, y):
     metrics.ypq_params_from_a(0.3, ell=0.7),
 ], ids=["7-3", "5-3", "a0.6", "a0.3"])
 def test_density_matches_closed_form(params):
-    # The one-sample trapezoid on the declared Killing axis and the 16-sample
-    # trapezoid of a clone that declares no axes both reproduce the closed form,
-    # and so does the full bracket, 2 pi times the t-independent pointwise value.
+    # The one-sample trapezoid on the measured Killing axis and a 16-sample
+    # trapezoid both reproduce the closed form, and so does the full bracket,
+    # 2 pi times the t-independent pointwise value.
     # The error is scaled by the largest |f| of the sample: f changes sign at
     # y = 0, where the pointwise relative error measures cancellation only.
-    from dataclasses import replace
-
     m = metrics.ypq_metric(params)
     pts = m.box.sample_interior(np.random.default_rng(5), 50, margin=0.1)
     want = _closed_form_density(params, pts[:, 1], pts[:, 3])
     bound = 1e-13 * np.max(np.abs(want))
     action = CircleAction.rotation(axis=4)
-    for metric, nodes in ((m, 64), (replace(m, symmetry_axes=()), 16)):
-        got = np.array([pullback_density(metric, action, 3, x, loop_nodes=nodes)
-                        for x in pts])
-        assert np.max(np.abs(got - want)) <= bound, nodes
+    fast = np.array([pullback_density(m, action, 3, x) for x in pts])
+    slow = cycles._density_batch(m, action, 3, pts, 16)
+    for got in (fast, slow):
+        assert np.max(np.abs(got - want)) <= bound
     frame = WcsFrame(3, action.velocity(m), np.eye(5)[list(m.orientation())])
     full = 2.0 * math.pi * wcs_integrand(riemann(m, pts), frame, "full")
     assert np.max(np.abs(full - want)) <= bound
@@ -310,20 +304,65 @@ def test_shared_axis_reports_refined_count(y73):
 
 
 def test_each_axis_checked_once_per_call(y73, monkeypatch):
+    # One 16-point jets call measures every axis, masked or not; the
+    # curvature reaches the jets through geometry, not through this binding.
     calls = []
-    real = cycles._axis_is_killing
+    real = cycles.metric_jets
 
-    def counted(metric, axis, *args):
-        calls.append(axis)
-        return real(metric, axis, *args)
+    def counted(metric, coords):
+        calls.append(len(coords))
+        return real(metric, coords)
 
-    monkeypatch.setattr(cycles, "_axis_is_killing", counted)
+    monkeypatch.setattr(cycles, "metric_jets", counted)
     action = CircleAction.rotation(axis=4)
-    integrate_cycle(y73, action, 3, QuadratureSpec(nodes=6))
-    assert sorted(calls) == [0, 2, 4]  # the mask axes; the loop axis is among them
+    for mask in (None, ()):
+        calls.clear()
+        integrate_cycle(y73, action, 3, QuadratureSpec(nodes=3, refinement_factor=1,
+                                                       mask=mask))
+        assert calls == [16], mask  # one check, not one per axis or per chunk
     calls.clear()
-    integrate_cycle(y73, action, 3, QuadratureSpec(nodes=3, refinement_factor=1, mask=()))
-    assert calls == [4]  # unmasked 3^5 box: one check, not one per chunk
+    pullback_density(y73, action, 3, np.array([1.0, 1.2, 2.0, 0.1, 0.5]))
+    assert calls == [16]
+
+
+def test_constant_axes_measured(y73):
+    # Exactly the axes the metrics' symmetries give.  A tiny radius keeps the
+    # theta axes, whose derivatives are ~1e-14 but not zero.
+    a06 = metrics.ypq_metric(metrics.ypq_params_from_a(0.6))
+    cases = [(metrics.flat_torus(2), (0, 1)), (metrics.flat_torus(3), (0, 1, 2)),
+             (metrics.flat_torus(5), (0, 1, 2, 3, 4)),
+             (metrics.round_sphere(2), (1,)), (metrics.round_sphere(3), (2,)),
+             (metrics.round_sphere(5), (4,)), (metrics.round_sphere(3, 1.7), (2,)),
+             (metrics.round_sphere(3, radius=1e-7), (2,)),
+             (metrics.perturbed_torus(3), ()), (metrics.perturbed_torus(1), ()),
+             (metrics.perturbed_torus(5), ()), (metrics.catalog("s2xs3"), (1, 4)),
+             (y73, (0, 2, 4)), (a06, (0, 2, 4))]
+    for metric, want in cases:
+        assert cycles._constant_axes(metric) == want, metric.name
+
+
+def test_undeclared_constant_axis_is_masked(monkeypatch):
+    # The round 3-sphere's parts with nothing declared: phi is measured
+    # constant, so it is masked and each orbit takes one loop sample.
+    from loopcs.geometry import MetricField
+
+    s3 = metrics.round_sphere(3)
+    bare = MetricField(dim=3, box=s3.box, components=s3.components,
+                       coord_names=s3.coord_names)
+    samples = []
+    real = cycles._density_batch
+
+    def counted(metric, action, k, coords, loop_samples):
+        samples.append(loop_samples)
+        return real(metric, action, k, coords, loop_samples)
+
+    monkeypatch.setattr(cycles, "_density_batch", counted)
+    action = CircleAction.rotation(axis=2)
+    res = integrate_cycle(bare, action, 2, QuadratureSpec(nodes=4))
+    assert res.node_counts == (8, 8, 0)
+    assert res.provenance["masked_axes"] == ["phi"]
+    assert set(samples) == {1}
+    assert res.value == integrate_cycle(s3, action, 2, QuadratureSpec(nodes=4)).value
 
 
 def test_mask_rejects_non_killing_axis(y73):

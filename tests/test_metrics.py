@@ -105,12 +105,13 @@ def test_from_a_roots_match_numpy_oracle():
 
 
 def test_from_a_rejects_degenerate_values():
-    with pytest.raises(ChartDomainError):
-        ypq_params_from_a(1.0)  # double root collapses the y-interval
-    with pytest.raises(ChartDomainError):
-        ypq_params_from_a(0.0)
-    with pytest.raises(ChartDomainError):
-        ypq_params_from_a(1.2)
+    # Input checks: a plain ValueError, not a chart exit met during evaluation.
+    # At a = 1 the double root collapses the y-interval.
+    for a, ell in [(1.0, 1.0), (0.0, 1.0), (1.2, 1.0),
+                   (0.5, 0.0), (0.5, -1.0), (0.5, math.nan)]:
+        with pytest.raises(ValueError) as exc:
+            ypq_params_from_a(a, ell=ell)
+        assert not isinstance(exc.value, ChartDomainError)
 
 
 def test_boundary_degeneracy_raises():

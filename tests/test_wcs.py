@@ -99,15 +99,6 @@ def test_degenerate_frame_vanishes(y73_pack):
     assert np.max(np.abs(v)) / scale < 1e-10
 
 
-def test_s_scale_is_an_exact_linear_factor(y73_pack):
-    rng = np.random.default_rng(9)
-    frame = rng.standard_normal((5, 5))
-    gd = rng.standard_normal(5)
-    base = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame), s_scale=1.0))
-    twice = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame), s_scale=2.0))
-    assert np.array_equal(twice, 2.0 * base)
-
-
 def test_linear_in_velocity(y73_pack):
     rng = np.random.default_rng(10)
     frame = rng.standard_normal((5, 5))
