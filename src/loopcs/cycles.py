@@ -25,6 +25,20 @@ extent, which is exactly what its Gauss-Legendre rule gives a constant.  It
 keeps its node count in the result and is listed under
 ``loop_averaged_axes`` in the provenance.
 
+With the default mask (``mask=None``) a gridded axis along which the ratio
+f / sqrt(det g) is measured constant becomes an orbit axis.  The family's
+metrics are cohomogeneity one under SU(2) x U(1) x U(1), whose SU(2) orbits
+sweep theta; a rotation along psi or alpha commutes with SU(2), so for it
+the ratio depends on y alone (one along phi does not, and is not reduced).
+The density is then evaluated once per line of the remaining grid axes,
+with the orbit coordinate pinned at the box midpoint (theta = pi/2, away
+from the ill-conditioned poles), and carried along the orbit by
+sqrt(det g) computed from metric values alone.  The orbit axis keeps its
+Gauss-Legendre rule and node count, so the error estimate still compares
+two levels, and is listed under ``orbit_reduced_axes`` in the provenance.
+An explicit mask, ``()`` included, never reduces an axis: that path is the
+oracle for this one.
+
 Conventions recorded in every result's provenance:
 
 * coordinate rotations default to speed = (axis period) / (2 pi), so one
@@ -39,6 +53,7 @@ Conventions recorded in every result's provenance:
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -46,9 +61,10 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__
-from .geometry import MetricField, metric_jets, riemann
+from .geometry import MetricField, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
-from .quadrature import QuadratureError, QuadratureSpec, integrate_box
+from .quadrature import (QuadratureError, QuadratureSpec, check_budget, evaluate,
+                         integrate_box, level_counts, tensor_points)
 from .wcs import WcsFrame, wcs_integrand
 
 __all__ = [
@@ -136,25 +152,43 @@ class CircleAction:
         return v
 
 
+# Largest relative spread of f / sqrt(det g) along an axis that still makes
+# it an orbit axis (see _orbit_axes).
+ORBIT_TOL = 1e-12
+
+
+def _probe_points(metric: MetricField) -> np.ndarray:
+    """The 16 seeded interior points at which a metric's axes are measured.
+
+    Drawn with the standard library's generator, which the interpreter has
+    already loaded: loading ``numpy.random`` for them would add ~6 MB of
+    resident memory and ~16 ms to every run.
+    """
+    rng = random.Random(20240)
+    unit = [[rng.random() for _ in range(metric.dim)] for _ in range(16)]
+    return metric.box.from_unit(unit, margin=0.1)
+
+
 def _constant_axes(metric: MetricField) -> tuple[int, ...]:
-    """Axes whose jet derivative ``dg[..., a]`` is exactly zero at 16 interior
-    samples.  Exact, not a tolerance: a coordinate no component reads carries
+    """Axes whose jet derivative ``dg[..., a]`` is exactly zero at the probe
+    points.  Exact, not a tolerance: a coordinate no component reads carries
     exact zeros, while ``round_sphere(3, radius=1e-7)`` varies by ~1e-14."""
-    pts = metric.box.sample_interior(np.random.default_rng(20240), 16, margin=0.1)
-    _, dg, _ = metric_jets(metric, pts)
+    _, dg, _ = metric_jets(metric, _probe_points(metric))
     return tuple(a for a in range(metric.dim) if not np.any(dg[..., a]))
 
 
 def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
-                mask: tuple[int, ...] | None = None) -> tuple[tuple[int, ...], int]:
-    """Check the rotation and the mask and size the loop rule, once per call.
+                mask: tuple[int, ...] | None = None) -> tuple[tuple[str, ...], int]:
+    """Check the rotation and the mask and plan each axis, once per call.
 
     ``loop_nodes`` must be positive and the rotation must close on a periodic
     axis.  The constant axes are measured once: ``mask=None`` masks them all,
-    and an explicit mask axis that is not constant raises.  Returns the sorted
-    mask and the trapezoid samples per orbit: 1 for a rotation along a
-    constant axis (the loop integrand is then t-independent), else
-    ``loop_nodes``.
+    and an explicit mask axis that is not constant raises.  Returns the kind
+    of each axis and the trapezoid samples per orbit: 1 for a rotation along
+    a constant axis (the loop integrand is then t-independent), else
+    ``loop_nodes``.  The kinds are ``extent`` for a masked axis, ``loop`` for
+    an unmasked rotation axis and ``grid`` for the rest; :func:`_orbit_axes`
+    may turn a ``grid`` axis into an ``orbit`` axis.
     """
     if loop_nodes < 1:
         raise ValueError(f"loop_nodes must be >= 1, got {loop_nodes}")
@@ -168,7 +202,54 @@ def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
             raise ValueError(
                 f"axis {metric.coord_names[a]} declared constant but the metric "
                 "varies along it")
-    return mask, 1 if action.axis in constant else loop_nodes
+    kinds = tuple("extent" if a in mask else "loop" if a == action.axis else "grid"
+                  for a in range(metric.dim))
+    return kinds, 1 if action.axis in constant else loop_nodes
+
+
+def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
+    """sqrt(det g) at a batch of chart points, from metric values alone."""
+    return np.sqrt(np.linalg.det(metric_values(metric, coords)))
+
+
+def _density_ratio(metric: MetricField, action: CircleAction, k: int,
+                   coords: np.ndarray, loop_samples: int) -> np.ndarray:
+    """f / sqrt(det g) at chart points, the densities in quadrature batches;
+    a failed density is a QuadratureError, as at a quadrature node."""
+    density = evaluate(lambda pts: _density_batch(metric, action, k, pts, loop_samples),
+                       coords)
+    return density / _volume(metric, coords)
+
+
+def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
+                kinds: tuple[str, ...], loop_samples: int) -> tuple[str, ...]:
+    """``kinds`` with each ``grid`` axis along which f / sqrt(det g) is
+    measured constant made an ``orbit`` axis.
+
+    Each probe point is paired with one partner per grid axis, moved along
+    that axis to the next probe point's coordinate, and all the densities
+    are evaluated together.  An axis is an orbit axis when the largest
+    change of the ratio over the pairs is at most ``ORBIT_TOL`` times the
+    largest ratio (a zero ratio everywhere measures nothing and reduces no
+    axis).  This is a tolerance, unlike the exact zero of
+    :func:`_constant_axes`, because the ratio is computed from rounded
+    curvature: along a symmetry orbit it changes by ~1e-14, not by 0.
+    """
+    grid = [a for a, kind in enumerate(kinds) if kind == "grid"]
+    if not grid:
+        return kinds
+    pts = _probe_points(metric)
+    batch = [pts]
+    for a in grid:
+        moved = pts.copy()
+        moved[:, a] = np.roll(pts[:, a], 1)
+        batch.append(moved)
+    ratio = _density_ratio(metric, action, k, np.concatenate(batch), loop_samples)
+    ratio = ratio.reshape(len(batch), len(pts))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
+    orbit = {a for a, s in zip(grid, spread) if s <= ORBIT_TOL}
+    return tuple("orbit" if a in orbit else kind for a, kind in enumerate(kinds))
 
 
 def _frame_vectors(metric: MetricField) -> np.ndarray:
@@ -209,7 +290,7 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
 
 @dataclass
 class _DensityIntegrand:
-    """Picklable integrand over the unmasked axes (masked coords pinned)."""
+    """Picklable integrand over the grid axes (the other coordinates pinned)."""
 
     metric: MetricField
     action: CircleAction
@@ -223,6 +304,26 @@ class _DensityIntegrand:
         coords[:, list(self.free_axes)] = points
         return _density_batch(self.metric, self.action, self.k, coords,
                               self.loop_samples)
+
+
+@dataclass
+class _OrbitIntegrand:
+    """Picklable integrand over the grid axes, then the orbit axes: the
+    measured f / sqrt(det g) of each line of the grid axes, looked up by the
+    line's coordinates, times sqrt(det g) from metric values at the point."""
+
+    metric: MetricField
+    grid_axes: tuple[int, ...]
+    orbit_axes: tuple[int, ...]
+    pinned: np.ndarray
+    line_ratios: dict[bytes, float]
+
+    def __call__(self, points: np.ndarray) -> np.ndarray:
+        coords = np.repeat(self.pinned[None, :], len(points), axis=0)
+        coords[:, list(self.grid_axes + self.orbit_axes)] = points
+        lines = points[:, :len(self.grid_axes)]
+        ratio = np.array([self.line_ratios[line.tobytes()] for line in lines])
+        return ratio * _volume(self.metric, coords)
 
 
 @dataclass(frozen=True)
@@ -294,8 +395,11 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     exact extents, and so does an unmasked rotation axis, along which the
     loop average is constant; the remaining axes carry a
     tensor-product Gauss-Legendre rule with a refined pass for the error
-    estimate.  The result scales exactly linearly in ``s_scale``, which is
-    applied as a final factor.
+    estimate.  With the default mask, an axis measured by
+    :func:`_orbit_axes` keeps its rule but takes the density from the pinned
+    orbit point of its line (see the module docstring); every input refusal
+    comes before that measurement.  The result scales exactly linearly in
+    ``s_scale``, which is applied as a final factor.
     """
     start = time.perf_counter()
     if metric.dim != 2 * k - 1:
@@ -324,48 +428,60 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             "exact_mode": params.exact_mode,
         }
 
-    mask, loop_samples = _cycle_plan(metric, action, loop_nodes, quad.mask)
+    kinds, loop_samples = _cycle_plan(metric, action, loop_nodes, quad.mask)
     if action.kind == "trivial":
         prov["node_counts"] = (0,) * metric.dim
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
                            wall_time=time.perf_counter() - start, provenance=prov)
-    unmasked = tuple(a for a in range(metric.dim) if a not in mask)
+    unmasked = [a for a in range(metric.dim) if kinds[a] != "extent"]
     # Tuple node counts are per unmasked axis, in increasing axis order.
     counts = dict(zip(unmasked, quad.counts_for(len(unmasked))))
     if any(c < 2 for c in counts.values()):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    # An unmasked rotation axis is shared (see the module docstring): pinned
-    # like a masked axis and weighted by its extent.
-    shared = tuple(a for a in unmasked if a == action.axis)
-    free = tuple(a for a in unmasked if a not in shared)
-    factor = 1.0
-    for a in mask + shared:
-        factor *= metric.box.extent(a)
+    # Orbit axes stay in the box, so the budget is known before the probe.
+    check_budget(tuple(counts[a] for a in unmasked if kinds[a] == "grid"), quad)
+    if quad.mask is None:
+        kinds = _orbit_axes(metric, action, k, kinds, loop_samples)
+    axes = {kind: tuple(a for a in range(metric.dim) if kinds[a] == kind)
+            for kind in ("extent", "loop", "grid", "orbit")}
+    # Extent and loop axes are pinned at the box midpoint and weighted by
+    # their extents.  Orbit axes come last in the box; the density is
+    # evaluated once per line of the grid axes of every level that
+    # integrate_box may evaluate, at the pinned orbit point.
+    factor = math.prod(metric.box.extent(a) for a in axes["extent"] + axes["loop"])
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
-
-    integrand = _DensityIntegrand(metric=metric, action=action, k=k,
-                                  loop_samples=loop_samples, free_axes=free, pinned=pinned)
-    sub_box = [metric.box.intervals[a] for a in free]
-    # With no free axis the box has no axes and the rule is one point of
-    # weight 1: the volume of the rest times one density evaluation.
-    box_counts = tuple(counts[a] for a in free)
-    box_result = integrate_box(integrand, sub_box,
-                               replace(quad, nodes=box_counts, mask=None))
-    # Every level multiplies all counts by the refinement factor; with no free
-    # axis the first refinement repeats the coarse value exactly and stops.
-    growth = (box_result.counts[0] // box_counts[0] if free
-              else quad.refinement_factor)
+    box_axes = axes["grid"] + axes["orbit"]
+    box = [metric.box.intervals[a] for a in box_axes]
+    spec = replace(quad, nodes=tuple(counts[a] for a in box_axes), mask=None)
+    if axes["orbit"]:
+        ngrid = len(axes["grid"])
+        lines = np.concatenate([tensor_points(box[:ngrid], level[:ngrid])[0]
+                                for level in level_counts(spec.nodes, spec)])
+        base = np.repeat(pinned[None, :], len(lines), axis=0)
+        base[:, list(axes["grid"])] = lines
+        ratios = _density_ratio(metric, action, k, base, loop_samples)
+        integrand = _OrbitIntegrand(metric=metric, grid_axes=axes["grid"],
+                                    orbit_axes=axes["orbit"], pinned=pinned,
+                                    line_ratios=dict(zip(map(np.ndarray.tobytes, lines),
+                                                         ratios)))
+    else:
+        integrand = _DensityIntegrand(metric=metric, action=action, k=k,
+                                      loop_samples=loop_samples, free_axes=axes["grid"],
+                                      pinned=pinned)
+    # With no box axis the rule is one point of weight 1: the volume of the
+    # rest times one density evaluation.
+    box_result = integrate_box(integrand, box, spec)
 
     value = s_scale * (factor * box_result.value)
     error = abs(s_scale) * factor * box_result.error_estimate
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(box_result.counts[free.index(a)] if a in free
-                        else counts[a] * growth if a in shared else 0
+    node_counts = tuple(counts[a] * box_result.growth if a in counts else 0
                         for a in range(metric.dim))
     prov["node_counts"] = node_counts
-    prov["masked_axes"] = [metric.coord_names[a] for a in mask]
-    prov["loop_averaged_axes"] = [metric.coord_names[a] for a in shared]
+    prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
+    prov["loop_averaged_axes"] = [metric.coord_names[a] for a in axes["loop"]]
+    prov["orbit_reduced_axes"] = [metric.coord_names[a] for a in axes["orbit"]]
     prov["refinement_factor"] = quad.refinement_factor
 
     snapped = snap_pi4_multiple(value, error, coarse) if exact_mode else None

@@ -35,6 +35,7 @@ __all__ = [
     "CurvaturePack",
     "CurvatureReport",
     "metric_jets",
+    "metric_values",
     "christoffel",
     "riemann",
     "curvature_endo",
@@ -86,11 +87,16 @@ class CoordBox:
         out[..., axis] = lo + np.mod(out[..., axis] - lo, hi - lo)
         return out
 
-    def sample_interior(self, rng: np.random.Generator, count: int, margin: float = 0.05):
-        """Uniform samples keeping a relative margin from every boundary."""
+    def from_unit(self, unit, margin: float = 0.05) -> np.ndarray:
+        """Points of the unit cube mapped into the box, keeping a relative
+        margin from every boundary."""
         lows = np.array([lo + margin * (hi - lo) for lo, hi in self.intervals])
         highs = np.array([hi - margin * (hi - lo) for lo, hi in self.intervals])
-        return lows + (highs - lows) * rng.random((count, self.dim))
+        return lows + (highs - lows) * np.asarray(unit, dtype=float)
+
+    def sample_interior(self, rng: np.random.Generator, count: int, margin: float = 0.05):
+        """Uniform samples keeping a relative margin from every boundary."""
+        return self.from_unit(rng.random((count, self.dim)), margin)
 
 
 @dataclass(frozen=True)
@@ -116,20 +122,13 @@ class MetricField:
         return self.form_order if self.form_order is not None else tuple(range(self.dim))
 
 
-def metric_jets(metric: MetricField, coords: np.ndarray):
-    """Metric value, gradient and Hessian arrays at a batch of chart points.
+def _chart_coords(metric: MetricField, coords) -> np.ndarray:
+    """``coords`` as a float array, refused if a point leaves the open chart.
 
-    Returns ``(g, dg, d2g)`` with shapes ``(..., n, n)``, ``(..., n, n, n)``
-    and ``(..., n, n, n, n)``; derivative indices are the trailing axes:
-    ``dg[..., a, b, c] = d_c g_{ab}`` and ``d2g[..., a, b, c, d] = d_c d_d g_{ab}``.
-    Each upper-triangle component is read once and mirrored by assignment;
-    a plain-number component fills ``g`` only, its derivatives stay zero.
+    Non-periodic axes carry genuine chart boundaries; periodic coordinates
+    may sit anywhere (orbit wrapping lands on interval endpoints).
     """
     coords = np.asarray(coords, dtype=float)
-    n = metric.dim
-    batch = coords.shape[:-1]
-    # Non-periodic axes carry genuine chart boundaries; periodic coordinates
-    # may sit anywhere (orbit wrapping lands on interval endpoints).
     for i, (lo, hi) in enumerate(metric.box.intervals):
         if metric.box.periodic[i]:
             continue
@@ -138,6 +137,22 @@ def metric_jets(metric: MetricField, coords: np.ndarray):
             raise ChartDomainError(
                 f"coordinate {metric.coord_names[i]} outside the open chart "
                 f"interval ({lo}, {hi})")
+    return coords
+
+
+def metric_jets(metric: MetricField, coords: np.ndarray):
+    """Metric value, gradient and Hessian arrays at a batch of chart points.
+
+    Returns ``(g, dg, d2g)`` with shapes ``(..., n, n)``, ``(..., n, n, n)``
+    and ``(..., n, n, n, n)``; derivative indices are the trailing axes:
+    ``dg[..., a, b, c] = d_c g_{ab}`` and ``d2g[..., a, b, c, d] = d_c d_d g_{ab}``.
+    Each upper-triangle component is read once and mirrored by assignment;
+    a plain-number component fills ``g`` only, its derivatives stay zero.
+    This is the only path that forms metric derivatives.
+    """
+    coords = _chart_coords(metric, coords)
+    n = metric.dim
+    batch = coords.shape[:-1]
     rows = metric.components([jet_variable(i, coords[..., i], n) for i in range(n)])
     g = np.zeros(batch + (n, n))
     dg = np.zeros(batch + (n, n, n))
@@ -152,6 +167,23 @@ def metric_jets(metric: MetricField, coords: np.ndarray):
             dg[..., a, b, :] = dg[..., b, a, :] = entry.grad
             d2g[..., a, b, :, :] = d2g[..., b, a, :, :] = entry.hess
     return g, dg, d2g
+
+
+def metric_values(metric: MetricField, coords: np.ndarray) -> np.ndarray:
+    """Metric values alone, shape ``(..., n, n)``, at a batch of chart points.
+
+    The components read plain coordinate arrays (the ``jets`` functions pass
+    them through), so no derivative is formed; the result equals the ``g``
+    of :func:`metric_jets` bit for bit.
+    """
+    coords = _chart_coords(metric, coords)
+    n = metric.dim
+    rows = metric.components([coords[..., i] for i in range(n)])
+    g = np.zeros(coords.shape[:-1] + (n, n))
+    for a in range(n):
+        for b in range(a, n):
+            g[..., a, b] = g[..., b, a] = rows[a][b]
+    return g
 
 
 def _condition_number(g: np.ndarray) -> np.ndarray:

@@ -9,7 +9,10 @@ without finite-difference noise.
 Values may be numpy arrays: a single ``Jet2`` then represents a whole batch
 of evaluation points, with the derivative slots living on trailing axes
 (``value`` has shape ``S``, ``grad`` shape ``S + (n,)``, ``hess`` shape
-``S + (n, n)``).  All operations broadcast over the batch.
+``S + (n, n)``).  All operations broadcast over the batch.  The elementary
+functions below also take plain arrays and return plain arrays, with the
+same domain guards, so a component function evaluated on plain coordinates
+gives metric values alone, bit for bit the values of its jets.
 
 Hessians are symmetric by construction: every rule below produces the (i, j)
 and (j, i) entries from the same pair of products added in commuted order,
@@ -24,6 +27,7 @@ __all__ = [
     "Jet2",
     "jet_variable",
     "jet_constant",
+    "value_of",
     "sin",
     "cos",
     "sqrt",
@@ -135,6 +139,11 @@ def jet_constant(value, n: int) -> Jet2:
     return Jet2(v, np.zeros(v.shape + (n,)), np.zeros(v.shape + (n, n)))
 
 
+def value_of(x) -> np.ndarray:
+    """The value of a jet, or a plain number or array as a float array."""
+    return x.value if isinstance(x, Jet2) else _as_value(x)
+
+
 def _chain(a: Jet2, f0, f1, f2) -> Jet2:
     """Second-order chain rule for a scalar function with derivatives f1, f2."""
     grad = f1[..., None] * a.grad
@@ -143,37 +152,48 @@ def _chain(a: Jet2, f0, f1, f2) -> Jet2:
     return Jet2(f0, grad, hess)
 
 
-def sin(a: Jet2) -> Jet2:
+def sin(a):
+    if not isinstance(a, Jet2):
+        return np.sin(a)
     s, c = np.sin(a.value), np.cos(a.value)
     return _chain(a, s, c, -s)
 
 
-def cos(a: Jet2) -> Jet2:
+def cos(a):
+    if not isinstance(a, Jet2):
+        return np.cos(a)
     s, c = np.sin(a.value), np.cos(a.value)
     return _chain(a, c, -s, -c)
 
 
-def sqrt(a: Jet2) -> Jet2:
-    if np.any(a.value <= 0.0):
+def sqrt(a):
+    v = value_of(a)
+    if np.any(v <= 0.0):
         raise ChartDomainError("sqrt of a non-positive value: point left the chart domain")
-    r = np.sqrt(a.value)
-    return _chain(a, r, 0.5 / r, -0.25 / (a.value * r))
+    r = np.sqrt(v)
+    if not isinstance(a, Jet2):
+        return r
+    return _chain(a, r, 0.5 / r, -0.25 / (v * r))
 
 
-def recip(a: Jet2) -> Jet2:
-    if np.any(a.value == 0.0):
+def recip(a):
+    v = value_of(a)
+    if np.any(v == 0.0):
         raise ChartDomainError("division by zero: point left the chart domain")
-    inv = 1.0 / a.value
+    inv = 1.0 / v
+    if not isinstance(a, Jet2):
+        return inv
     return _chain(a, inv, -inv * inv, 2.0 * inv * inv * inv)
 
 
-def pow_int(a: Jet2, m: int) -> Jet2:
+def pow_int(a, m: int):
     """Integer power ``a**m``; negative exponents require a nonzero value."""
     m = int(m)
-    if m == 0:
-        return jet_constant(np.ones_like(a.value), a.nvars)
-    if m < 0 and np.any(a.value == 0.0):
+    v = value_of(a)
+    if m < 0 and np.any(v == 0.0):
         raise ChartDomainError("negative power of zero: point left the chart domain")
-    v = a.value
+    if not isinstance(a, Jet2):
+        return v**m
+    if m == 0:
+        return jet_constant(np.ones_like(v), a.nvars)
     return _chain(a, v**m, m * v ** (m - 1), m * (m - 1) * v ** (m - 2))
-

@@ -34,7 +34,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets
-from .geometry import CoordBox, MetricField, leading_minors_positive, metric_jets
+from .geometry import CoordBox, MetricField, leading_minors_positive, metric_values
 from .jets import ChartDomainError
 
 __all__ = [
@@ -99,9 +99,12 @@ def _check_root_order(a: float, y1: float, y2: float, c: float) -> None:
 
 
 def _check_ell(ell: float) -> None:
-    """Refuse a fiber period parameter that is not > 0 (NaN included)."""
+    """Refuse a fiber period parameter that is not > 0 (NaN included) or not
+    finite: an infinite period leaves no closed orbit to integrate over."""
     if not ell > 0.0:
         raise ValueError(f"fiber period parameter ell must be > 0, got {ell}")
+    if not math.isfinite(ell):
+        raise ValueError(f"fiber period parameter ell must be > 0 and finite, got {ell}")
 
 
 def solve_ypq(p: int, q: int) -> YpqParams:
@@ -154,7 +157,7 @@ def ypq_params_from_a(a: float, ell: float = 1.0, c: float = 1.0) -> YpqParams:
 
     Solves 2 c y^3 - 3 y^2 + a = 0 for its two smaller roots.  ``a`` must lie
     strictly inside (0, 1): at a = 1 the two larger roots collide and the
-    y-interval degenerates.  ``ell`` must be > 0.  Both are input checks, so
+    y-interval degenerates.  ``ell`` must be finite and > 0.  Both are input checks, so
     they raise a plain ValueError.
     """
     a = float(a)
@@ -188,8 +191,8 @@ class _YpqComponents:
         w = 2.0 * a_minus_y2 * jets.recip(one_minus_cy)
         qf = (a - 3.0 * y * y + 2.0 * c * y * y * y) * jets.recip(a_minus_y2)
         wq = w * qf
-        if np.any(one_minus_cy.value <= 0.0) or np.any(wq.value <= 0.0) \
-                or np.any(sin_t.value == 0.0):
+        if np.any(jets.value_of(one_minus_cy) <= 0.0) or np.any(jets.value_of(wq) <= 0.0) \
+                or np.any(jets.value_of(sin_t) == 0.0):
             raise ChartDomainError(
                 "Sasaki-Einstein chart degenerate at evaluation point "
                 "(sin theta = 0, w q <= 0, or 1 - c y <= 0)")
@@ -373,5 +376,4 @@ def einstein_residual(metric: MetricField, samples, constant: float) -> float:
 
 def positive_definite_on(metric: MetricField, samples) -> bool:
     """Leading-principal-minor positivity of g at every sample point."""
-    g, _, _ = metric_jets(metric, np.asarray(samples, dtype=float))
-    return leading_minors_positive(g)
+    return leading_minors_positive(metric_values(metric, np.asarray(samples, dtype=float)))

@@ -18,8 +18,12 @@ __all__ = [
     "QuadratureSpec",
     "BoxResult",
     "gauss_nodes",
+    "check_budget",
+    "evaluate",
     "integrate_box",
+    "level_counts",
     "pairwise_sum",
+    "tensor_points",
 ]
 
 # Chunk size is a fixed constant (not worker-dependent) so that the batches
@@ -48,7 +52,8 @@ class QuadratureSpec:
     mask: axis indices along which the integrand is constant.
         ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
         axes from the box and multiplies by their exact extents.  None means
-        the metric's measured constant axes, () means no mask.
+        the metric's measured constant axes (and lets ``integrate_cycle``
+        reduce orbit axes), () means no mask.
     Construction raises ValueError for a refinement factor or ``workers``
     below 1, negative ``max_refinements`` or a ``rel_tol`` that is not > 0.
     """
@@ -140,7 +145,7 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(x[0])
 
 
-def _tensor_points(box, counts):
+def tensor_points(box, counts):
     """Row-major grid points and product weights; no axes give one empty point
     of weight 1."""
     points = np.empty(tuple(counts) + (len(counts),))
@@ -152,22 +157,25 @@ def _tensor_points(box, counts):
     return points.reshape(weights.size, len(counts)), weights.ravel()
 
 
-def _evaluate(f, points: np.ndarray, workers: int) -> np.ndarray:
+def evaluate(f, points: np.ndarray, workers: int = 1) -> np.ndarray:
+    """``f`` at ``points`` in fixed ``CHUNK``-point batches, in a process pool
+    when ``workers`` > 1 and there is more than one batch.  Any failure of
+    ``f`` is raised as :class:`QuadratureError`."""
     chunks = [points[i: i + CHUNK] for i in range(0, len(points), CHUNK)]
-    if workers <= 1 or len(chunks) <= 1:
-        results = [f(c) for c in chunks]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(f, chunks))
-    return np.asarray(np.concatenate(results), dtype=float) if results else np.zeros(0)
+    try:
+        if workers <= 1 or len(chunks) <= 1:
+            results = [f(c) for c in chunks]
+        else:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(f, chunks))
+        return np.asarray(np.concatenate(results), dtype=float) if results else np.zeros(0)
+    except Exception as exc:
+        raise QuadratureError(f"integrand evaluation failed: {exc}") from exc
 
 
 def _single_level(f, box, counts, workers):
-    points, weights = _tensor_points(box, counts)
-    try:
-        values = _evaluate(f, points, workers)
-    except Exception as exc:
-        raise QuadratureError(f"integrand evaluation failed: {exc}") from exc
+    points, weights = tensor_points(box, counts)
+    values = evaluate(f, points, workers)
     if values.shape != weights.shape:
         raise QuadratureError(
             f"integrand returned shape {values.shape}, expected {weights.shape}")
@@ -180,13 +188,35 @@ def _single_level(f, box, counts, workers):
 
 @dataclass(frozen=True)
 class BoxResult:
-    """Two-level quadrature result: refined value plus the coarser pass."""
+    """Two-level quadrature result: refined value plus the coarser pass.
+
+    ``growth`` is the factor by which every requested node count grew to
+    ``counts``; it is defined for a box with no axes too.
+    """
 
     value: float
     error_estimate: float
     counts: tuple[int, ...]
     coarse_value: float
     coarse_counts: tuple[int, ...]
+    growth: int
+
+
+def level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[int, ...]]:
+    """Node counts of every level :func:`integrate_box` may evaluate, coarse
+    first: each refinement multiplies every count by the refinement factor."""
+    fac = int(spec.refinement_factor)
+    rounds = 0 if fac == 1 else spec.max_refinements + 1
+    return [tuple(int(c) * fac**j for c in counts) for j in range(rounds + 1)]
+
+
+def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
+    """Refuse, before any grid is built, node counts whose finest level allowed
+    by ``spec`` would exceed ``MAX_LEVEL_POINTS``."""
+    finest = math.prod(level_counts(counts, spec)[-1])
+    if finest > MAX_LEVEL_POINTS:
+        raise ValueError(f"the finest quadrature level would evaluate {finest} points, "
+                         f"over the budget of {MAX_LEVEL_POINTS}")
 
 
 def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
@@ -197,28 +227,23 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     result and ``error_estimate`` the absolute difference between the two
     finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
     set and unmet after ``spec.max_refinements`` extra rounds, and raises
-    ValueError before building any grid if the finest level allowed would
-    exceed ``MAX_LEVEL_POINTS``.
+    ValueError (:func:`check_budget`) before building any grid.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    counts = spec.counts_for(len(box))
-    fac = int(spec.refinement_factor)
-    finest = math.prod(c * fac ** (spec.max_refinements + 1) for c in counts)
-    if finest > MAX_LEVEL_POINTS:
-        raise ValueError(f"the finest quadrature level would evaluate {finest} points, "
-                         f"over the budget of {MAX_LEVEL_POINTS}")
+    levels = level_counts(spec.counts_for(len(box)), spec)
+    check_budget(levels[0], spec)
 
-    coarse = _single_level(f, box, counts, spec.workers)
-    if fac == 1:
-        return BoxResult(coarse, 0.0, counts, coarse, counts)
-    for _ in range(spec.max_refinements + 1):
-        fine_counts = tuple(c * fac for c in counts)
-        fine = _single_level(f, box, fine_counts, spec.workers)
+    coarse = _single_level(f, box, levels[0], spec.workers)
+    if len(levels) == 1:
+        return BoxResult(coarse, 0.0, levels[0], coarse, levels[0], 1)
+    for j in range(1, len(levels)):
+        fine = _single_level(f, box, levels[j], spec.workers)
         err = abs(fine - coarse)
         scale = max(abs(fine), np.finfo(float).tiny)
         if spec.rel_tol is None or err <= spec.rel_tol * scale:
-            return BoxResult(fine, err, fine_counts, coarse, counts)
-        coarse, counts = fine, fine_counts
+            return BoxResult(fine, err, levels[j], coarse, levels[j - 1],
+                             int(spec.refinement_factor) ** j)
+        coarse = fine
     raise QuadratureError(
         f"relative tolerance {spec.rel_tol} not reached: "
-        f"estimate {err:.3e} at {fine_counts} nodes")
+        f"estimate {err:.3e} at {levels[-1]} nodes")

@@ -158,7 +158,7 @@ def test_ignored_family_flags_exit_2(monkeypatch, capsys):
 
 
 def test_bad_ypq_a_inputs_exit_2(monkeypatch, capsys):
-    # An a outside (0, 1) or an ell that is not > 0 is an input error, refused
+    # An a outside (0, 1) or an ell that is not finite and > 0 is an input error, refused
     # before any evaluation; a sweep refuses the shared ell before any row.
     from loopcs import cycles
 
@@ -170,6 +170,7 @@ def test_bad_ypq_a_inputs_exit_2(monkeypatch, capsys):
                          (wcs + ["--a", "0.5", "--ell", "0"], "ell must be > 0"),
                          (wcs + ["--a", "0.5", "--ell", "-1"], "ell must be > 0"),
                          (wcs + ["--a", "0.5", "--ell", "nan"], "ell must be > 0"),
+                         (wcs + ["--a", "0.5", "--ell", "inf"], "ell must be > 0 and finite"),
                          (sweep + ["0.5", "--ell", "-1"], "ell must be > 0"),
                          (sweep + ["0.5,1.5", "--sweep-pq", "7:3", "--ell", "0"],
                           "ell must be > 0")]:

@@ -203,6 +203,20 @@ def test_quadrature_matches_symbolic_closed_form(p, q):
     assert abs(res.value - exact) <= 10 * max(res.error_estimate, 1e-12 * abs(exact))
 
 
+def test_exact_pairs_snap_right_or_not_at_all():
+    # Every exact-mode pair with p <= 13 at the default nodes: the snap is the
+    # closed form or absent.  (13,8)'s denominator 1035125 is over the snap
+    # limit, so it has no right snap to give.
+    from loopcs.cli import _exact_pairs
+
+    pairs = _exact_pairs(13)
+    assert pairs == [(7, 3), (7, 5), (13, 7), (13, 8)]
+    for p, q in pairs:
+        m = metrics.ypq_metric(metrics.solve_ypq(p, q))
+        snap = integrate_cycle(m, CircleAction.rotation(axis=4), 3).pi4_multiple
+        assert snap in (closed_form_value(p, q), None), (p, q, snap)
+
+
 def test_refinement_within_error_estimate(y73):
     action = CircleAction.rotation(axis=4)
     coarse = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=8))
@@ -301,6 +315,61 @@ def test_shared_axis_reports_refined_count(y73):
                                          mask=(1, 2)))
     assert res.node_counts == (8, 0, 0)
     assert res.provenance["loop_averaged_axes"] == ["x0"]
+
+
+@pytest.mark.parametrize("params", [(7, 3), 0.6])
+def test_orbit_reduction_matches_explicit_mask(params):
+    # The default mask reduces theta for the fiber rotation; the explicit
+    # mask of the same constant axes keeps every (theta, y) node.
+    m = metrics.ypq_metric(metrics.solve_ypq(*params) if isinstance(params, tuple)
+                           else metrics.ypq_params_from_a(params))
+    action = CircleAction.rotation(axis=4)
+    reduced = integrate_cycle(m, action, 3, QuadratureSpec(nodes=16))
+    full = integrate_cycle(m, action, 3, QuadratureSpec(nodes=16, mask=(0, 2, 4)))
+    assert abs(reduced.value - full.value) <= 1e-9 * abs(full.value)
+    assert reduced.node_counts == full.node_counts == (0, 32, 0, 32, 0)
+    assert reduced.provenance["orbit_reduced_axes"] == ["theta"]
+    assert full.provenance["orbit_reduced_axes"] == []
+
+
+def test_headline_density_once_per_line(y73, monkeypatch):
+    # 32 + 64 y-lines in all, plus the probe's 16 points and their 16
+    # partners along each of theta and y; every point takes one loop sample.
+    seen = []
+    real = cycles.riemann
+
+    def counted(metric, coords):
+        seen.append(len(coords))
+        return real(metric, coords)
+
+    monkeypatch.setattr(cycles, "riemann", counted)
+    res = integrate_cycle(y73, CircleAction.rotation(axis=4), 3)
+    assert sum(seen) == 32 + 64 + 3 * 16
+    assert res.node_counts == (0, 64, 0, 64, 0)
+    assert abs(res.value - float(closed_form_value(7, 3)) * PI4) <= 1e-13
+    assert res.pi4_multiple == Fraction(-432, 6125)
+
+
+def test_orbit_reduction_passes_the_condition_guard(y73):
+    # At 64 -> 128 nodes the theta poles trip the 1e12 guard on the full
+    # grid; the reduced path evaluates the density at theta = pi/2 only.
+    res = integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=64))
+    assert res.node_counts == (0, 128, 0, 128, 0)
+    assert abs(res.value - float(closed_form_value(7, 3)) * PI4) <= 1e-12
+    assert res.pi4_multiple == Fraction(-432, 6125)
+
+
+def test_orbit_probe_rejects_varying_ratio(y73):
+    # A rotation inside SU(2) (phi), and a metric with no symmetry, reduce no
+    # axis; their results equal the explicit-mask ones bit for bit.
+    cases = [(y73, CircleAction.rotation(axis=0), 3, (0, 2, 4)),
+             (metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2, ())]
+    for metric, action, k, mask in cases:
+        res = integrate_cycle(metric, action, k, QuadratureSpec(nodes=6))
+        ref = integrate_cycle(metric, action, k, QuadratureSpec(nodes=6, mask=mask))
+        assert res.provenance["orbit_reduced_axes"] == [], metric.name
+        assert (res.value, res.error_estimate, res.node_counts) == \
+            (ref.value, ref.error_estimate, ref.node_counts)
 
 
 def test_each_axis_checked_once_per_call(y73, monkeypatch):

@@ -108,7 +108,7 @@ def test_from_a_rejects_degenerate_values():
     # Input checks: a plain ValueError, not a chart exit met during evaluation.
     # At a = 1 the double root collapses the y-interval.
     for a, ell in [(1.0, 1.0), (0.0, 1.0), (1.2, 1.0),
-                   (0.5, 0.0), (0.5, -1.0), (0.5, math.nan)]:
+                   (0.5, 0.0), (0.5, -1.0), (0.5, math.nan), (0.5, math.inf)]:
         with pytest.raises(ValueError) as exc:
             ypq_params_from_a(a, ell=ell)
         assert not isinstance(exc.value, ChartDomainError)
@@ -125,6 +125,22 @@ def test_boundary_degeneracy_raises():
     at_root[3] = m.box.intervals[3][1]  # y = y2, where w q = 0
     with pytest.raises(ChartDomainError):
         geometry.metric_jets(m, at_root)
+
+
+@pytest.mark.parametrize("name", ["flat_torus2", "flat_torus3", "flat_torus5",
+                                  "round_sphere2", "round_sphere3", "round_sphere5",
+                                  "perturbed_torus3", "s2xs3", "ypq73", "ypq_a06"])
+def test_metric_values_equal_jet_values(name):
+    # The components on plain coordinates give the jets' g bit for bit.
+    if name == "ypq73":
+        m = ypq_metric(solve_ypq(7, 3))
+    elif name == "ypq_a06":
+        m = ypq_metric(ypq_params_from_a(0.6))
+    else:
+        m = metrics.catalog(name)
+    pts = m.box.sample_interior(np.random.default_rng(5), 40)
+    g, _, _ = geometry.metric_jets(m, pts)
+    assert np.array_equal(geometry.metric_values(m, pts), g)
 
 
 def test_catalog_flat_torus():
