@@ -30,12 +30,13 @@ f / sqrt(det g) is measured constant becomes an orbit axis.  The family's
 metrics are cohomogeneity one under SU(2) x U(1) x U(1), whose SU(2) orbits
 sweep theta; a rotation along psi or alpha commutes with SU(2), so for it
 the ratio depends on y alone (one along phi does not, and is not reduced).
-The density is then evaluated once per line of the remaining grid axes,
-with the orbit coordinate pinned at the box midpoint (theta = pi/2, away
-from the ill-conditioned poles), and carried along the orbit by
-sqrt(det g) computed from metric values alone.  The orbit axis keeps its
-Gauss-Legendre rule and node count, so the error estimate still compares
-two levels, and is listed under ``orbit_reduced_axes`` in the provenance.
+At each quadrature level the density is then evaluated once per distinct
+line of the remaining grid axes, with the orbit coordinate pinned at the box
+midpoint (theta = pi/2, away from the ill-conditioned poles), and carried
+along the orbit by sqrt(det g) computed from metric values alone.  The
+orbit axis keeps its Gauss-Legendre rule and node count, so the error
+estimate still compares two levels, and is listed under
+``orbit_reduced_axes`` in the provenance.
 An explicit mask, ``()`` included, never reduces an axis: that path is the
 oracle for this one.
 
@@ -57,14 +58,14 @@ import random
 import time
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .geometry import MetricField, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
-from .quadrature import (QuadratureError, QuadratureSpec, check_budget, evaluate,
-                         integrate_box, level_counts, tensor_points)
+from .quadrature import QuadratureError, QuadratureSpec, check_budget, evaluate, integrate_box
 from .wcs import WcsFrame, wcs_integrand
 
 __all__ = [
@@ -212,13 +213,14 @@ def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
     return np.sqrt(np.linalg.det(metric_values(metric, coords)))
 
 
-def _density_ratio(metric: MetricField, action: CircleAction, k: int,
-                   coords: np.ndarray, loop_samples: int) -> np.ndarray:
-    """f / sqrt(det g) at chart points, the densities in quadrature batches;
-    a failed density is a QuadratureError, as at a quadrature node."""
-    density = evaluate(lambda pts: _density_batch(metric, action, k, pts, loop_samples),
-                       coords)
-    return density / _volume(metric, coords)
+def _pinned(fn, pinned: np.ndarray, axes: tuple[int, ...], points: np.ndarray) -> np.ndarray:
+    """``fn`` at the chart points that are ``pinned`` except along ``axes``,
+    which take the columns of ``points``.  Bound with ``functools.partial``
+    to module-level functions it is a picklable :func:`evaluate` callable
+    that pins one chunk at a time."""
+    coords = np.repeat(pinned[None, :], len(points), axis=0)
+    coords[:, list(axes)] = points
+    return fn(coords)
 
 
 def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
@@ -228,10 +230,11 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
 
     Each probe point is paired with one partner per grid axis, moved along
     that axis to the next probe point's coordinate, and all the densities
-    are evaluated together.  An axis is an orbit axis when the largest
-    change of the ratio over the pairs is at most ``ORBIT_TOL`` times the
-    largest ratio (a zero ratio everywhere measures nothing and reduces no
-    axis).  This is a tolerance, unlike the exact zero of
+    are evaluated together in quadrature batches, so a failed density is a
+    QuadratureError, as at a quadrature node.  An axis is an orbit axis when
+    the largest change of the ratio over the pairs is at most ``ORBIT_TOL``
+    times the largest ratio (a zero ratio everywhere measures nothing and
+    reduces no axis).  This is a tolerance, unlike the exact zero of
     :func:`_constant_axes`, because the ratio is computed from rounded
     curvature: along a symmetry orbit it changes by ~1e-14, not by 0.
     """
@@ -244,8 +247,10 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
         moved = pts.copy()
         moved[:, a] = np.roll(pts[:, a], 1)
         batch.append(moved)
-    ratio = _density_ratio(metric, action, k, np.concatenate(batch), loop_samples)
-    ratio = ratio.reshape(len(batch), len(pts))
+    coords = np.concatenate(batch)
+    density = evaluate(partial(_density_batch, metric, action, k,
+                               loop_samples=loop_samples), coords)
+    ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
     orbit = {a for a, s in zip(grid, spread) if s <= ORBIT_TOL}
@@ -286,44 +291,6 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
     if action.kind == "trivial":
         return 0.0
     return float(_density_batch(metric, action, k, coords, samples))
-
-
-@dataclass
-class _DensityIntegrand:
-    """Picklable integrand over the grid axes (the other coordinates pinned)."""
-
-    metric: MetricField
-    action: CircleAction
-    k: int
-    loop_samples: int
-    free_axes: tuple[int, ...]
-    pinned: np.ndarray
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        coords = np.repeat(self.pinned[None, :], len(points), axis=0)
-        coords[:, list(self.free_axes)] = points
-        return _density_batch(self.metric, self.action, self.k, coords,
-                              self.loop_samples)
-
-
-@dataclass
-class _OrbitIntegrand:
-    """Picklable integrand over the grid axes, then the orbit axes: the
-    measured f / sqrt(det g) of each line of the grid axes, looked up by the
-    line's coordinates, times sqrt(det g) from metric values at the point."""
-
-    metric: MetricField
-    grid_axes: tuple[int, ...]
-    orbit_axes: tuple[int, ...]
-    pinned: np.ndarray
-    line_ratios: dict[bytes, float]
-
-    def __call__(self, points: np.ndarray) -> np.ndarray:
-        coords = np.repeat(self.pinned[None, :], len(points), axis=0)
-        coords[:, list(self.grid_axes + self.orbit_axes)] = points
-        lines = points[:, :len(self.grid_axes)]
-        ratio = np.array([self.line_ratios[line.tobytes()] for line in lines])
-        return ratio * _volume(self.metric, coords)
 
 
 @dataclass(frozen=True)
@@ -398,12 +365,17 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     estimate.  With the default mask, an axis measured by
     :func:`_orbit_axes` keeps its rule but takes the density from the pinned
     orbit point of its line (see the module docstring); every input refusal
-    comes before that measurement.  The result scales exactly linearly in
-    ``s_scale``, which is applied as a final factor.
+    comes before that measurement.  ``integrate_box`` hands over each level
+    whole, and the densities and volumes are computed by ``evaluate`` in
+    fixed batches, pooled over ``quad.workers`` processes.  The result
+    scales exactly linearly in a finite ``s_scale``, which is applied as a
+    final factor; a value or estimate that overflows raises QuadratureError.
     """
     start = time.perf_counter()
     if metric.dim != 2 * k - 1:
         raise ValueError(f"metric dimension {metric.dim} != 2k-1 = {2 * k - 1}")
+    if not math.isfinite(s_scale):
+        raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
 
     params = metric.params
@@ -446,35 +418,36 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     axes = {kind: tuple(a for a in range(metric.dim) if kinds[a] == kind)
             for kind in ("extent", "loop", "grid", "orbit")}
     # Extent and loop axes are pinned at the box midpoint and weighted by
-    # their extents.  Orbit axes come last in the box; the density is
-    # evaluated once per line of the grid axes of every level that
-    # integrate_box may evaluate, at the pinned orbit point.
+    # their extents.  Orbit axes come last in the box; at each level the
+    # density is evaluated once per line of the grid axes, at the pinned
+    # orbit point, and sqrt(det g) carries it to every point of the line.
     factor = math.prod(metric.box.extent(a) for a in axes["extent"] + axes["loop"])
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
     box_axes = axes["grid"] + axes["orbit"]
     box = [metric.box.intervals[a] for a in box_axes]
     spec = replace(quad, nodes=tuple(counts[a] for a in box_axes), mask=None)
-    if axes["orbit"]:
-        ngrid = len(axes["grid"])
-        lines = np.concatenate([tensor_points(box[:ngrid], level[:ngrid])[0]
-                                for level in level_counts(spec.nodes, spec)])
-        base = np.repeat(pinned[None, :], len(lines), axis=0)
-        base[:, list(axes["grid"])] = lines
-        ratios = _density_ratio(metric, action, k, base, loop_samples)
-        integrand = _OrbitIntegrand(metric=metric, grid_axes=axes["grid"],
-                                    orbit_axes=axes["orbit"], pinned=pinned,
-                                    line_ratios=dict(zip(map(np.ndarray.tobytes, lines),
-                                                         ratios)))
-    else:
-        integrand = _DensityIntegrand(metric=metric, action=action, k=k,
-                                      loop_samples=loop_samples, free_axes=axes["grid"],
-                                      pinned=pinned)
+    density = partial(_pinned, partial(_density_batch, metric, action, k,
+                                       loop_samples=loop_samples), pinned, axes["grid"])
+    volume = partial(_pinned, partial(_volume, metric), pinned)
+
+    def level(points: np.ndarray) -> np.ndarray:
+        if not axes["orbit"]:  # every point is its own line
+            return evaluate(density, points, quad.workers)
+        lines, inverse = np.unique(points[:, :len(axes["grid"])], axis=0,
+                                   return_inverse=True)
+        ratios = evaluate(density, lines, quad.workers) / volume(axes["grid"], lines)
+        return ratios[inverse] * evaluate(partial(volume, box_axes), points, quad.workers)
+
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.
-    box_result = integrate_box(integrand, box, spec)
+    box_result = integrate_box(level, box, spec)
 
     value = s_scale * (factor * box_result.value)
     error = abs(s_scale) * factor * box_result.error_estimate
+    if not (math.isfinite(value) and math.isfinite(error)):
+        raise QuadratureError(
+            f"cycle value overflows: value {value}, error estimate {error} "
+            f"(box integral {box_result.value!r} times axis extents {factor!r})")
     coarse = s_scale * (factor * box_result.coarse_value)
     node_counts = tuple(counts[a] * box_result.growth if a in counts else 0
                         for a in range(metric.dim))

@@ -1,9 +1,11 @@
 """Deterministic tensor-product Gauss-Legendre integration over boxes.
 
 Nodes and weights come from Newton iteration on Legendre polynomials and are
-cached per node count.  Integration uses a fixed node ordering, a fixed chunk
-size for (optional) parallel evaluation, and pairwise summation, so results
-are bit-identical across repeated runs and across worker counts.
+cached per node count.  :func:`integrate_box` hands its integrand each
+level's whole point array in a fixed (row-major tensor) order and sums with
+pairwise summation.  :func:`evaluate` owns chunking and the process pool: it
+calls a function on fixed ``CHUNK``-point batches, so results are
+bit-identical across repeated runs and across worker counts.
 """
 from __future__ import annotations
 
@@ -21,9 +23,7 @@ __all__ = [
     "check_budget",
     "evaluate",
     "integrate_box",
-    "level_counts",
     "pairwise_sum",
-    "tensor_points",
 ]
 
 # Chunk size is a fixed constant (not worker-dependent) so that the batches
@@ -54,6 +54,8 @@ class QuadratureSpec:
         axes from the box and multiplies by their exact extents.  None means
         the metric's measured constant axes (and lets ``integrate_cycle``
         reduce orbit axes), () means no mask.
+    workers: processes for :func:`evaluate`.  ``integrate_box`` ignores it
+        too; its callers pass it to ``evaluate``, as ``integrate_cycle`` does.
     Construction raises ValueError for a refinement factor or ``workers``
     below 1, negative ``max_refinements`` or a ``rel_tol`` that is not > 0.
     """
@@ -145,7 +147,7 @@ def pairwise_sum(values: np.ndarray) -> float:
     return float(x[0])
 
 
-def tensor_points(box, counts):
+def _tensor_points(box, counts):
     """Row-major grid points and product weights; no axes give one empty point
     of weight 1."""
     points = np.empty(tuple(counts) + (len(counts),))
@@ -173,9 +175,14 @@ def evaluate(f, points: np.ndarray, workers: int = 1) -> np.ndarray:
         raise QuadratureError(f"integrand evaluation failed: {exc}") from exc
 
 
-def _single_level(f, box, counts, workers):
-    points, weights = tensor_points(box, counts)
-    values = evaluate(f, points, workers)
+def _single_level(f, box, counts):
+    points, weights = _tensor_points(box, counts)
+    try:
+        values = np.asarray(f(points), dtype=float)
+    except QuadratureError:
+        raise
+    except Exception as exc:
+        raise QuadratureError(f"integrand evaluation failed: {exc}") from exc
     if values.shape != weights.shape:
         raise QuadratureError(
             f"integrand returned shape {values.shape}, expected {weights.shape}")
@@ -202,9 +209,9 @@ class BoxResult:
     growth: int
 
 
-def level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[int, ...]]:
-    """Node counts of every level :func:`integrate_box` may evaluate, coarse
-    first: each refinement multiplies every count by the refinement factor."""
+def _level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[int, ...]]:
+    """Node counts of the levels ``spec`` allows, coarse first: each
+    refinement multiplies every count by the refinement factor."""
     fac = int(spec.refinement_factor)
     rounds = 0 if fac == 1 else spec.max_refinements + 1
     return [tuple(int(c) * fac**j for c in counts) for j in range(rounds + 1)]
@@ -213,7 +220,7 @@ def level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[in
 def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
     """Refuse, before any grid is built, node counts whose finest level allowed
     by ``spec`` would exceed ``MAX_LEVEL_POINTS``."""
-    finest = math.prod(level_counts(counts, spec)[-1])
+    finest = math.prod(_level_counts(counts, spec)[-1])
     if finest > MAX_LEVEL_POINTS:
         raise ValueError(f"the finest quadrature level would evaluate {finest} points, "
                          f"over the budget of {MAX_LEVEL_POINTS}")
@@ -222,22 +229,25 @@ def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
 def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     """Tensor-product Gauss-Legendre integral of ``f`` over an open box.
 
-    ``f`` maps an (m, dim) array of interior points to an (m,) array of
-    values and must be pure.  The returned ``value`` is the refined-level
-    result and ``error_estimate`` the absolute difference between the two
-    finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
+    ``f`` is called once per level with the level's whole (m, dim) array of
+    interior points, in row-major tensor order, and returns an (m,) array of
+    values; it must be pure.  A failure of ``f`` is raised as
+    :class:`QuadratureError`.  ``spec.workers`` is not read: an ``f`` that
+    wants batches or a pool calls :func:`evaluate` itself.  The returned
+    ``value`` is the refined-level result and ``error_estimate`` the
+    absolute difference between the two finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
     set and unmet after ``spec.max_refinements`` extra rounds, and raises
     ValueError (:func:`check_budget`) before building any grid.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    levels = level_counts(spec.counts_for(len(box)), spec)
+    levels = _level_counts(spec.counts_for(len(box)), spec)
     check_budget(levels[0], spec)
 
-    coarse = _single_level(f, box, levels[0], spec.workers)
+    coarse = _single_level(f, box, levels[0])
     if len(levels) == 1:
         return BoxResult(coarse, 0.0, levels[0], coarse, levels[0], 1)
     for j in range(1, len(levels)):
-        fine = _single_level(f, box, levels[j], spec.workers)
+        fine = _single_level(f, box, levels[j])
         err = abs(fine - coarse)
         scale = max(abs(fine), np.finfo(float).tiny)
         if spec.rel_tol is None or err <= spec.rel_tol * scale:

@@ -179,6 +179,27 @@ def test_bad_ypq_a_inputs_exit_2(monkeypatch, capsys):
     assert calls == []
 
 
+def test_overflowing_value_is_a_numeric_failure(tmp_path, capsys):
+    # An ell this large passes the input checks, but the cycle value
+    # overflows: no record is written, and sweep rows become error rows
+    # with no fitted exponent.
+    out = tmp_path / "res.json"
+    assert run(["wcs", "--metric", "ypq-a", "--a", "0.5", "--ell", "1e300",
+                "--action", "rotate:alpha", "--nodes", "4", "--out", str(out)]) == 1
+    assert "overflows" in capsys.readouterr().err
+    assert not out.exists()
+    csv = tmp_path / "sweep.csv"
+    assert run(["sweep", "--sweep-a", "0.5,0.6", "--ell", "1e300", "--nodes", "4",
+                "--out", str(csv)]) == 0
+    rows = csv.read_text().splitlines()[1:]
+    assert len(rows) == 2
+    assert all(",error," in row and "overflows" in row for row in rows)
+    # A non-finite --s-scale is refused as an input, not reported as overflow.
+    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action",
+                "rotate:alpha", "--nodes", "4", "--s-scale", "inf"]) == 2
+    assert "s_scale must be finite" in capsys.readouterr().err
+
+
 def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
     # A setting every member shares is refused once, before any member is
     # evaluated, instead of becoming one error row per member.

@@ -350,6 +350,39 @@ def test_headline_density_once_per_line(y73, monkeypatch):
     assert res.pi4_multiple == Fraction(-432, 6125)
 
 
+def test_tolerance_run_evaluates_only_the_levels_it_reaches(y73, monkeypatch):
+    # 8 -> 16 meets the tolerance: 8 + 16 y-lines and the 48 probe points.
+    # The levels a further refinement would reach are never evaluated.
+    seen = []
+    real = cycles.riemann
+
+    def counted(metric, coords):
+        seen.append(len(coords))
+        return real(metric, coords)
+
+    monkeypatch.setattr(cycles, "riemann", counted)
+    action = CircleAction.rotation(axis=4)
+    res = integrate_cycle(y73, action, 3,
+                          QuadratureSpec(nodes=8, rel_tol=1e-6, max_refinements=3))
+    assert sum(seen) == 8 + 16 + 3 * 16
+    ref = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=8))
+    assert (res.value, res.error_estimate, res.node_counts) == \
+        (ref.value, ref.error_estimate, ref.node_counts)
+
+
+def test_unreduced_path_worker_count_does_not_change_bits(pool_starts):
+    # Without an orbit axis the pool evaluates densities: the 12^2 fine
+    # lines of x1, x2 are three chunks.
+    m = metrics.perturbed_torus(3)
+    action = CircleAction.rotation(axis=0)
+    one = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=1))
+    assert pool_starts == []
+    two = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=2))
+    assert pool_starts == [2]
+    assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
+    assert two.provenance["orbit_reduced_axes"] == []
+
+
 def test_orbit_reduction_passes_the_condition_guard(y73):
     # At 64 -> 128 nodes the theta poles trip the 1e12 guard on the full
     # grid; the reduced path evaluates the density at theta = pi/2 only.

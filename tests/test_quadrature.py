@@ -2,9 +2,11 @@
 import numpy as np
 import pytest
 
+from loopcs import quadrature
 from loopcs.quadrature import (
     QuadratureError,
     QuadratureSpec,
+    evaluate,
     gauss_nodes,
     integrate_box,
     pairwise_sum,
@@ -109,11 +111,32 @@ class _Smooth:
         return np.cos(p[:, 0]) * np.exp(p[:, 1])
 
 
-def test_worker_count_does_not_change_bits():
+def test_worker_count_does_not_change_bits(pool_starts):
+    # evaluate is the only chunk and pool path; more than CHUNK points make
+    # it start a pool at 2 workers, and the bits must not change.
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (5 * quadrature.CHUNK + 3, 2))
+    serial = evaluate(_Smooth(), points, workers=1)
+    assert pool_starts == []
+    pooled = evaluate(_Smooth(), points, workers=2)
+    assert pool_starts == [2]
+    assert serial.shape == (len(points),)
+    assert serial.tobytes() == pooled.tobytes()
+
+
+def test_integrate_box_hands_over_whole_levels(pool_starts):
+    # One call per level with the level's whole grid, never a pool, whatever
+    # spec.workers says.
+    shapes = []
+
+    def f(p):
+        shapes.append(p.shape)
+        return np.cos(p[:, 0]) * np.exp(p[:, 1])
+
     box = [(0.0, 3.0), (-1.0, 1.0)]
-    serial = integrate_box(_Smooth(), box, QuadratureSpec(nodes=16, workers=1))
-    pooled = integrate_box(_Smooth(), box, QuadratureSpec(nodes=16, workers=2))
-    assert serial.value == pooled.value
+    res = integrate_box(f, box, QuadratureSpec(nodes=40, workers=2))
+    assert shapes == [(1600, 2), (6400, 2)]
+    assert pool_starts == []
+    assert res.value == integrate_box(_Smooth(), box, QuadratureSpec(nodes=40)).value
 
 
 def test_integrand_error_carries_node_location():
