@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut")
             p.add_argument("--workers", type=int, default=1,
-                           help="evaluation workers (default 1)")
+                           help="processes of the one density pool per cycle (default 1)")
         p.add_argument("--out", help="output file path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="curvature identity residuals")

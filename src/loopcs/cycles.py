@@ -65,7 +65,7 @@ import numpy as np
 from . import __version__
 from .geometry import MetricField, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
-from .quadrature import QuadratureError, QuadratureSpec, check_budget, evaluate, integrate_box
+from .quadrature import QuadratureError, QuadratureSpec, check_budget, evaluate, integrate_box, pool
 from .wcs import WcsFrame, wcs_integrand
 
 __all__ = [
@@ -367,7 +367,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     orbit point of its line (see the module docstring); every input refusal
     comes before that measurement.  ``integrate_box`` hands over each level
     whole, and the densities and volumes are computed by ``evaluate`` in
-    fixed batches, pooled over ``quad.workers`` processes.  The result
+    fixed batches, the densities over one pool of ``quad.workers`` processes
+    opened after the probe (sqrt(det g) is cheaper to compute than to ship).  The result
     scales exactly linearly in a finite ``s_scale``, which is applied as a
     final factor; a value or estimate that overflows raises QuadratureError.
     """
@@ -432,15 +433,16 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
 
     def level(points: np.ndarray) -> np.ndarray:
         if not axes["orbit"]:  # every point is its own line
-            return evaluate(density, points, quad.workers)
+            return evaluate(density, points, executor)
         lines, inverse = np.unique(points[:, :len(axes["grid"])], axis=0,
                                    return_inverse=True)
-        ratios = evaluate(density, lines, quad.workers) / volume(axes["grid"], lines)
-        return ratios[inverse] * evaluate(partial(volume, box_axes), points, quad.workers)
+        ratios = evaluate(density, lines, executor) / volume(axes["grid"], lines)
+        return ratios[inverse] * evaluate(partial(volume, box_axes), points)
 
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.
-    box_result = integrate_box(level, box, spec)
+    with pool(quad.workers) as executor:
+        box_result = integrate_box(level, box, spec)
 
     value = s_scale * (factor * box_result.value)
     error = abs(s_scale) * factor * box_result.error_estimate

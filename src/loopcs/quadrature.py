@@ -3,12 +3,13 @@
 Nodes and weights come from Newton iteration on Legendre polynomials and are
 cached per node count.  :func:`integrate_box` hands its integrand each
 level's whole point array in a fixed (row-major tensor) order and sums with
-pairwise summation.  :func:`evaluate` owns chunking and the process pool: it
-calls a function on fixed ``CHUNK``-point batches, so results are
-bit-identical across repeated runs and across worker counts.
+pairwise summation.  :func:`evaluate` owns chunking: it calls a function on
+fixed ``CHUNK``-point batches, in-process or over a :func:`pool`, so results
+are bit-identical across repeated runs and across worker counts.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ __all__ = [
     "check_budget",
     "evaluate",
     "integrate_box",
+    "pool",
     "pairwise_sum",
 ]
 
@@ -54,10 +56,10 @@ class QuadratureSpec:
         axes from the box and multiplies by their exact extents.  None means
         the metric's measured constant axes (and lets ``integrate_cycle``
         reduce orbit axes), () means no mask.
-    workers: processes for :func:`evaluate`.  ``integrate_box`` ignores it
-        too; its callers pass it to ``evaluate``, as ``integrate_cycle`` does.
+    workers: processes of the one :func:`pool` each ``integrate_cycle``
+        call opens for its density batches; ``integrate_box`` ignores it too.
     Construction raises ValueError for a refinement factor or ``workers``
-    below 1, negative ``max_refinements`` or a ``rel_tol`` that is not > 0.
+    below 1, negative ``max_refinements``, or a ``rel_tol`` not > 0 or with a factor of 1.
     """
 
     nodes: int | tuple[int, ...] = 32
@@ -74,6 +76,8 @@ class QuadratureSpec:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
         if self.rel_tol is not None and not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
+        if self.rel_tol is not None and int(self.refinement_factor) == 1:
+            raise ValueError("rel_tol needs a refinement factor above 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -159,17 +163,20 @@ def _tensor_points(box, counts):
     return points.reshape(weights.size, len(counts)), weights.ravel()
 
 
-def evaluate(f, points: np.ndarray, workers: int = 1) -> np.ndarray:
-    """``f`` at ``points`` in fixed ``CHUNK``-point batches, in a process pool
-    when ``workers`` > 1 and there is more than one batch.  Any failure of
-    ``f`` is raised as :class:`QuadratureError`."""
+def pool(workers: int):
+    """A context for one pool of ``workers`` processes, or for None at 1 worker.
+    The processes start at the pool's first map, not here."""
+    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+
+
+def evaluate(f, points: np.ndarray, pool=None) -> np.ndarray:
+    """``f`` at ``points`` in fixed ``CHUNK``-point batches, mapped over
+    ``pool`` when one is given and there is more than one batch; it never
+    starts a pool.  Any failure of ``f`` is raised as :class:`QuadratureError`."""
     chunks = [points[i: i + CHUNK] for i in range(0, len(points), CHUNK)]
     try:
-        if workers <= 1 or len(chunks) <= 1:
-            results = [f(c) for c in chunks]
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(f, chunks))
+        results = (list(pool.map(f, chunks)) if pool is not None and len(chunks) > 1
+                   else [f(c) for c in chunks])
         return np.asarray(np.concatenate(results), dtype=float) if results else np.zeros(0)
     except Exception as exc:
         raise QuadratureError(f"integrand evaluation failed: {exc}") from exc
@@ -211,9 +218,9 @@ class BoxResult:
 
 def _level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[int, ...]]:
     """Node counts of the levels ``spec`` allows, coarse first: each
-    refinement multiplies every count by the refinement factor."""
+    refinement multiplies the counts by the factor; only a ``rel_tol`` allows two or more."""
     fac = int(spec.refinement_factor)
-    rounds = 0 if fac == 1 else spec.max_refinements + 1
+    rounds = spec.max_refinements + 1 if spec.rel_tol is not None else int(fac > 1)
     return [tuple(int(c) * fac**j for c in counts) for j in range(rounds + 1)]
 
 
@@ -233,7 +240,7 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     interior points, in row-major tensor order, and returns an (m,) array of
     values; it must be pure.  A failure of ``f`` is raised as
     :class:`QuadratureError`.  ``spec.workers`` is not read: an ``f`` that
-    wants batches or a pool calls :func:`evaluate` itself.  The returned
+    wants batches or a :func:`pool` calls :func:`evaluate` itself.  The returned
     ``value`` is the refined-level result and ``error_estimate`` the
     absolute difference between the two finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
     set and unmet after ``spec.max_refinements`` extra rounds, and raises

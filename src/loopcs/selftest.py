@@ -47,21 +47,12 @@ def _jets_finite_difference():
         fn = fns[int(rng.integers(len(fns)))]
         inner = random_expr(nvars, depth - 1, rng)
         if fn == "sin":
-            return lambda xs: _sin(inner(xs))
+            return lambda xs: J.sin(inner(xs))
         if fn == "cos":
-            return lambda xs: _cos(inner(xs))
+            return lambda xs: J.cos(inner(xs))
         if fn == "sqrt":
-            return lambda xs: _sqrt(2.5 + _square(inner(xs)))
+            return lambda xs: J.sqrt(2.5 + _square(inner(xs)))
         return lambda xs: _square(inner(xs))
-
-    def _sin(x):
-        return J.sin(x) if isinstance(x, J.Jet2) else np.sin(x)
-
-    def _cos(x):
-        return J.cos(x) if isinstance(x, J.Jet2) else np.cos(x)
-
-    def _sqrt(x):
-        return J.sqrt(x) if isinstance(x, J.Jet2) else np.sqrt(x)
 
     def _square(x):
         return x * x

@@ -16,3 +16,19 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr(quadrature, "ProcessPoolExecutor", Counted)
     return starts
+
+
+@pytest.fixture
+def pool_maps(pool_starts, monkeypatch):
+    """The chunk count of each ``map`` over a pool ``quadrature`` starts, so
+    that an idle pool can be told from a used one; starts are counted too."""
+    maps = []
+
+    class Mapped(quadrature.ProcessPoolExecutor):
+        def map(self, fn, chunks, **kwargs):
+            chunks = list(chunks)
+            maps.append(len(chunks))
+            return super().map(fn, chunks, **kwargs)
+
+    monkeypatch.setattr(quadrature, "ProcessPoolExecutor", Mapped)
+    return maps

@@ -53,6 +53,21 @@ def test_over_budget_run_refused_before_any_evaluation(monkeypatch, capsys):
     assert calls == []
 
 
+def test_budget_ignores_rounds_without_tolerance(tmp_path, capsys):
+    # Without --tol no round past 300 -> 600 nodes can run, so the extra
+    # rounds are not charged to the budget and change nothing in the record.
+    ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha",
+           "--nodes", "300"]
+    records = []
+    for flags in (["--max-refinements", "3"], []):
+        out = tmp_path / "res.json"
+        assert run(ypq + flags + ["--out", str(out)]) == 0
+        records.append(json.loads(out.read_text()))
+        del records[-1]["wall_time"]
+    assert records[0] == records[1]
+    assert records[0]["node_counts"] == [0, 600, 0, 600, 0]
+
+
 def test_wcs_record_round_trips(tmp_path, capsys):
     out = tmp_path / "res.json"
     code = run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
@@ -112,6 +127,10 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
                                 (torus, ["--tol", "0"], "rel_tol"),
                                 (ypq, ["--tol", "nan"], "rel_tol"),
                                 (trivial, ["--workers", "0", "--tol", "-1"], "rel_tol"),
+                                (ypq, ["--nodes", "4", "--refine-factor", "1",
+                                       "--tol", "1e-12"], "refinement factor"),
+                                (trivial, ["--refine-factor", "1", "--tol", "1e-12"],
+                                 "refinement factor"),
                                 (trivial, ["--loop-nodes", "0"], "loop_nodes")]:
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err

@@ -370,17 +370,33 @@ def test_tolerance_run_evaluates_only_the_levels_it_reaches(y73, monkeypatch):
         (ref.value, ref.error_estimate, ref.node_counts)
 
 
-def test_unreduced_path_worker_count_does_not_change_bits(pool_starts):
+def test_unreduced_path_worker_count_does_not_change_bits(pool_starts, pool_maps):
     # Without an orbit axis the pool evaluates densities: the 12^2 fine
-    # lines of x1, x2 are three chunks.
+    # lines of x1, x2 are three chunks; the 6^2 coarse ones stay in-process.
     m = metrics.perturbed_torus(3)
     action = CircleAction.rotation(axis=0)
     one = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=1))
     assert pool_starts == []
     two = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=2))
-    assert pool_starts == [2]
+    assert pool_starts == [2] and pool_maps == [3]
     assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
     assert two.provenance["orbit_reduced_axes"] == []
+
+
+@pytest.mark.parametrize("axis,nodes,maps", [(4, 64, [2]), (0, 16, [4, 16]), (4, 32, [])])
+def test_one_pool_per_cycle_integral(y73, pool_starts, pool_maps, axis, nodes, maps):
+    # One pool per call, opened after the probe, takes only density chunks.
+    # Reduced alpha at 64 nodes: the 128 fine y-lines are two chunks, the 64
+    # coarse ones one, and sqrt(det g) is never mapped.  Unreduced phi at 16
+    # nodes: 16^2 and 32^2 (theta, y) densities.  At 32 nodes the pool is idle.
+    action = CircleAction.rotation(axis=axis)
+    one = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=nodes, workers=1))
+    assert pool_starts == [] and pool_maps == []
+    two = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=nodes, workers=2))
+    assert pool_starts == [2] and pool_maps == maps
+    assert (one.value, one.error_estimate, one.node_counts) == \
+        (two.value, two.error_estimate, two.node_counts)
+    assert two.provenance["orbit_reduced_axes"] == (["theta"] if axis == 4 else [])
 
 
 def test_orbit_reduction_passes_the_condition_guard(y73):

@@ -6,6 +6,7 @@ from loopcs import quadrature
 from loopcs.quadrature import (
     QuadratureError,
     QuadratureSpec,
+    check_budget,
     evaluate,
     gauss_nodes,
     integrate_box,
@@ -61,6 +62,7 @@ def test_bad_rule_arguments():
                            ({"rel_tol": -1.0}, "rel_tol"),
                            ({"rel_tol": 0.0}, "rel_tol"),
                            ({"rel_tol": float("nan")}, "rel_tol"),
+                           ({"rel_tol": 1e-12, "refinement_factor": 1}, "rel_tol"),
                            ({"workers": 0}, "workers"),
                            ({"workers": -3}, "workers")]:
         with pytest.raises(ValueError, match=needle):
@@ -111,14 +113,18 @@ class _Smooth:
         return np.cos(p[:, 0]) * np.exp(p[:, 1])
 
 
-def test_worker_count_does_not_change_bits(pool_starts):
-    # evaluate is the only chunk and pool path; more than CHUNK points make
-    # it start a pool at 2 workers, and the bits must not change.
+def test_worker_count_does_not_change_bits(pool_starts, pool_maps):
+    # evaluate is the only chunk path and never starts a pool: it maps its
+    # six chunks over the pool it is handed, and the bits must not change.
     points = np.random.default_rng(5).uniform(-1.0, 1.0, (5 * quadrature.CHUNK + 3, 2))
-    serial = evaluate(_Smooth(), points, workers=1)
-    assert pool_starts == []
-    pooled = evaluate(_Smooth(), points, workers=2)
-    assert pool_starts == [2]
+    with quadrature.pool(1) as none:
+        serial = evaluate(_Smooth(), points, none)
+    assert none is None and pool_starts == []
+    with quadrature.pool(2) as p:
+        pooled = evaluate(_Smooth(), points, p)
+        # One chunk is evaluated in-process even with a pool.
+        evaluate(_Smooth(), points[:quadrature.CHUNK], p)
+    assert pool_starts == [2] and pool_maps == [6]
     assert serial.shape == (len(points),)
     assert serial.tobytes() == pooled.tobytes()
 
@@ -167,6 +173,16 @@ def test_non_convergence_raises():
     with pytest.raises(QuadratureError, match="tolerance"):
         integrate_box(kink, [(0.0, 1.0)],
                       QuadratureSpec(nodes=4, rel_tol=1e-14, max_refinements=1))
+
+
+def test_budget_counts_only_levels_that_can_run():
+    # Without rel_tol the extra rounds never run: 300 -> 600 is the finest
+    # level, whatever max_refinements says.
+    spec = QuadratureSpec(nodes=300, max_refinements=3)
+    assert quadrature._level_counts((300, 300), spec) == [(300, 300), (600, 600)]
+    check_budget((300, 300), spec)
+    with pytest.raises(ValueError, match="23040000 points"):
+        check_budget((300, 300), QuadratureSpec(nodes=300, max_refinements=3, rel_tol=1e-9))
 
 
 def test_refinement_until_tolerance():
