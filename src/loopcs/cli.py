@@ -10,14 +10,17 @@ Subcommands:
 * ``selftest`` -- the built-in invariant suite.
 
 Exit codes: 0 success, 1 numeric failure (validation or non-convergence),
-2 usage/configuration error.  Flags may also be supplied through a flat
-``key = value`` config file; its entries are parsed as flags placed before
-the explicit ones, so they are type-checked alike and explicit flags win.
+2 usage/configuration error, 141 (128 + SIGPIPE) when the reader of stdout
+has gone away, with nothing on stderr.  Flags may also be supplied through
+a flat ``key = value`` config file; its entries are parsed as flags placed
+before the explicit ones, so they are type-checked alike and explicit flags
+win.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 
 import numpy as np
@@ -33,6 +36,7 @@ __all__ = ["main", "build_parser"]
 EXIT_OK = 0
 EXIT_NUMERIC = 1
 EXIT_USAGE = 2
+EXIT_PIPE = 128 + 13  # as a shell reports a SIGPIPE death
 
 _AXIS_ALIASES = {
     "phi": "phi", "φ": "phi",
@@ -131,6 +135,8 @@ def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
             tokens.append(f"{flag}={raw}")
         elif raw.lower() in ("1", "true", "yes", "on"):
             tokens.append(flag)
+        elif raw.lower() not in ("0", "false", "no", "off"):
+            raise UsageError(f"config key {key!r} takes on/off words, got {raw!r}")
     return tokens
 
 
@@ -304,7 +310,12 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = _parse_args(parser, argv)
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # the reader went away: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except SystemExit as exc:  # argparse: --help, --version or a rejected value
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     except (QuadratureError, ChartDomainError) as exc:

@@ -127,7 +127,8 @@ class CircleAction:
 
     def resolved_speed(self, metric: MetricField) -> float:
         """Total coordinate speed, including the iterate factor; the orbit must
-        close on a periodic axis (one along a non-periodic axis exits the chart)."""
+        close on a periodic axis (one along a non-periodic axis exits the chart)
+        with a finite, whole winding number."""
         if self.kind != "rotation":
             return 0.0
         if self.axis is None or not 0 <= self.axis < metric.dim:
@@ -140,6 +141,8 @@ class CircleAction:
         base = period / (2.0 * math.pi) if self.speed is None else self.speed
         speed = base * self.n_fold
         winding = speed * 2.0 * math.pi / period
+        if not math.isfinite(winding):
+            raise ValueError(f"speed {speed} gives a non-finite winding {winding}")
         if abs(winding - round(winding)) > 1e-9:
             raise ValueError(
                 f"speed {speed} does not close the orbit: winding {winding} "
@@ -215,11 +218,12 @@ def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
 
 def _pinned(fn, pinned: np.ndarray, axes: tuple[int, ...], points: np.ndarray) -> np.ndarray:
     """``fn`` at the chart points that are ``pinned`` except along ``axes``,
-    which take the columns of ``points``.  Bound with ``functools.partial``
-    to module-level functions it is a picklable :func:`evaluate` callable
-    that pins one chunk at a time."""
-    coords = np.repeat(pinned[None, :], len(points), axis=0)
-    coords[:, list(axes)] = points
+    which take the last-axis columns of ``points``; any leading axes of
+    ``points`` are batch axes and carry through to ``fn``.  Bound with
+    ``functools.partial`` to module-level functions it is a picklable
+    :func:`evaluate` callable that pins one batch of rows at a time."""
+    coords = np.broadcast_to(pinned, points.shape[:-1] + pinned.shape).copy()
+    coords[..., axes] = points
     return fn(coords)
 
 
@@ -366,9 +370,11 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     :func:`_orbit_axes` keeps its rule but takes the density from the pinned
     orbit point of its line (see the module docstring); every input refusal
     comes before that measurement.  ``integrate_box`` hands over each level
-    whole, and the densities and volumes are computed by ``evaluate`` in
-    fixed batches, the densities over one pool of ``quad.workers`` processes
-    opened after the probe (sqrt(det g) is cheaper to compute than to ship).  The result
+    whole, and the densities and sqrt(det g) are computed by ``evaluate`` in
+    fixed batches of ``quadrature.CHUNK`` rows, a row being one point or,
+    with an orbit axis, one line with all its orbit points.  Only the
+    densities go to the one pool of ``quad.workers`` processes opened after
+    the probe (sqrt(det g) is cheaper to compute than to ship).  The result
     scales exactly linearly in a finite ``s_scale``, which is applied as a
     final factor; a value or estimate that overflows raises QuadratureError.
     """
@@ -426,7 +432,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
     box_axes = axes["grid"] + axes["orbit"]
     box = [metric.box.intervals[a] for a in box_axes]
-    spec = replace(quad, nodes=tuple(counts[a] for a in box_axes), mask=None)
+    spec = replace(quad, nodes=tuple(counts[a] for a in box_axes))
     density = partial(_pinned, partial(_density_batch, metric, action, k,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
@@ -434,10 +440,10 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     def level(points: np.ndarray) -> np.ndarray:
         if not axes["orbit"]:  # every point is its own line
             return evaluate(density, points, executor)
-        lines, inverse = np.unique(points[:, :len(axes["grid"])], axis=0,
-                                   return_inverse=True)
-        ratios = evaluate(density, lines, executor) / volume(axes["grid"], lines)
-        return ratios[inverse] * evaluate(partial(volume, box_axes), points)
+        lines, inverse = np.unique(points[:, :len(axes["grid"])], axis=0, return_inverse=True)
+        ratios = evaluate(density, lines, executor) / evaluate(partial(volume, axes["grid"]), lines)
+        by_line = points.reshape(len(lines), -1, len(box_axes))  # orbit axes last: a row per line
+        return ratios[inverse] * evaluate(partial(volume, box_axes), by_line).ravel()
 
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.

@@ -3,9 +3,11 @@
 Nodes and weights come from Newton iteration on Legendre polynomials and are
 cached per node count.  :func:`integrate_box` hands its integrand each
 level's whole point array in a fixed (row-major tensor) order and sums with
-pairwise summation.  :func:`evaluate` owns chunking: it calls a function on
-fixed ``CHUNK``-point batches, in-process or over a :func:`pool`, so results
-are bit-identical across repeated runs and across worker counts.
+pairwise summation.  :func:`evaluate` owns batching: it calls a function on
+fixed batches of ``CHUNK`` rows along axis 0 (a row is one point, or a
+caller's block of points such as a whole line), in-process or over a
+:func:`pool`, so results are bit-identical across repeated runs and across
+worker counts.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ __all__ = [
     "pairwise_sum",
 ]
 
-# Chunk size is a fixed constant (not worker-dependent) so that the batches
+# Rows per batch, a fixed constant (not worker-dependent) so that the batches
 # handed to the integrand are identical for every worker count.
 CHUNK = 64
 
@@ -170,13 +172,15 @@ def pool(workers: int):
 
 
 def evaluate(f, points: np.ndarray, pool=None) -> np.ndarray:
-    """``f`` at ``points`` in fixed ``CHUNK``-point batches, mapped over
-    ``pool`` when one is given and there is more than one batch; it never
-    starts a pool.  Any failure of ``f`` is raised as :class:`QuadratureError`."""
-    chunks = [points[i: i + CHUNK] for i in range(0, len(points), CHUNK)]
+    """``f`` at ``points`` in fixed batches of ``CHUNK`` rows along axis 0,
+    mapped over ``pool`` when one is given and there is more than one batch;
+    it never starts a pool.  A row is whatever ``points[i]`` holds, one point
+    or a block of them; the batch results are joined along axis 0.  Any
+    failure of ``f`` is raised as :class:`QuadratureError`."""
+    batches = [points[i: i + CHUNK] for i in range(0, len(points), CHUNK)]
     try:
-        results = (list(pool.map(f, chunks)) if pool is not None and len(chunks) > 1
-                   else [f(c) for c in chunks])
+        results = (list(pool.map(f, batches)) if pool is not None and len(batches) > 1
+                   else [f(b) for b in batches])
         return np.asarray(np.concatenate(results), dtype=float) if results else np.zeros(0)
     except Exception as exc:
         raise QuadratureError(f"integrand evaluation failed: {exc}") from exc

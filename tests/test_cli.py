@@ -1,12 +1,27 @@
 """CLI surface: exit codes, record output, config files, selftest."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from loopcs import cli, geometry
 from loopcs.records import json_to_result, result_to_json
 
 
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
 def run(argv):
     return cli.main(argv)
+
+
+def child(code, *args, **kwargs):
+    """A fresh interpreter running ``code`` with ``args`` as ``sys.argv[1:]``
+    and the package source on its path."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    return subprocess.Popen([sys.executable, "-c", code, *args], env=env, **kwargs)
 
 
 def test_verify_flat_torus_passes(capsys):
@@ -102,12 +117,18 @@ def test_wcs_unicode_axis_alias(tmp_path):
                 "--nodes", "4", "--out", str(out)]) == 0
 
 
-def test_wcs_bad_action_exit_2():
+def test_wcs_bad_action_exit_2(capsys):
     assert run(["wcs", "--metric", "round_sphere3", "--action", "spin:phi"]) == 2
     assert run(["wcs", "--metric", "round_sphere3", "--action", "rotate:w"]) == 2
     # theta is not periodic: the orbit would leave the chart
     assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
                 "--action", "rotate:theta"]) == 2
+    # a speed whose winding is not finite is refused by name, not by a traceback
+    for speed in ("inf", "nan", "1e308"):
+        capsys.readouterr()
+        assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
+                    "--action", f"rotate:alpha:{speed}"]) == 2, speed
+        assert "speed" in capsys.readouterr().err, speed
 
 
 def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
@@ -316,7 +337,7 @@ def test_config_unknown_key_exit_2(tmp_path):
     cfg.write_text("metric = round_sphere3\n")  # not a sweep flag
     assert run(["sweep", "--config", str(cfg), "--scan-p-max", "7"]) == 2
     # values are checked like the flags' own type and choices
-    for entry in ("s_scale = bogus", "nodes = 4.5"):
+    for entry in ("s_scale = bogus", "nodes = 4.5", "no_mask = ture"):
         cfg.write_text(f"metric = round_sphere3\naction = rotate:phi\n{entry}\n")
         assert run(["wcs", "--config", str(cfg)]) == 2
 
@@ -361,3 +382,33 @@ def test_selftest_names_broken_suite(monkeypatch, capsys):
 
 def test_version_flag():
     assert run(["--version"]) == 0
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The child waits for stdin to close, so its stdout pipe has no reader
+    # before it writes: as ``loopcs selftest | head -0`` would see it.
+    code = ("import sys; sys.stdin.read(); from loopcs.cli import main; "
+            "raise SystemExit(main(sys.argv[1:]))")
+    for argv in (["verify", "--metric", "round_sphere3", "--samples", "2"], ["selftest"]):
+        proc = child(code, *argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE)
+        proc.stdout.close()
+        proc.stdin.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=300) == 141, (argv, err)
+        assert err == b"", argv
+
+
+def test_headline_run_imports_nothing_after_cli():
+    # Import-time traps (numpy.ma behind np.unique(axis=0) without
+    # return_inverse, numpy.random behind a seeded generator) cost a fresh
+    # interpreter milliseconds: a headline run adds no module to sys.modules.
+    code = ("import json, sys; import loopcs.cli; before = set(sys.modules); "
+            "code = loopcs.cli.main(sys.argv[1:]); "
+            "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
+    proc = child(code, "wcs", "--metric", "ypq", "--p", "7", "--q", "3",
+                 "--action", "rotate:alpha", "--nodes", "8", "--out", os.devnull,
+                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=300)
+    assert json.loads(out) == [0, []], err

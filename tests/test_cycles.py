@@ -408,6 +408,24 @@ def test_orbit_reduction_passes_the_condition_guard(y73):
     assert res.pi4_multiple == Fraction(-432, 6125)
 
 
+@pytest.mark.parametrize("nodes,calls", [(32, 5), (64, 7)])
+def test_volume_batched_by_line(y73, monkeypatch, nodes, calls):
+    # sqrt(det g) follows the density's batch rule: an evaluate row is one
+    # y-line with all its theta points.  One probe call, then per level one
+    # call per 64 lines at the lines and one at their points: 1 + 2 + 2 at
+    # 32 nodes (32 and 64 lines), 1 + 2 + 4 at 64 nodes (64 and 128 lines).
+    shapes = []
+    real = cycles._volume
+
+    def counted(metric, coords):
+        shapes.append(coords.shape)
+        return real(metric, coords)
+
+    monkeypatch.setattr(cycles, "_volume", counted)
+    integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
+    assert len(shapes) == calls, shapes
+
+
 def test_orbit_probe_rejects_varying_ratio(y73):
     # A rotation inside SU(2) (phi), and a metric with no symmetry, reduce no
     # axis; their results equal the explicit-mask ones bit for bit.
