@@ -19,6 +19,9 @@ win.
 from __future__ import annotations
 
 import argparse
+# argparse's gettext imports locale when it first translates a message;
+# importing it with the CLI keeps a run from loading modules as it goes.
+import locale  # noqa: F401
 import math
 import os
 import sys

@@ -65,7 +65,8 @@ import numpy as np
 from . import __version__
 from .geometry import MetricField, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
-from .quadrature import QuadratureError, QuadratureSpec, check_budget, evaluate, integrate_box, pool
+from .quadrature import (CHUNK, QuadratureError, QuadratureSpec, check_budget, evaluate,
+                         integrate_box, pool)
 from .wcs import WcsFrame, wcs_integrand
 
 __all__ = [
@@ -128,7 +129,7 @@ class CircleAction:
     def resolved_speed(self, metric: MetricField) -> float:
         """Total coordinate speed, including the iterate factor; the orbit must
         close on a periodic axis (one along a non-periodic axis exits the chart)
-        with a finite, whole winding number."""
+        with a finite, whole winding number, nonzero unless the speed is 0."""
         if self.kind != "rotation":
             return 0.0
         if self.axis is None or not 0 <= self.axis < metric.dim:
@@ -143,7 +144,8 @@ class CircleAction:
         winding = speed * 2.0 * math.pi / period
         if not math.isfinite(winding):
             raise ValueError(f"speed {speed} gives a non-finite winding {winding}")
-        if abs(winding - round(winding)) > 1e-9:
+        # A nonzero speed must turn at least once: winding 1e-10 is no orbit.
+        if abs(winding - round(winding)) > 1e-9 or (speed != 0 and round(winding) == 0):
             raise ValueError(
                 f"speed {speed} does not close the orbit: winding {winding} "
                 "is not an integer")
@@ -159,6 +161,17 @@ class CircleAction:
 # Largest relative spread of f / sqrt(det g) along an axis that still makes
 # it an orbit axis (see _orbit_axes).
 ORBIT_TOL = 1e-12
+
+# Most orbit points one density batch hands to the curvature: each row of a
+# batch is evaluated at ``loop_samples`` orbit points.  A fixed constant, not
+# worker-dependent, like ``quadrature.CHUNK``.
+MAX_ORBIT_POINTS = 1024
+
+
+def _density_rows(loop_samples: int) -> int:
+    """Rows per density batch: at most ``CHUNK``, at most ``MAX_ORBIT_POINTS``
+    orbit points, and never fewer than one row."""
+    return min(CHUNK, max(1, MAX_ORBIT_POINTS // loop_samples))
 
 
 def _probe_points(metric: MetricField) -> np.ndarray:
@@ -234,7 +247,7 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
 
     Each probe point is paired with one partner per grid axis, moved along
     that axis to the next probe point's coordinate, and all the densities
-    are evaluated together in quadrature batches, so a failed density is a
+    are evaluated together in capped density batches, so a failed density is a
     QuadratureError, as at a quadrature node.  An axis is an orbit axis when
     the largest change of the ratio over the pairs is at most ``ORBIT_TOL``
     times the largest ratio (a zero ratio everywhere measures nothing and
@@ -253,7 +266,8 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
         batch.append(moved)
     coords = np.concatenate(batch)
     density = evaluate(partial(_density_batch, metric, action, k,
-                               loop_samples=loop_samples), coords)
+                               loop_samples=loop_samples), coords,
+                       rows=_density_rows(loop_samples))
     ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
@@ -282,7 +296,9 @@ def _density_batch(metric: MetricField, action: CircleAction, k: int,
     pack = riemann(metric, orbit)
     values = wcs_integrand(pack, WcsFrame(k, vel, _frame_vectors(metric)))
     values = values.reshape((loop_samples,) + coords.shape[:-1])
-    return (2.0 * math.pi / loop_samples) * np.sum(values, axis=0)
+    # A running sum over the samples: np.sum pairs them up instead when the
+    # batch is one point, which would make a density depend on its batch.
+    return (2.0 * math.pi / loop_samples) * np.cumsum(values, axis=0)[-1]
 
 
 def pullback_density(metric: MetricField, action: CircleAction, k: int,
@@ -371,10 +387,13 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     orbit point of its line (see the module docstring); every input refusal
     comes before that measurement.  ``integrate_box`` hands over each level
     whole, and the densities and sqrt(det g) are computed by ``evaluate`` in
-    fixed batches of ``quadrature.CHUNK`` rows, a row being one point or,
-    with an orbit axis, one line with all its orbit points.  Only the
-    densities go to the one pool of ``quad.workers`` processes opened after
-    the probe (sqrt(det g) is cheaper to compute than to ship).  The result
+    fixed batches of rows, a row being one point or, with an orbit axis, one
+    line with all its orbit points.  A sqrt(det g) batch holds
+    ``quadrature.CHUNK`` rows; a density batch holds as many, but at most
+    ``MAX_ORBIT_POINTS`` loop orbit points (16 rows at 64 loop samples), so
+    the curvature's memory stays bounded.  Only the densities go to the one
+    pool of ``quad.workers`` processes opened after the probe (sqrt(det g) is
+    cheaper to compute than to ship).  The result
     scales exactly linearly in a finite ``s_scale``, which is applied as a
     final factor; a value or estimate that overflows raises QuadratureError.
     """
@@ -436,14 +455,21 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     density = partial(_pinned, partial(_density_batch, metric, action, k,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
+    rows = _density_rows(loop_samples)
+    n_grid = len(axes["grid"])
 
     def level(points: np.ndarray) -> np.ndarray:
         if not axes["orbit"]:  # every point is its own line
-            return evaluate(density, points, executor)
-        lines, inverse = np.unique(points[:, :len(axes["grid"])], axis=0, return_inverse=True)
-        ratios = evaluate(density, lines, executor) / evaluate(partial(volume, axes["grid"]), lines)
-        by_line = points.reshape(len(lines), -1, len(box_axes))  # orbit axes last: a row per line
-        return ratios[inverse] * evaluate(partial(volume, box_axes), by_line).ravel()
+            return evaluate(density, points, executor, rows)
+        # Orbit axes come last in the row-major tensor order, so each line's
+        # points are consecutive and the lines are already in order.
+        per_line = int(np.count_nonzero(
+            np.all(points[:, :n_grid] == points[0, :n_grid], axis=1)))
+        by_line = points.reshape(-1, per_line, len(box_axes))
+        lines = by_line[:, 0, :n_grid]
+        ratios = (evaluate(density, lines, executor, rows)
+                  / evaluate(partial(volume, axes["grid"]), lines))
+        return (ratios[:, None] * evaluate(partial(volume, box_axes), by_line)).ravel()
 
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.

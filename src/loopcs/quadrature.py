@@ -4,16 +4,19 @@ Nodes and weights come from Newton iteration on Legendre polynomials and are
 cached per node count.  :func:`integrate_box` hands its integrand each
 level's whole point array in a fixed (row-major tensor) order and sums with
 pairwise summation.  :func:`evaluate` owns batching: it calls a function on
-fixed batches of ``CHUNK`` rows along axis 0 (a row is one point, or a
-caller's block of points such as a whole line), in-process or over a
-:func:`pool`, so results are bit-identical across repeated runs and across
-worker counts.
+fixed batches of rows along axis 0 (a row is one point, or a caller's block
+of points such as a whole line), in-process or over a :func:`pool`.  A batch
+holds ``CHUNK`` rows unless the caller asks for fewer (the cycle layer caps
+its density batches at a fixed number of orbit points); the size never
+depends on the worker count, so results are bit-identical across repeated
+runs and across worker counts.  The process-pool machinery is imported on a
+pool's first use, not with this module.
 """
 from __future__ import annotations
 
 import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +33,8 @@ __all__ = [
     "pairwise_sum",
 ]
 
-# Rows per batch, a fixed constant (not worker-dependent) so that the batches
-# handed to the integrand are identical for every worker count.
+# Default rows per batch, a fixed constant (not worker-dependent) so that the
+# batches handed to the integrand are identical for every worker count.
 CHUNK = 64
 
 # Largest grid one level may build: 2**22 5-D points hold about 168 MB.
@@ -165,19 +168,32 @@ def _tensor_points(box, counts):
     return points.reshape(weights.size, len(counts)), weights.ravel()
 
 
+def __getattr__(name: str):
+    # ``concurrent.futures`` costs every start ~17 ms, so it is imported only
+    # when a pool is first wanted.  Reading ``ProcessPoolExecutor`` as a module
+    # attribute lets a caller replace it (a test counting pools, a tracer).
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def pool(workers: int):
     """A context for one pool of ``workers`` processes, or for None at 1 worker.
     The processes start at the pool's first map, not here."""
-    return ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext()
+    if workers <= 1:
+        return contextlib.nullcontext()
+    return sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
 
 
-def evaluate(f, points: np.ndarray, pool=None) -> np.ndarray:
-    """``f`` at ``points`` in fixed batches of ``CHUNK`` rows along axis 0,
+def evaluate(f, points: np.ndarray, pool=None, rows: int = CHUNK) -> np.ndarray:
+    """``f`` at ``points`` in fixed batches of ``rows`` rows along axis 0,
     mapped over ``pool`` when one is given and there is more than one batch;
     it never starts a pool.  A row is whatever ``points[i]`` holds, one point
     or a block of them; the batch results are joined along axis 0.  Any
     failure of ``f`` is raised as :class:`QuadratureError`."""
-    batches = [points[i: i + CHUNK] for i in range(0, len(points), CHUNK)]
+    batches = [points[i: i + rows] for i in range(0, len(points), rows)]
     try:
         results = (list(pool.map(f, batches)) if pool is not None and len(batches) > 1
                    else [f(b) for b in batches])

@@ -123,8 +123,9 @@ def test_wcs_bad_action_exit_2(capsys):
     # theta is not periodic: the orbit would leave the chart
     assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
                 "--action", "rotate:theta"]) == 2
-    # a speed whose winding is not finite is refused by name, not by a traceback
-    for speed in ("inf", "nan", "1e308"):
+    # a speed whose winding is not finite, or rounds to zero turns, is
+    # refused by name, not by a traceback or a near-zero value
+    for speed in ("inf", "nan", "1e308", "1e-10", "-1e-12"):
         capsys.readouterr()
         assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
                     "--action", f"rotate:alpha:{speed}"]) == 2, speed
@@ -398,6 +399,15 @@ def test_closed_stdout_exits_141_quietly():
         proc.stderr.close()
         assert proc.wait(timeout=300) == 141, (argv, err)
         assert err == b"", argv
+
+
+def test_import_leaves_the_pool_machinery_unloaded():
+    # concurrent.futures is imported when a pool is first wanted, so a
+    # one-worker run never pays for it.
+    code = "import sys, loopcs; print('concurrent.futures' in sys.modules)"
+    proc = child(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=300)
+    assert out.split() == ["False"], err
 
 
 def test_headline_run_imports_nothing_after_cli():

@@ -131,6 +131,12 @@ def test_non_closing_speed_rejected(y73):
     with pytest.raises(ValueError, match="winding"):
         integrate_cycle(y73, CircleAction.rotation(axis=4, speed=0.1), 3,
                         QuadratureSpec(nodes=4))
+    # A nonzero speed whose winding rounds to zero turns closes no orbit;
+    # speed 0 stands still and integrates to 0.
+    for speed in (1e-10, -1e-12):
+        with pytest.raises(ValueError, match="winding"):
+            CircleAction.rotation(axis=4, speed=speed).resolved_speed(y73)
+    assert CircleAction.rotation(axis=4, speed=0.0).resolved_speed(y73) == 0.0
 
 
 def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
@@ -371,14 +377,15 @@ def test_tolerance_run_evaluates_only_the_levels_it_reaches(y73, monkeypatch):
 
 
 def test_unreduced_path_worker_count_does_not_change_bits(pool_starts, pool_maps):
-    # Without an orbit axis the pool evaluates densities: the 12^2 fine
-    # lines of x1, x2 are three chunks; the 6^2 coarse ones stay in-process.
+    # Without an orbit axis the pool evaluates densities in batches of 16
+    # lines (1024 orbit points at 64 loop samples): the 6^2 coarse lines of
+    # x1, x2 are three batches, the 12^2 fine ones nine.
     m = metrics.perturbed_torus(3)
     action = CircleAction.rotation(axis=0)
     one = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=1))
     assert pool_starts == []
     two = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=2))
-    assert pool_starts == [2] and pool_maps == [3]
+    assert pool_starts == [2] and pool_maps == [3, 9]
     assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
     assert two.provenance["orbit_reduced_axes"] == []
 
@@ -397,6 +404,36 @@ def test_one_pool_per_cycle_integral(y73, pool_starts, pool_maps, axis, nodes, m
     assert (one.value, one.error_estimate, one.node_counts) == \
         (two.value, two.error_estimate, two.node_counts)
     assert two.provenance["orbit_reduced_axes"] == (["theta"] if axis == 4 else [])
+
+
+def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
+    # Each of the 6^2 + 12^2 lines of x1, x2 takes 64 loop samples along x0:
+    # 11,520 curvature points in all, at most 1024 (16 lines) per call.
+    seen = []
+    real = cycles.riemann
+
+    def counted(metric, coords):
+        seen.append(len(coords))
+        return real(metric, coords)
+
+    monkeypatch.setattr(cycles, "riemann", counted)
+    integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
+                    QuadratureSpec(nodes=6, mask=()))
+    assert max(seen) <= cycles.MAX_ORBIT_POINTS == 1024
+    assert sum(seen) == (6**2 + 12**2) * 64 == 11_520
+
+
+def test_density_does_not_depend_on_its_batch():
+    # A one-point batch sums its loop samples in the same order as a larger
+    # batch does, so a density's bits do not depend on how rows are batched.
+    m = metrics.perturbed_torus(3)
+    action = CircleAction.rotation(axis=0)
+    pts = m.box.from_unit(np.random.default_rng(3).uniform(size=(5, 3)), margin=0.1)
+    batch = cycles._density_batch(m, action, 2, pts, loop_samples=64)
+    alone = [cycles._density_batch(m, action, 2, pts[i:i + 1], loop_samples=64)[0]
+             for i in range(len(pts))]
+    assert batch.tolist() == alone
+    assert pullback_density(m, action, 2, pts[0]) == batch[0]
 
 
 def test_orbit_reduction_passes_the_condition_guard(y73):
