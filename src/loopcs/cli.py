@@ -83,7 +83,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="target relative tolerance (error if unmet)")
             p.add_argument("--loop-nodes", type=int, default=64)
             p.add_argument("--no-mask", action="store_true",
-                           help="disable the constant-axes shortcut")
+                           help="disable the constant-axes shortcut and the "
+                                "orbit-axis reduction")
             p.add_argument("--workers", type=int, default=1,
                            help="processes of the one density pool per cycle (default 1)")
         p.add_argument("--out", help="output file path (default stdout)")

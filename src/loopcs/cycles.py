@@ -25,11 +25,13 @@ extent, which is exactly what its Gauss-Legendre rule gives a constant.  It
 keeps its node count in the result and is listed under
 ``loop_averaged_axes`` in the provenance.
 
-With the default mask (``mask=None``) a gridded axis along which the ratio
-f / sqrt(det g) is measured constant becomes an orbit axis.  The family's
-metrics are cohomogeneity one under SU(2) x U(1) x U(1), whose SU(2) orbits
-sweep theta; a rotation along psi or alpha commutes with SU(2), so for it
-the ratio depends on y alone (one along phi does not, and is not reduced).
+With the default mask (``mask=None``) and a rotation along a constant axis
+(one loop sample), a gridded axis along which the ratio f / sqrt(det g) is
+measured constant becomes an orbit axis.  The family's metrics are
+cohomogeneity one under SU(2) x U(1) x U(1), whose SU(2) orbits sweep
+theta; a rotation along psi or alpha commutes with SU(2), so for it the
+ratio depends on y alone (one along phi does not, and is not reduced).
+Other rotations are not probed: none measured has reduced an axis.
 At each quadrature level the density is then evaluated once per distinct
 line of the remaining grid axes, with the orbit coordinate pinned at the box
 midpoint (theta = pi/2, away from the ill-conditioned poles), and carried
@@ -168,12 +170,6 @@ ORBIT_TOL = 1e-12
 MAX_ORBIT_POINTS = 1024
 
 
-def _density_rows(loop_samples: int) -> int:
-    """Rows per density batch: at most ``CHUNK``, at most ``MAX_ORBIT_POINTS``
-    orbit points, and never fewer than one row."""
-    return min(CHUNK, max(1, MAX_ORBIT_POINTS // loop_samples))
-
-
 def _probe_points(metric: MetricField) -> np.ndarray:
     """The 16 seeded interior points at which a metric's axes are measured.
 
@@ -194,24 +190,32 @@ def _constant_axes(metric: MetricField) -> tuple[int, ...]:
     return tuple(a for a in range(metric.dim) if not np.any(dg[..., a]))
 
 
-def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
-                mask: tuple[int, ...] | None = None) -> tuple[tuple[str, ...], int]:
-    """Check the rotation and the mask and plan each axis, once per call.
-
-    ``loop_nodes`` must be positive and the rotation must close on a periodic
-    axis.  The constant axes are measured once: ``mask=None`` masks them all,
-    and an explicit mask axis that is not constant raises.  Returns the kind
-    of each axis and the trapezoid samples per orbit: 1 for a rotation along
-    a constant axis (the loop integrand is then t-independent), else
-    ``loop_nodes``.  The kinds are ``extent`` for a masked axis, ``loop`` for
-    an unmasked rotation axis and ``grid`` for the rest; :func:`_orbit_axes`
-    may turn a ``grid`` axis into an ``orbit`` axis.
-    """
+def _loop_samples(metric: MetricField, action: CircleAction, loop_nodes: int,
+                  constant: tuple[int, ...]) -> int:
+    """Trapezoid samples per orbit, once ``loop_nodes`` (>= 1) and the rotation
+    are checked: 1 along a ``constant`` axis, where the loop integrand is
+    t-independent, else ``loop_nodes``."""
     if loop_nodes < 1:
         raise ValueError(f"loop_nodes must be >= 1, got {loop_nodes}")
     action.resolved_speed(metric)
+    return 1 if action.axis in constant else loop_nodes
+
+
+def _cycle_plan(metric: MetricField, action: CircleAction, k: int, quad: QuadratureSpec,
+                loop_nodes: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
+    """Refuse bad input and plan each axis, once per call: the kinds, the
+    requested node count per axis (0 on masked axes) and the loop samples.
+
+    ``mask=None`` masks the measured constant axes; an explicit mask axis
+    that is not constant, an unmasked axis with fewer than 2 nodes and a grid
+    over :func:`check_budget` raise.  The kinds are ``extent`` (masked),
+    ``loop`` (the unmasked rotation axis) and ``grid``; after every refusal,
+    with ``mask=None`` and one loop sample, :func:`_orbit_axes` may make
+    ``grid`` axes ``orbit`` axes, which stay in the box.
+    """
     constant = _constant_axes(metric)
-    mask = tuple(sorted({int(a) for a in (constant if mask is None else mask)}))
+    loop_samples = _loop_samples(metric, action, loop_nodes, constant)
+    mask = tuple(sorted({int(a) for a in (constant if quad.mask is None else quad.mask)}))
     for a in mask:
         if not 0 <= a < metric.dim:
             raise ValueError(f"mask axis {a} out of range")
@@ -221,7 +225,16 @@ def _cycle_plan(metric: MetricField, action: CircleAction, loop_nodes: int,
                 "varies along it")
     kinds = tuple("extent" if a in mask else "loop" if a == action.axis else "grid"
                   for a in range(metric.dim))
-    return kinds, 1 if action.axis in constant else loop_nodes
+    # Tuple node counts are per unmasked axis, in increasing axis order.
+    requested = iter(quad.counts_for(metric.dim - len(mask)))
+    counts = tuple(0 if kind == "extent" else next(requested) for kind in kinds)
+    if any(c < 2 for c, kind in zip(counts, kinds) if kind != "extent"):
+        raise ValueError("unmasked axes need at least 2 quadrature nodes")
+    check_budget(tuple(c for c, kind in zip(counts, kinds) if kind == "grid"), quad)
+    # Every orbit axis measured comes from a rotation along a constant axis.
+    if quad.mask is None and loop_samples == 1 and action.kind == "rotation":
+        kinds = _orbit_axes(metric, action, k, kinds)
+    return kinds, counts, loop_samples
 
 
 def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
@@ -241,19 +254,20 @@ def _pinned(fn, pinned: np.ndarray, axes: tuple[int, ...], points: np.ndarray) -
 
 
 def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
-                kinds: tuple[str, ...], loop_samples: int) -> tuple[str, ...]:
+                kinds: tuple[str, ...]) -> tuple[str, ...]:
     """``kinds`` with each ``grid`` axis along which f / sqrt(det g) is
     measured constant made an ``orbit`` axis.
 
     Each probe point is paired with one partner per grid axis, moved along
     that axis to the next probe point's coordinate, and all the densities
-    are evaluated together in capped density batches, so a failed density is a
-    QuadratureError, as at a quadrature node.  An axis is an orbit axis when
-    the largest change of the ratio over the pairs is at most ``ORBIT_TOL``
-    times the largest ratio (a zero ratio everywhere measures nothing and
-    reduces no axis).  This is a tolerance, unlike the exact zero of
-    :func:`_constant_axes`, because the ratio is computed from rounded
-    curvature: along a symmetry orbit it changes by ~1e-14, not by 0.
+    are evaluated together, one loop sample each, in ``CHUNK``-row batches,
+    so a failed density is a QuadratureError, as at a quadrature node.  An
+    axis is an orbit axis when the largest change of the ratio over the
+    pairs is at most ``ORBIT_TOL`` times the largest ratio (a zero ratio
+    everywhere measures nothing and reduces no axis).  This is a tolerance,
+    unlike the exact zero of :func:`_constant_axes`, because the ratio is
+    computed from rounded curvature: along a symmetry orbit it changes by
+    ~1e-14, not by 0.
     """
     grid = [a for a, kind in enumerate(kinds) if kind == "grid"]
     if not grid:
@@ -265,9 +279,7 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
         moved[:, a] = np.roll(pts[:, a], 1)
         batch.append(moved)
     coords = np.concatenate(batch)
-    density = evaluate(partial(_density_batch, metric, action, k,
-                               loop_samples=loop_samples), coords,
-                       rows=_density_rows(loop_samples))
+    density = evaluate(partial(_density_batch, metric, action, k, loop_samples=1), coords)
     ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
@@ -291,8 +303,9 @@ def _density_batch(metric: MetricField, action: CircleAction, k: int,
     axis = action.axis
     ts = np.linspace(0.0, 2.0 * math.pi, loop_samples, endpoint=False)
     orbit = np.repeat(coords.reshape(1, -1, metric.dim), loop_samples, axis=0)
-    orbit[..., axis] = orbit[..., axis] + vel[axis] * ts[:, None]
-    orbit = metric.box.wrap(orbit, axis).reshape(-1, metric.dim)
+    lo, hi = metric.box.intervals[axis]
+    orbit[..., axis] = lo + np.mod(orbit[..., axis] + vel[axis] * ts[:, None] - lo, hi - lo)
+    orbit = orbit.reshape(-1, metric.dim)
     pack = riemann(metric, orbit)
     values = wcs_integrand(pack, WcsFrame(k, vel, _frame_vectors(metric)))
     values = values.reshape((loop_samples,) + coords.shape[:-1])
@@ -307,7 +320,7 @@ def pullback_density(metric: MetricField, action: CircleAction, k: int,
     coords = np.asarray(m, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
-    _, samples = _cycle_plan(metric, action, loop_nodes)
+    samples = _loop_samples(metric, action, loop_nodes, _constant_axes(metric))
     if action.kind == "trivial":
         return 0.0
     return float(_density_batch(metric, action, k, coords, samples))
@@ -378,24 +391,24 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                     s_scale: float = 1.0, loop_nodes: int = 64) -> CycleResult:
     """Integrate the pulled-back form density over the coordinate box.
 
-    Axes in the mask (default: the measured constant axes) contribute their
-    exact extents, and so does an unmasked rotation axis, along which the
-    loop average is constant; the remaining axes carry a
-    tensor-product Gauss-Legendre rule with a refined pass for the error
-    estimate.  With the default mask, an axis measured by
-    :func:`_orbit_axes` keeps its rule but takes the density from the pinned
-    orbit point of its line (see the module docstring); every input refusal
-    comes before that measurement.  ``integrate_box`` hands over each level
-    whole, and the densities and sqrt(det g) are computed by ``evaluate`` in
-    fixed batches of rows, a row being one point or, with an orbit axis, one
-    line with all its orbit points.  A sqrt(det g) batch holds
-    ``quadrature.CHUNK`` rows; a density batch holds as many, but at most
-    ``MAX_ORBIT_POINTS`` loop orbit points (16 rows at 64 loop samples), so
-    the curvature's memory stays bounded.  Only the densities go to the one
-    pool of ``quad.workers`` processes opened after the probe (sqrt(det g) is
-    cheaper to compute than to ship).  The result
-    scales exactly linearly in a finite ``s_scale``, which is applied as a
-    final factor; a value or estimate that overflows raises QuadratureError.
+    Plan, integrate, record.  :func:`_cycle_plan` refuses bad input, for the
+    trivial action too, and decides every axis: axes in the mask (default:
+    the measured constant axes) contribute their exact extents, and so does
+    an unmasked rotation axis, along which the loop average is constant; the
+    remaining axes carry a tensor-product Gauss-Legendre rule with a refined
+    pass for the error estimate.  An orbit axis keeps its rule but takes the
+    density from the pinned orbit point of its line (see the module
+    docstring).  ``integrate_box`` hands over each level whole, and the
+    densities and sqrt(det g) are computed by ``evaluate`` in fixed batches
+    of rows, a row being one point or, with an orbit axis, one line with all
+    its orbit points.  A sqrt(det g) batch holds ``quadrature.CHUNK`` rows; a
+    density batch holds as many, but at most ``MAX_ORBIT_POINTS`` loop orbit
+    points (16 rows at 64 loop samples), so the curvature's memory stays
+    bounded.  Only the densities go to the one pool of ``quad.workers``
+    processes opened after the plan (sqrt(det g) is cheaper to compute than
+    to ship).  The result scales exactly linearly in a finite ``s_scale``,
+    which is applied as a final factor; a value or estimate that overflows
+    raises QuadratureError.
     """
     start = time.perf_counter()
     if metric.dim != 2 * k - 1:
@@ -403,6 +416,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     if not math.isfinite(s_scale):
         raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
+    kinds, counts, loop_samples = _cycle_plan(metric, action, k, quad, loop_nodes)
 
     params = metric.params
     exact_mode = bool(getattr(params, "exact_mode", False))
@@ -425,22 +439,11 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             "ell": params.ell, "y1": params.y1, "y2": params.y2,
             "exact_mode": params.exact_mode,
         }
-
-    kinds, loop_samples = _cycle_plan(metric, action, loop_nodes, quad.mask)
     if action.kind == "trivial":
         prov["node_counts"] = (0,) * metric.dim
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
                            wall_time=time.perf_counter() - start, provenance=prov)
-    unmasked = [a for a in range(metric.dim) if kinds[a] != "extent"]
-    # Tuple node counts are per unmasked axis, in increasing axis order.
-    counts = dict(zip(unmasked, quad.counts_for(len(unmasked))))
-    if any(c < 2 for c in counts.values()):
-        raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    # Orbit axes stay in the box, so the budget is known before the probe.
-    check_budget(tuple(counts[a] for a in unmasked if kinds[a] == "grid"), quad)
-    if quad.mask is None:
-        kinds = _orbit_axes(metric, action, k, kinds, loop_samples)
     axes = {kind: tuple(a for a in range(metric.dim) if kinds[a] == kind)
             for kind in ("extent", "loop", "grid", "orbit")}
     # Extent and loop axes are pinned at the box midpoint and weighted by
@@ -455,7 +458,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     density = partial(_pinned, partial(_density_batch, metric, action, k,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
-    rows = _density_rows(loop_samples)
+    rows = min(CHUNK, max(1, MAX_ORBIT_POINTS // loop_samples))
     n_grid = len(axes["grid"])
 
     def level(points: np.ndarray) -> np.ndarray:
@@ -483,8 +486,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             f"cycle value overflows: value {value}, error estimate {error} "
             f"(box integral {box_result.value!r} times axis extents {factor!r})")
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(counts[a] * box_result.growth if a in counts else 0
-                        for a in range(metric.dim))
+    node_counts = tuple(c * box_result.growth for c in counts)
     prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
     prov["loop_averaged_axes"] = [metric.coord_names[a] for a in axes["loop"]]

@@ -78,15 +78,6 @@ class CoordBox:
                 return False
         return True
 
-    def wrap(self, coords: np.ndarray, axis: int) -> np.ndarray:
-        """Reduce one coordinate modulo its period (periodic axes only)."""
-        if not self.periodic[axis]:
-            raise ChartDomainError(f"axis {axis} is not periodic: orbit exits chart domain")
-        lo, hi = self.intervals[axis]
-        out = np.array(coords, dtype=float, copy=True)
-        out[..., axis] = lo + np.mod(out[..., axis] - lo, hi - lo)
-        return out
-
     def from_unit(self, unit, margin: float = 0.05) -> np.ndarray:
         """Points of the unit cube mapped into the box, keeping a relative
         margin from every boundary."""

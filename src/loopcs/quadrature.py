@@ -59,8 +59,8 @@ class QuadratureSpec:
     mask: axis indices along which the integrand is constant.
         ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
         axes from the box and multiplies by their exact extents.  None means
-        the metric's measured constant axes (and lets ``integrate_cycle``
-        reduce orbit axes), () means no mask.
+        the metric's measured constant axes (and, for a rotation along one
+        of them, lets ``integrate_cycle`` reduce orbit axes), () means no mask.
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
     Construction raises ValueError for a refinement factor or ``workers``

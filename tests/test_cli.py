@@ -153,7 +153,9 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
                                        "--tol", "1e-12"], "refinement factor"),
                                 (trivial, ["--refine-factor", "1", "--tol", "1e-12"],
                                  "refinement factor"),
-                                (trivial, ["--loop-nodes", "0"], "loop_nodes")]:
+                                (trivial, ["--loop-nodes", "0"], "loop_nodes"),
+                                (trivial, ["--nodes", "1"], "at least 2"),
+                                (trivial, ["--nodes", "2048"], "budget")]:
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err
     assert calls == []

@@ -27,6 +27,10 @@ def y73():
     return metrics.ypq_metric(metrics.solve_ypq(7, 3))
 
 
+def G(y):
+    return (4 * y - 1) / (y - 1) ** 4
+
+
 def closed_form_value(p, q):
     """Independent oracle: the symbolically integrated cycle value.
 
@@ -38,10 +42,6 @@ def closed_form_value(p, q):
     """
     params = metrics.solve_ypq(p, q)
     assert params.exact_mode
-
-    def G(y):
-        return (4 * y - 1) / (y - 1) ** 4
-
     return (-Fraction(256, 135) * params.ell_exact**2
             * (1 - params.a_exact) ** 2
             * (G(params.y2_exact) - G(params.y1_exact)))
@@ -54,6 +54,8 @@ def test_trivial_action_density_and_integral_zero(y73):
     assert res.value == 0.0
     assert res.error_estimate == 0.0
     assert res.pi4_multiple == Fraction(0)
+    # one loop sample, yet no orbit probe: there is no orbit to probe
+    assert integrate_cycle(y73, CircleAction.trivial(), 3, loop_nodes=1).value == 0.0
 
 
 def test_density_independent_of_symmetry_axes(y73):
@@ -408,7 +410,8 @@ def test_one_pool_per_cycle_integral(y73, pool_starts, pool_maps, axis, nodes, m
 
 def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
     # Each of the 6^2 + 12^2 lines of x1, x2 takes 64 loop samples along x0:
-    # 11,520 curvature points in all, at most 1024 (16 lines) per call.
+    # 11,520 curvature points in all, at most 1024 (16 lines) per call.  The
+    # default mask adds no orbit probe: x0 varies, so the loop takes 64 samples.
     seen = []
     real = cycles.riemann
 
@@ -417,10 +420,12 @@ def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
         return real(metric, coords)
 
     monkeypatch.setattr(cycles, "riemann", counted)
-    integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
-                    QuadratureSpec(nodes=6, mask=()))
-    assert max(seen) <= cycles.MAX_ORBIT_POINTS == 1024
-    assert sum(seen) == (6**2 + 12**2) * 64 == 11_520
+    for mask in ((), None):
+        seen.clear()
+        integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
+                        QuadratureSpec(nodes=6, mask=mask))
+        assert max(seen) <= cycles.MAX_ORBIT_POINTS == 1024, mask
+        assert sum(seen) == (6**2 + 12**2) * 64 == 11_520, mask
 
 
 def test_density_does_not_depend_on_its_batch():
@@ -618,6 +623,26 @@ def test_non_exact_mode_never_snaps():
     res = integrate_cycle(m, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=8))
     assert res.pi4_multiple is None
     assert res.value != 0.0
+
+
+def test_a_sweep_follows_the_closed_form():
+    # Criterion 8's integrated exponent is the closed form's, not 2: on the
+    # criterion's grid the closed form's log-log slope is -0.15300, and as
+    # a -> 1 it tends to the constant -(256/5) pi^4 ell^2, exponent 0.
+    def closed_form(a):
+        params = metrics.ypq_params_from_a(a)
+        return (-256 / 135 * PI4 * params.ell**2 * (1 - a) ** 2
+                * (G(params.y2) - G(params.y1)))
+
+    grid = [0.9, 0.95, 0.99, 0.995]
+    sweep = a_sweep(grid, quad=QuadratureSpec(nodes=32))
+    exact = [closed_form(a) for a in grid]
+    for row, want in zip(sweep.rows, exact):
+        assert abs(row.result.value - want) <= 1e-9 * abs(want), row.label
+    slope = float(np.polyfit(np.log1p(-np.array(grid)), np.log(np.abs(exact)), 1)[0])
+    assert round(slope, 5) == -0.153
+    assert abs(sweep.fitted_exponent - slope) <= 1e-6
+    assert abs(closed_form(1 - 1e-6) / (-256 / 5 * PI4) - 1) <= 2e-3
 
 
 def test_a_sweep_rows_and_error_recording():
