@@ -67,7 +67,8 @@ import numpy as np
 from . import __version__
 from .geometry import MetricField, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
-from .quadrature import (CHUNK, QuadratureError, QuadratureSpec, check_budget, evaluate,
+from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
+from .quadrature import (QuadratureError, QuadratureSpec, check_budget, evaluate,
                          integrate_box, pool)
 from .wcs import WcsFrame, wcs_integrand
 
@@ -98,19 +99,21 @@ class CircleAction:
     gives the trivial action.
     """
 
-    kind: str
     axis: int | None = None
     speed: float | None = None
     n_fold: int = 1
 
+    @property
+    def kind(self) -> str:
+        return "trivial" if self.axis is None else "rotation"
+
     @staticmethod
     def trivial() -> "CircleAction":
-        return CircleAction(kind="trivial")
+        return CircleAction()
 
     @staticmethod
     def rotation(axis: int, speed: float | None = None) -> "CircleAction":
-        return CircleAction(kind="rotation", axis=int(axis),
-                            speed=None if speed is None else float(speed))
+        return CircleAction(axis=int(axis), speed=None if speed is None else float(speed))
 
     @staticmethod
     def iterate(base: "CircleAction", n: int) -> "CircleAction":
@@ -119,8 +122,7 @@ class CircleAction:
             raise ValueError("iterate count must be >= 0")
         if n == 0 or base.kind == "trivial":
             return CircleAction.trivial()
-        return CircleAction(kind="rotation", axis=base.axis, speed=base.speed,
-                            n_fold=base.n_fold * n)
+        return CircleAction(axis=base.axis, speed=base.speed, n_fold=base.n_fold * n)
 
     def describe(self) -> str:
         if self.kind == "trivial":
@@ -260,14 +262,14 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
 
     Each probe point is paired with one partner per grid axis, moved along
     that axis to the next probe point's coordinate, and all the densities
-    are evaluated together, one loop sample each, in ``CHUNK``-row batches,
-    so a failed density is a QuadratureError, as at a quadrature node.  An
-    axis is an orbit axis when the largest change of the ratio over the
-    pairs is at most ``ORBIT_TOL`` times the largest ratio (a zero ratio
-    everywhere measures nothing and reduces no axis).  This is a tolerance,
-    unlike the exact zero of :func:`_constant_axes`, because the ratio is
-    computed from rounded curvature: along a symmetry orbit it changes by
-    ~1e-14, not by 0.
+    are evaluated together, one loop sample each, in batches of
+    ``quadrature.CHUNK`` rows, so a failed density is a QuadratureError, as
+    at a quadrature node.  An axis is an orbit axis when the largest change
+    of the ratio over the pairs is at most ``ORBIT_TOL`` times the largest
+    ratio (a zero ratio everywhere measures nothing and reduces no axis).
+    This is a tolerance, unlike the exact zero of :func:`_constant_axes`,
+    because the ratio is computed from rounded curvature: along a symmetry
+    orbit it changes by ~1e-14, not by 0.
     """
     grid = [a for a, kind in enumerate(kinds) if kind == "grid"]
     if not grid:
@@ -402,8 +404,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     densities and sqrt(det g) are computed by ``evaluate`` in fixed batches
     of rows, a row being one point or, with an orbit axis, one line with all
     its orbit points.  A sqrt(det g) batch holds ``quadrature.CHUNK`` rows; a
-    density batch holds as many, but at most ``MAX_ORBIT_POINTS`` loop orbit
-    points (16 rows at 64 loop samples), so the curvature's memory stays
+    density batch holds at most ``MAX_ORBIT_POINTS`` loop orbit points (16
+    rows at 64 loop samples, 1024 at one), so the curvature's memory stays
     bounded.  Only the densities go to the one pool of ``quad.workers``
     processes opened after the plan (sqrt(det g) is cheaper to compute than
     to ship).  The result scales exactly linearly in a finite ``s_scale``,
@@ -435,7 +437,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     }
     if params is not None:
         prov["params"] = {
-            "p": params.p, "q": params.q, "a": params.a, "c": params.c,
+            "p": params.p, "q": params.q, "a": params.a, "c": 1.0,
             "ell": params.ell, "y1": params.y1, "y2": params.y2,
             "exact_mode": params.exact_mode,
         }
@@ -458,7 +460,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     density = partial(_pinned, partial(_density_batch, metric, action, k,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
-    rows = min(CHUNK, max(1, MAX_ORBIT_POINTS // loop_samples))
+    rows = max(1, MAX_ORBIT_POINTS // loop_samples)
     n_grid = len(axes["grid"])
 
     def level(points: np.ndarray) -> np.ndarray:
@@ -526,8 +528,6 @@ def ypq_sweep(labels, action: CircleAction, k: int = 3,
     When at least two ``a`` rows give nonzero values, the result carries the
     fitted log-log slope of |value| against (1 - a).
     """
-    from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
-
     labels = list(labels)
     if any("a" in label for label in labels):
         _check_ell(ell)

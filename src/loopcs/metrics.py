@@ -3,17 +3,21 @@
 The centerpiece is the five-dimensional family of Sasaki-Einstein metrics in
 coordinates (phi, theta, psi, y, alpha),
 
-    g = (1 - c y)/6 (dtheta^2 + sin^2 theta dphi^2)  +  dy^2 / (w q)
+    g = (1 - y)/6 (dtheta^2 + sin^2 theta dphi^2)  +  dy^2 / (w q)
         + q/9 (dpsi - cos theta dphi)^2
         + w [dalpha + A (dpsi - cos theta dphi)]^2,
 
-    w(y) = 2 (a - y^2)/(1 - c y),
-    q(y) = (a - 3 y^2 + 2 c y^3)/(a - y^2),
-    A(y) = (a c - 2 y + y^2 c)/(6 (a - y^2)),
+    w(y) = 2 (a - y^2)/(1 - y),
+    q(y) = (a - 3 y^2 + 2 y^3)/(a - y^2),
+    A(y) = (a - 2 y + y^2)/(6 (a - y^2)),
 
-defined on the open box phi in (0, 2 pi), theta in (0, pi), psi in (0, 2 pi),
-y in (y1, y2), alpha in (0, 2 pi ell), where y1 < y2 are the two smaller
-roots of a - 3 y^2 + 2 y^3 = 0.  For coprime integers 0 < q < p the family
+with the local constant c of Gauntlett-Martelli-Sparks-Waldram
+(hep-th/0403002) set to 1, as they do: any c != 0 rescales to 1 together
+with y and a (with Y = c y and A = c^2 a, a - 3 y^2 + 2 c y^3 is
+(A - 3 Y^2 + 2 Y^3) / c^2).  The metric is defined on the open box
+phi in (0, 2 pi), theta in (0, pi), psi in (0, 2 pi), y in (y1, y2),
+alpha in (0, 2 pi ell), where y1 < y2 are the two smaller roots of
+a - 3 y^2 + 2 y^3 = 0.  For coprime integers 0 < q < p the family
 parameters are determined by
 
     y_{1,2} = (2 p -+ 3 q - n) / (4 p),      n = sqrt(4 p^2 - 3 q^2),
@@ -34,7 +38,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets
-from .geometry import CoordBox, MetricField, leading_minors_positive, metric_values
+from .geometry import CoordBox, MetricField, leading_minors_positive, metric_values, riemann
 from .jets import ChartDomainError
 
 __all__ = [
@@ -62,36 +66,41 @@ EINSTEIN_CONSTANT_DIM5 = 4.0
 
 @dataclass(frozen=True)
 class YpqParams:
-    """Parameters of one member of the Sasaki-Einstein family.
+    """Parameters of one member of the Sasaki-Einstein family (c = 1).
 
-    ``exact_mode`` is set when 4 p^2 - 3 q^2 is a perfect square n^2; then
-    the rational values of a, ell, y1, y2 are kept alongside their float
-    mirrors.  ``c`` is fixed to 1 except in degeneration experiments.
+    In exact mode, when 4 p^2 - 3 q^2 is a perfect square n^2, the rational
+    values of a, ell, y1, y2 are kept alongside their float mirrors.
     """
 
     p: int | None
     q: int | None
-    n: int | None
     a: float
     ell: float
     y1: float
     y2: float
-    c: float = 1.0
-    exact_mode: bool = False
     a_exact: Fraction | None = None
     ell_exact: Fraction | None = None
     y1_exact: Fraction | None = None
     y2_exact: Fraction | None = None
 
+    @property
+    def exact_mode(self) -> bool:
+        return self.a_exact is not None
+
+    @property
+    def n(self) -> int | None:
+        """The integer sqrt(4 p^2 - 3 q^2) in exact mode, else None."""
+        return math.isqrt(4 * self.p**2 - 3 * self.q**2) if self.exact_mode else None
+
     def cubic_residual(self, y) -> float:
-        """a - 3 y^2 + 2 c y^3 at y (zero at y1, y2 by construction)."""
-        return self.a - 3.0 * y * y + 2.0 * self.c * y**3
+        """a - 3 y^2 + 2 y^3 at y (zero at y1, y2 by construction)."""
+        return self.a - 3.0 * y * y + 2.0 * y**3
 
 
-def _check_root_order(a: float, y1: float, y2: float, c: float) -> None:
+def _check_root_order(a: float, y1: float, y2: float) -> None:
     if not y1 < y2:
         raise ValueError(f"cubic roots out of order: y1={y1}, y2={y2}")
-    y3 = 1.5 / c - y1 - y2  # root sum of 2c y^3 - 3 y^2 + a is 3/(2c)
+    y3 = 1.5 - y1 - y2  # root sum of 2 y^3 - 3 y^2 + a is 3/2
     if not y2 < y3:
         raise ValueError("y1, y2 are not the two smaller cubic roots")
     if not (y1 < 0.0 < y2):
@@ -110,9 +119,10 @@ def _check_ell(ell: float) -> None:
 def solve_ypq(p: int, q: int) -> YpqParams:
     """Resolve integers (p, q) into metric parameters.
 
-    Requires 0 < q < p with gcd(p, q) = 1.  Exact mode uses Fractions
-    throughout; otherwise the same closed forms are evaluated with a real
-    square root.  The cubic-root identities are re-verified numerically.
+    Requires 0 < q < p with gcd(p, q) = 1.  The closed forms are evaluated
+    once, on the square root n as a Fraction in exact mode (so every value
+    is rational) and as a float otherwise.  The cubic-root identities are
+    re-verified, exactly in exact mode and numerically in both.
     """
     p, q = int(p), int(q)
     if not (0 < q < p):
@@ -122,56 +132,46 @@ def solve_ypq(p: int, q: int) -> YpqParams:
     disc = 4 * p * p - 3 * q * q
     n = math.isqrt(disc)
     exact = n * n == disc
-
-    if exact:
-        y1_e = Fraction(2 * p - 3 * q - n, 4 * p)
-        y2_e = Fraction(2 * p + 3 * q - n, 4 * p)
-        a_e = 3 * y1_e**2 - 2 * y1_e**3
-        ell_e = Fraction(q, 3 * q * q - 2 * p * p + p * n)
-        if 3 * y2_e**2 - 2 * y2_e**3 != a_e:
-            raise ValueError("rational cubic-root consistency failed")
-        params = YpqParams(p=p, q=q, n=n, a=float(a_e), ell=float(ell_e),
-                           y1=float(y1_e), y2=float(y2_e), exact_mode=True,
-                           a_exact=a_e, ell_exact=ell_e,
-                           y1_exact=y1_e, y2_exact=y2_e)
-    else:
-        rt = math.sqrt(disc)
-        y1 = (2 * p - 3 * q - rt) / (4 * p)
-        y2 = (2 * p + 3 * q - rt) / (4 * p)
-        a = 3 * y1 * y1 - 2 * y1**3
-        ell = q / (3 * q * q - 2 * p * p + p * rt)
-        params = YpqParams(p=p, q=q, n=None, a=a, ell=ell, y1=y1, y2=y2)
+    root = Fraction(n) if exact else math.sqrt(disc)
+    y1 = (2 * p - 3 * q - root) / (4 * p)
+    y2 = (2 * p + 3 * q - root) / (4 * p)
+    a = 3 * y1 * y1 - 2 * y1**3
+    ell = q / (3 * q * q - 2 * p * p + p * root)
+    if exact and 3 * y2 * y2 - 2 * y2**3 != a:
+        raise ValueError("rational cubic-root consistency failed")
+    rational = dict(a_exact=a, ell_exact=ell, y1_exact=y1, y2_exact=y2) if exact else {}
+    params = YpqParams(p=p, q=q, a=float(a), ell=float(ell), y1=float(y1), y2=float(y2),
+                       **rational)
 
     if not 0.0 < params.a <= 1.0:
         raise ValueError(f"parameter a={params.a} outside (0, 1]")
     for y in (params.y1, params.y2):
         if abs(params.cubic_residual(y)) > 1e-12:
             raise ValueError(f"cubic residual at y={y} too large")
-    _check_root_order(params.a, params.y1, params.y2, params.c)
+    _check_root_order(params.a, params.y1, params.y2)
     _check_ell(params.ell)
     return params
 
 
-def ypq_params_from_a(a: float, ell: float = 1.0, c: float = 1.0) -> YpqParams:
+def ypq_params_from_a(a: float, ell: float = 1.0) -> YpqParams:
     """Parameters from a direct ``a`` override (degeneration experiments).
 
-    Solves 2 c y^3 - 3 y^2 + a = 0 for its two smaller roots.  ``a`` must lie
-    strictly inside (0, 1): at a = 1 the two larger roots collide and the
-    y-interval degenerates.  ``ell`` must be finite and > 0.  Both are input checks, so
-    they raise a plain ValueError.
+    Solves 2 y^3 - 3 y^2 + a = 0 (c = 1) for its two smaller roots.  ``a``
+    must lie strictly inside (0, 1): at a = 1 the two larger roots collide
+    and the y-interval degenerates.  ``ell`` must be finite and > 0.  Both
+    are input checks, so they raise a plain ValueError.
     """
     a = float(a)
     if not 0.0 < a < 1.0:
         raise ValueError(f"a={a} is degenerate: need 0 < a < 1 for an open y-interval")
     _check_ell(ell)
-    roots = np.roots([2.0 * c, -3.0, 0.0, a])
+    roots = np.roots([2.0, -3.0, 0.0, a])
     real = np.sort(roots[np.abs(roots.imag) < 1e-9].real)
     if len(real) != 3:
         raise ValueError(f"cubic for a={a} does not have three real roots")
     y1, y2 = float(real[0]), float(real[1])
-    _check_root_order(a, y1, y2, c)
-    return YpqParams(p=None, q=None, n=None, a=a, ell=float(ell),
-                     y1=y1, y2=y2, c=c)
+    _check_root_order(a, y1, y2)
+    return YpqParams(p=None, q=None, a=a, ell=float(ell), y1=y1, y2=y2)
 
 
 @dataclass(frozen=True)
@@ -179,25 +179,24 @@ class _YpqComponents:
     """Metric component builder for the dim-5 Sasaki-Einstein family."""
 
     a: float
-    c: float
 
     def __call__(self, xs):
         _, theta, _, y, _ = xs
-        a, c = self.a, self.c
+        a = self.a
         sin_t = jets.sin(theta)
         cos_t = jets.cos(theta)
-        one_minus_cy = 1.0 - c * y
+        one_minus_y = 1.0 - y
         a_minus_y2 = a - y * y
-        w = 2.0 * a_minus_y2 * jets.recip(one_minus_cy)
-        qf = (a - 3.0 * y * y + 2.0 * c * y * y * y) * jets.recip(a_minus_y2)
+        w = 2.0 * a_minus_y2 * jets.recip(one_minus_y)
+        qf = (a - 3.0 * y * y + 2.0 * y * y * y) * jets.recip(a_minus_y2)
         wq = w * qf
-        if np.any(jets.value_of(one_minus_cy) <= 0.0) or np.any(jets.value_of(wq) <= 0.0) \
+        if np.any(jets.value_of(one_minus_y) <= 0.0) or np.any(jets.value_of(wq) <= 0.0) \
                 or np.any(jets.value_of(sin_t) == 0.0):
             raise ChartDomainError(
                 "Sasaki-Einstein chart degenerate at evaluation point "
-                "(sin theta = 0, w q <= 0, or 1 - c y <= 0)")
-        u = one_minus_cy * (1.0 / 6.0)
-        big_a = (a * c - 2.0 * y + y * y * c) * jets.recip(6.0 * a_minus_y2)
+                "(sin theta = 0, w q <= 0, or 1 - y <= 0)")
+        u = one_minus_y * (1.0 / 6.0)
+        big_a = (a - 2.0 * y + y * y) * jets.recip(6.0 * a_minus_y2)
         q9 = qf * (1.0 / 9.0)
         w_a = w * big_a
         fiber = q9 + w_a * big_a          # q/9 + w A^2
@@ -227,9 +226,8 @@ def ypq_metric(params: YpqParams) -> MetricField:
     )
     label = f"ypq({params.p},{params.q})" if params.p else f"ypq(a={params.a:g})"
     return MetricField(
-        dim=5,
         box=box,
-        components=_YpqComponents(a=params.a, c=params.c),
+        components=_YpqComponents(a=params.a),
         coord_names=YPQ_COORDS,
         form_order=(0, 1, 3, 2, 4),
         name=label,
@@ -251,7 +249,7 @@ def flat_torus(n: int) -> MetricField:
     if n < 1:
         raise ValueError("dimension must be positive")
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
-    return MetricField(dim=n, box=box, components=_ConstantDiagonal((1.0,) * n),
+    return MetricField(box=box, components=_ConstantDiagonal((1.0,) * n),
                        coord_names=tuple(f"x{i}" for i in range(n)),
                        name=f"flat_torus{n}")
 
@@ -283,7 +281,7 @@ def round_sphere(n: int, radius: float = 1.0) -> MetricField:
     intervals = tuple((0.0, math.pi) for _ in range(n - 1)) + ((0.0, TWO_PI),)
     periodic = (False,) * (n - 1) + (True,)
     names = tuple(f"theta{i+1}" for i in range(n - 1)) + ("phi",)
-    return MetricField(dim=n, box=CoordBox(intervals, periodic),
+    return MetricField(box=CoordBox(intervals, periodic),
                        components=_SphereComponents(radius=radius),
                        coord_names=names, name=f"round_sphere{n}(r={radius:g})")
 
@@ -313,7 +311,7 @@ def product(m1: MetricField, m2: MetricField) -> MetricField:
     box = CoordBox(intervals=m1.box.intervals + m2.box.intervals,
                    periodic=m1.box.periodic + m2.box.periodic)
     names = tuple(f"l_{s}" for s in m1.coord_names) + tuple(f"r_{s}" for s in m2.coord_names)
-    return MetricField(dim=m1.dim + m2.dim, box=box,
+    return MetricField(box=box,
                        components=_ProductComponents(m1.components, m2.components, m1.dim),
                        coord_names=names, name=f"product({m1.name},{m2.name})")
 
@@ -333,14 +331,13 @@ class _PerturbedTorusComponents:
         return rows
 
 
-def perturbed_torus(n: int, amplitude: float = 0.35, seed: int = 7) -> MetricField:
-    """Curved but periodic diagonal metric on the n-torus (test fixture)."""
-    if not 0.0 < amplitude < 1.0:
-        raise ValueError("amplitude must be in (0, 1) to keep the metric definite")
+def perturbed_torus(n: int, seed: int = 7) -> MetricField:
+    """Curved but periodic diagonal metric on the n-torus (test fixture):
+    seeded amplitudes in [0.175, 0.35), so the metric stays definite."""
     rng = np.random.default_rng(seed)
-    amps = tuple(float(a) for a in amplitude * (0.5 + 0.5 * rng.random(n)))
+    amps = tuple(float(a) for a in 0.35 * (0.5 + 0.5 * rng.random(n)))
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
-    return MetricField(dim=n, box=box, components=_PerturbedTorusComponents(amps),
+    return MetricField(box=box, components=_PerturbedTorusComponents(amps),
                        coord_names=tuple(f"x{i}" for i in range(n)),
                        name=f"perturbed_torus{n}")
 
@@ -366,8 +363,6 @@ def catalog(name: str) -> MetricField:
 
 def einstein_residual(metric: MetricField, samples, constant: float) -> float:
     """Max relative residual of Ric = constant * g over the samples."""
-    from .geometry import riemann
-
     pack = riemann(metric, np.asarray(samples, dtype=float))
     num = np.max(np.abs(pack.ricci - constant * pack.g))
     den = max(float(np.max(np.abs(constant * pack.g))), np.finfo(float).tiny)

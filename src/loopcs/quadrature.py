@@ -6,11 +6,11 @@ level's whole point array in a fixed (row-major tensor) order and sums with
 pairwise summation.  :func:`evaluate` owns batching: it calls a function on
 fixed batches of rows along axis 0 (a row is one point, or a caller's block
 of points such as a whole line), in-process or over a :func:`pool`.  A batch
-holds ``CHUNK`` rows unless the caller asks for fewer (the cycle layer caps
-its density batches at a fixed number of orbit points); the size never
-depends on the worker count, so results are bit-identical across repeated
-runs and across worker counts.  The process-pool machinery is imported on a
-pool's first use, not with this module.
+holds ``CHUNK`` rows unless the caller asks for another fixed size (the
+cycle layer sizes its density batches by a fixed number of orbit points);
+the size never depends on the worker count, so results are bit-identical
+across repeated runs and across worker counts.  The process-pool machinery
+is imported on a pool's first use, not with this module.
 """
 from __future__ import annotations
 

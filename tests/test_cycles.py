@@ -16,7 +16,7 @@ from loopcs.cycles import (
     snap_pi4_multiple,
 )
 from loopcs.jets import ChartDomainError
-from loopcs.quadrature import QuadratureSpec
+from loopcs.quadrature import QuadratureSpec, gauss_nodes
 from loopcs.wcs import WcsFrame, wcs_integrand
 
 PI4 = math.pi**4
@@ -199,6 +199,23 @@ def test_density_matches_closed_form(params):
     frame = WcsFrame(3, action.velocity(m), np.eye(5)[list(m.orientation())])
     full = 2.0 * math.pi * wcs_integrand(riemann(m, pts), frame, "full")
     assert np.max(np.abs(full - want)) <= bound
+
+
+@pytest.mark.parametrize("p,q", [(7, 3), (5, 3)])
+def test_end_node_roundoff_floor(p, q):
+    # The one-sample density on the 64 y Gauss nodes, every other coordinate
+    # at its box midpoint (theta = pi/2): the roundoff is worst at an end
+    # node, where g is worst conditioned.  Measured 5.62e-12 for (7,3) and
+    # 5.22e-12 for (5,3), both at the last node; lowering it lowers this bound.
+    params = metrics.solve_ypq(p, q)
+    m = metrics.ypq_metric(params)
+    ys, _ = gauss_nodes(64, m.box.intervals[3])
+    pts = np.tile([0.5 * (lo + hi) for lo, hi in m.box.intervals], (len(ys), 1))
+    pts[:, 3] = ys
+    want = _closed_form_density(params, pts[:, 1], ys)
+    err = np.abs(cycles._density_batch(m, CircleAction.rotation(axis=4), 3, pts, 1) - want)
+    assert np.max(err) / np.max(np.abs(want)) <= 2e-11
+    assert np.argmax(err) in (0, len(ys) - 1)
 
 
 @pytest.mark.parametrize("p,q", [(7, 3), (7, 5), (13, 7)])
@@ -392,12 +409,13 @@ def test_unreduced_path_worker_count_does_not_change_bits(pool_starts, pool_maps
     assert two.provenance["orbit_reduced_axes"] == []
 
 
-@pytest.mark.parametrize("axis,nodes,maps", [(4, 64, [2]), (0, 16, [4, 16]), (4, 32, [])])
+@pytest.mark.parametrize("axis,nodes,maps", [(4, 64, []), (0, 32, [4]), (4, 32, [])])
 def test_one_pool_per_cycle_integral(y73, pool_starts, pool_maps, axis, nodes, maps):
-    # One pool per call, opened after the probe, takes only density chunks.
-    # Reduced alpha at 64 nodes: the 128 fine y-lines are two chunks, the 64
-    # coarse ones one, and sqrt(det g) is never mapped.  Unreduced phi at 16
-    # nodes: 16^2 and 32^2 (theta, y) densities.  At 32 nodes the pool is idle.
+    # One pool per call, opened after the probe, takes only density batches
+    # of 1024 one-sample rows.  Reduced alpha at 64 nodes: the 64 and 128
+    # y-lines are one batch each, so the pool is idle, and sqrt(det g) is
+    # never mapped.  Unreduced phi at 32 nodes: the 32^2 coarse (theta, y)
+    # densities are one batch, the 64^2 fine ones four.
     action = CircleAction.rotation(axis=axis)
     one = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=nodes, workers=1))
     assert pool_starts == [] and pool_maps == []
@@ -525,8 +543,7 @@ def test_undeclared_constant_axis_is_masked(monkeypatch):
     from loopcs.geometry import MetricField
 
     s3 = metrics.round_sphere(3)
-    bare = MetricField(dim=3, box=s3.box, components=s3.components,
-                       coord_names=s3.coord_names)
+    bare = MetricField(box=s3.box, components=s3.components, coord_names=s3.coord_names)
     samples = []
     real = cycles._density_batch
 
