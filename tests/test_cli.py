@@ -1,9 +1,12 @@
 """CLI surface: exit codes, record output, config files, selftest."""
+import ctypes
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from loopcs import cli, geometry
 from loopcs.records import json_to_result, result_to_json
@@ -412,15 +415,40 @@ def test_import_leaves_the_pool_machinery_unloaded():
     assert out.split() == ["False"], err
 
 
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_warm_orbit_integral_keeps_its_heap():
+    # Importing loopcs keeps freed batch arrays in the heap, so a second orbit
+    # integral reuses the first one's pages: 0-2 minor faults measured,
+    # 6,400-7,200 when glibc hands every batch a fresh mapping and trims it.
+    code = ("import json, resource; "
+            "from loopcs import CircleAction, QuadratureSpec, integrate_cycle, metrics\n"
+            "def faults():\n"
+            "    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt\n"
+            "    integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,\n"
+            "                    QuadratureSpec(nodes=6, mask=()))\n"
+            "    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before\n"
+            "print(json.dumps([faults(), faults()]))")
+    proc = child(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=300)
+    cold, warm = json.loads(out)
+    assert warm <= 200, (cold, warm, err)
+
+
 def test_headline_run_imports_nothing_after_cli():
     # Import-time traps (numpy.ma behind np.unique(axis=0) without
     # return_inverse, numpy.random behind a seeded generator) cost a fresh
-    # interpreter milliseconds: a headline run adds no module to sys.modules.
+    # interpreter milliseconds: neither the headline run nor an orbit run on
+    # the perturbed torus adds a module to sys.modules.  (A loop, not
+    # parametrize, so the test keeps the id the suite reports.)
     code = ("import json, sys; import loopcs.cli; before = set(sys.modules); "
             "code = loopcs.cli.main(sys.argv[1:]); "
             "print(json.dumps([code, sorted(set(sys.modules) - before)]))")
-    proc = child(code, "wcs", "--metric", "ypq", "--p", "7", "--q", "3",
-                 "--action", "rotate:alpha", "--nodes", "8", "--out", os.devnull,
-                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    out, err = proc.communicate(timeout=300)
-    assert json.loads(out) == [0, []], err
+    runs = [["--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha",
+             "--nodes", "8"],
+            ["--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask",
+             "--nodes", "4"]]
+    for argv in runs:
+        proc = child(code, "wcs", *argv, "--out", os.devnull,
+                     stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=300)
+        assert json.loads(out) == [0, []], (argv, err)

@@ -187,3 +187,15 @@ def test_perturbed_torus_is_curved_and_periodic():
     assert metrics.positive_definite_on(m, pts)
     pack = geometry.riemann(m, pts)
     assert np.max(np.abs(pack.riemann_down)) > 1e-3
+
+
+def test_perturbed_torus_amplitudes_pinned():
+    # Drawn with random.Random(seed), not numpy.random: these values are the
+    # fixture's record, and every draw stays in [0.175, 0.35).
+    amps = metrics.perturbed_torus(3, seed=7).components.amplitudes
+    assert amps == (0.23167073384580342, 0.20139860543678784, 0.2889135327819744)
+    assert metrics.perturbed_torus(3).components.amplitudes == amps
+    for n in (1, 3, 5, 7):
+        for seed in (0, 7, 2024):
+            amps = metrics.perturbed_torus(n, seed=seed).components.amplitudes
+            assert len(amps) == n and all(0.175 <= a < 0.35 for a in amps), (n, seed)
