@@ -41,7 +41,7 @@ for name in ("round_sphere3", "flat_torus3", "perturbed_torus3"):
     curv2 = max(np.max(np.abs(pack.riemann_down)) ** 2, 1e-300)
     frame = rng.standard_normal((3, 3))
     worst = max(
-        float(np.max(np.abs(wcs.wcs_integrand(pack, wcs.WcsFrame(2, gd, frame), v))))
+        float(np.max(np.abs(wcs.wcs_integrand(pack, frame, gd, v))))
         for v in ("reduced", "full"))
 
     audit(f"{name}: lowered bracket symmetric", sym / scale < 1e-10, f"{sym/scale:.2e}")
@@ -55,8 +55,8 @@ pts = m.box.sample_interior(rng, 100)
 pack = geometry.riemann(m, pts)
 frame = rng.standard_normal((5, 5))
 gd = rng.standard_normal(5)
-red = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, frame), "reduced"))
-full = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, frame), "full"))
+red = np.asarray(wcs.wcs_integrand(pack, frame, gd, "reduced"))
+full = np.asarray(wcs.wcs_integrand(pack, frame, gd, "full"))
 audit("degree-5 integrand nonzero", np.max(np.abs(red)) > 1e-6,
       f"max |integrand| = {np.max(np.abs(red)):.3e}")
 audit("full variant = reduced variant",
@@ -65,7 +65,7 @@ audit("full variant = reduced variant",
 
 swapped = frame.copy()
 swapped[[1, 3]] = swapped[[3, 1]]
-flipped = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, swapped), "reduced"))
+flipped = np.asarray(wcs.wcs_integrand(pack, swapped, gd, "reduced"))
 audit("alternating under frame swaps",
       np.max(np.abs(red + flipped)) / np.max(np.abs(red)) < 1e-12)
 

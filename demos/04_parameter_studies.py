@@ -45,14 +45,14 @@ for a in point_grid:
     params = metrics.ypq_params_from_a(a, ell=1.0)
     metric = metrics.ypq_metric(params)
     m0 = np.array([1.0, 1.1, 1.0, 0.05, 0.5])  # inside every a's chart box
-    dens.append(abs(pullback_density(metric, CircleAction.rotation(axis=4), 3, m0)))
+    dens.append(abs(pullback_density(metric, CircleAction.rotation(axis=4), m0)))
 slope_pt = np.polyfit(np.log1p([-a for a in point_grid]), np.log(dens), 1)[0]
 for a, d in zip(point_grid, dens):
     print(f"  a = {a:6.3f}   |density| = {d:.6e}   |density|/(1-a)^2 = {d/(1-a)**2:.6f}")
 print(f"  fitted pointwise exponent: {slope_pt:.4f}  (the (1-a)^2 factor is exact)")
 
 print("\nintegrated value across the same grid (ell fixed at 1)")
-sweep = a_sweep(point_grid, k=3, quad=QuadratureSpec(nodes=32))
+sweep = a_sweep(point_grid, quad=QuadratureSpec(nodes=32))
 for row in sweep.rows:
     if row.result is not None:
         print(f"  a = {row.label['a']:6.3f}   value = {row.result.value:16.6f}   "

@@ -30,7 +30,7 @@ from .metrics import (
     ypq_params_from_a,
 )
 from .quadrature import QuadratureError, QuadratureSpec, gauss_nodes, integrate_box
-from .wcs import WcsFrame, symbol_endo, wcs_integrand
+from .wcs import symbol_endo, wcs_integrand
 from .cycles import (
     CircleAction,
     CycleResult,
@@ -66,7 +66,6 @@ __all__ = [
     "QuadratureSpec",
     "gauss_nodes",
     "integrate_box",
-    "WcsFrame",
     "symbol_endo",
     "wcs_integrand",
     "CircleAction",

@@ -288,7 +288,7 @@ def cmd_sweep(args) -> int:
     if not labels:
         raise UsageError("sweep needs --sweep-pq, --scan-p-max, or a non-empty --sweep-a")
     action = _select_action(metrics.YPQ_COORDS, args.action or "rotate:alpha")
-    sweep = ypq_sweep(labels, action, 3, quad=_quad_spec(args),  # dim 5 = 2k - 1
+    sweep = ypq_sweep(labels, action, quad=_quad_spec(args),
                       s_scale=args.s_scale, loop_nodes=args.loop_nodes,
                       ell=1.0 if args.ell is None else args.ell)
     _write(sweep_to_csv(sweep), args.out)

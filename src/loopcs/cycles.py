@@ -70,7 +70,7 @@ from .jets import ChartDomainError
 from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
 from .quadrature import (QuadratureError, QuadratureSpec, check_budget, evaluate,
                          integrate_box, pool)
-from .wcs import WcsFrame, wcs_integrand
+from .wcs import wcs_integrand
 
 __all__ = [
     "CircleAction",
@@ -166,9 +166,9 @@ class CircleAction:
 # it an orbit axis (see _orbit_axes).
 ORBIT_TOL = 1e-12
 
-# Most orbit points one density batch hands to the curvature: each row of a
-# batch is evaluated at ``loop_samples`` orbit points.  A fixed constant, not
-# worker-dependent, like ``quadrature.CHUNK``.
+# Most orbit points one density batch hands to the curvature, so the most loop
+# samples: each row of a batch is evaluated at ``loop_samples`` orbit points.
+# A fixed constant, not worker-dependent, like ``quadrature.CHUNK``.
 MAX_ORBIT_POINTS = 1024
 
 
@@ -194,16 +194,16 @@ def _constant_axes(metric: MetricField) -> tuple[int, ...]:
 
 def _loop_samples(metric: MetricField, action: CircleAction, loop_nodes: int,
                   constant: tuple[int, ...]) -> int:
-    """Trapezoid samples per orbit, once ``loop_nodes`` (>= 1) and the rotation
-    are checked: 1 along a ``constant`` axis, where the loop integrand is
-    t-independent, else ``loop_nodes``."""
-    if loop_nodes < 1:
-        raise ValueError(f"loop_nodes must be >= 1, got {loop_nodes}")
+    """Trapezoid samples per orbit, once ``loop_nodes`` (1 to
+    ``MAX_ORBIT_POINTS``) and the rotation are checked: 1 along a ``constant``
+    axis, where the loop integrand is t-independent, else ``loop_nodes``."""
+    if not 1 <= loop_nodes <= MAX_ORBIT_POINTS:
+        raise ValueError(f"loop_nodes must be 1 to {MAX_ORBIT_POINTS}, got {loop_nodes}")
     action.resolved_speed(metric)
     return 1 if action.axis in constant else loop_nodes
 
 
-def _cycle_plan(metric: MetricField, action: CircleAction, k: int, quad: QuadratureSpec,
+def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
                 loop_nodes: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
     """Refuse bad input and plan each axis, once per call: the kinds, the
     requested node count per axis (0 on masked axes) and the loop samples.
@@ -235,7 +235,7 @@ def _cycle_plan(metric: MetricField, action: CircleAction, k: int, quad: Quadrat
     check_budget(tuple(c for c, kind in zip(counts, kinds) if kind == "grid"), quad)
     # Every orbit axis measured comes from a rotation along a constant axis.
     if quad.mask is None and loop_samples == 1 and action.kind == "rotation":
-        kinds = _orbit_axes(metric, action, k, kinds)
+        kinds = _orbit_axes(metric, action, kinds)
     return kinds, counts, loop_samples
 
 
@@ -255,7 +255,7 @@ def _pinned(fn, pinned: np.ndarray, axes: tuple[int, ...], points: np.ndarray) -
     return fn(coords)
 
 
-def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
+def _orbit_axes(metric: MetricField, action: CircleAction,
                 kinds: tuple[str, ...]) -> tuple[str, ...]:
     """``kinds`` with each ``grid`` axis along which f / sqrt(det g) is
     measured constant made an ``orbit`` axis.
@@ -281,7 +281,7 @@ def _orbit_axes(metric: MetricField, action: CircleAction, k: int,
         moved[:, a] = np.roll(pts[:, a], 1)
         batch.append(moved)
     coords = np.concatenate(batch)
-    density = evaluate(partial(_density_batch, metric, action, k, loop_samples=1), coords)
+    density = evaluate(partial(_density_batch, metric, action, loop_samples=1), coords)
     ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
@@ -295,7 +295,7 @@ def _frame_vectors(metric: MetricField) -> np.ndarray:
     return np.eye(metric.dim)[list(order)]
 
 
-def _density_batch(metric: MetricField, action: CircleAction, k: int,
+def _density_batch(metric: MetricField, action: CircleAction,
                    coords: np.ndarray, loop_samples: int) -> np.ndarray:
     """Density f(m) of the pulled-back form at a batch of chart points: the
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
@@ -309,23 +309,33 @@ def _density_batch(metric: MetricField, action: CircleAction, k: int,
     orbit[..., axis] = lo + np.mod(orbit[..., axis] + vel[axis] * ts[:, None] - lo, hi - lo)
     orbit = orbit.reshape(-1, metric.dim)
     pack = riemann(metric, orbit)
-    values = wcs_integrand(pack, WcsFrame(k, vel, _frame_vectors(metric)))
+    values = wcs_integrand(pack, _frame_vectors(metric), vel)
     values = values.reshape((loop_samples,) + coords.shape[:-1])
     # A running sum over the samples: np.sum pairs them up instead when the
     # batch is one point, which would make a density depend on its batch.
     return (2.0 * math.pi / loop_samples) * np.cumsum(values, axis=0)[-1]
 
 
-def pullback_density(metric: MetricField, action: CircleAction, k: int,
-                     m, loop_nodes: int = 64) -> float:
-    """Density f(m) of the pulled-back form at a single chart point."""
-    coords = np.asarray(m, dtype=float)
+def pullback_density(metric: MetricField, action: CircleAction, points,
+                     loop_nodes: int = 64) -> float | np.ndarray:
+    """Density f(m) of the pulled-back form at a ``(dim,)`` chart point (a
+    float) or a ``(..., dim)`` batch (an array of the batch shape, bit for bit
+    its points' densities one at a time); zeros for the trivial action.  The
+    checks run once per call, then batches of at most ``MAX_ORBIT_POINTS``
+    orbit points, as in :func:`integrate_cycle`, keep the memory bounded."""
+    coords = np.asarray(points, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
     samples = _loop_samples(metric, action, loop_nodes, _constant_axes(metric))
     if action.kind == "trivial":
-        return 0.0
-    return float(_density_batch(metric, action, k, coords, samples))
+        values = np.zeros(coords.shape[:-1])
+    else:
+        flat = coords.reshape(-1, metric.dim)
+        rows = MAX_ORBIT_POINTS // samples
+        values = np.concatenate([_density_batch(metric, action, flat[i:i + rows], samples)
+                                 for i in range(0, len(flat), rows)])
+        values = values.reshape(coords.shape[:-1])
+    return float(values) if values.ndim == 0 else values
 
 
 @dataclass(frozen=True)
@@ -418,7 +428,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     if not math.isfinite(s_scale):
         raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
-    kinds, counts, loop_samples = _cycle_plan(metric, action, k, quad, loop_nodes)
+    kinds, counts, loop_samples = _cycle_plan(metric, action, quad, loop_nodes)
 
     params = metric.params
     exact_mode = bool(getattr(params, "exact_mode", False))
@@ -457,10 +467,10 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     box_axes = axes["grid"] + axes["orbit"]
     box = [metric.box.intervals[a] for a in box_axes]
     spec = replace(quad, nodes=tuple(counts[a] for a in box_axes))
-    density = partial(_pinned, partial(_density_batch, metric, action, k,
+    density = partial(_pinned, partial(_density_batch, metric, action,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
-    rows = max(1, MAX_ORBIT_POINTS // loop_samples)
+    rows = MAX_ORBIT_POINTS // loop_samples
     n_grid = len(axes["grid"])
 
     def level(points: np.ndarray) -> np.ndarray:
@@ -514,11 +524,10 @@ class SweepResult:
     fitted_exponent: float | None = None
 
 
-def ypq_sweep(labels, action: CircleAction, k: int = 3,
-              quad: QuadratureSpec | None = None,
+def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
               s_scale: float = 1.0, loop_nodes: int = 64,
               ell: float = 1.0) -> SweepResult:
-    """Cycle integrals of ``action`` across members of the five-dimensional family.
+    """Cycle integrals (k = 3) of ``action`` across the five-dimensional family.
 
     Each label names one member: ``{"p": p, "q": q}`` for the (p, q) metric,
     or ``{"a": a}`` for the direct parameter with fiber period ``ell``.  A
@@ -541,7 +550,7 @@ def ypq_sweep(labels, action: CircleAction, k: int = 3,
             rows.append(SweepRow(label=label, result=None, error=str(exc)))
             continue
         try:
-            res = integrate_cycle(ypq_metric(params), action, k, quad=quad,
+            res = integrate_cycle(ypq_metric(params), action, 3, quad=quad,
                                   s_scale=s_scale, loop_nodes=loop_nodes)
         except (ChartDomainError, QuadratureError) as exc:
             rows.append(SweepRow(label=label, result=None, error=str(exc)))
@@ -557,8 +566,7 @@ def ypq_sweep(labels, action: CircleAction, k: int = 3,
     return SweepResult(rows=rows, fitted_exponent=exponent)
 
 
-def a_sweep(a_grid, k: int = 3, quad: QuadratureSpec | None = None,
-            ell: float = 1.0) -> SweepResult:
+def a_sweep(a_grid, quad: QuadratureSpec | None = None, ell: float = 1.0) -> SweepResult:
     """Cycle integrals of the fiber rotation across a grid of ``a`` values.
 
     The fiber period parameter is held fixed (default 1: it is a linear
@@ -569,4 +577,4 @@ def a_sweep(a_grid, k: int = 3, quad: QuadratureSpec | None = None,
     concentrates mass in a boundary layer at the upper y-endpoint.
     """
     return ypq_sweep([{"a": float(a)} for a in a_grid], CircleAction.rotation(axis=4),
-                     k, quad=quad, ell=ell)
+                     quad=quad, ell=ell)

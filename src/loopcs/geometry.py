@@ -225,7 +225,6 @@ class CurvaturePack:
     """
 
     g: np.ndarray
-    ginv: np.ndarray
     gamma: np.ndarray
     riemann_up: np.ndarray
     riemann_down: np.ndarray
@@ -262,8 +261,7 @@ def riemann(metric: MetricField, x) -> CurvaturePack:
     n = g.shape[-1]
     rup = (rdown.reshape(g.shape[:-2] + (n ** 3, n)) @ ginv).reshape(rdown.shape)
     ricci = np.einsum("...abca->...bc", rup)
-    return CurvaturePack(g=g, ginv=ginv, gamma=gamma,
-                         riemann_up=rup, riemann_down=rdown, ricci=ricci)
+    return CurvaturePack(g=g, gamma=gamma, riemann_up=rup, riemann_down=rdown, ricci=ricci)
 
 
 def curvature_endo(pack: CurvaturePack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -261,20 +261,32 @@ class BoxResult:
     growth: int
 
 
+def _rounds(spec: QuadratureSpec) -> int:
+    """Refinement rounds ``spec`` allows; only a ``rel_tol`` allows two or more."""
+    return (spec.max_refinements + 1 if spec.rel_tol is not None
+            else int(int(spec.refinement_factor) > 1))
+
+
 def _level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[int, ...]]:
     """Node counts of the levels ``spec`` allows, coarse first: each
-    refinement multiplies the counts by the factor; only a ``rel_tol`` allows two or more."""
+    refinement multiplies the counts by the factor."""
     fac = int(spec.refinement_factor)
-    rounds = spec.max_refinements + 1 if spec.rel_tol is not None else int(fac > 1)
-    return [tuple(int(c) * fac**j for c in counts) for j in range(rounds + 1)]
+    return [tuple(int(c) * fac**j for c in counts) for j in range(_rounds(spec) + 1)]
 
 
 def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
     """Refuse, before any grid is built, node counts whose finest level allowed
     by ``spec`` would exceed ``MAX_LEVEL_POINTS``."""
-    finest = math.prod(_level_counts(counts, spec)[-1])
-    if finest > MAX_LEVEL_POINTS:
-        raise ValueError(f"the finest quadrature level would evaluate {finest} points, "
+    rounds, growth = _rounds(spec), int(spec.refinement_factor) ** len(counts)
+    points, level = math.prod(counts), 0
+    # No level past the budget's square is counted: a huge max_refinements
+    # is refused at once, and the count stays short enough to print.
+    while level < rounds and growth > 1 and points <= MAX_LEVEL_POINTS**2:
+        points, level = points * growth, level + 1
+    if points > MAX_LEVEL_POINTS:
+        where = ("the finest quadrature level" if level == rounds
+                 else f"quadrature level {level} (of levels 0 to {rounds})")
+        raise ValueError(f"{where} would evaluate {points} points, "
                          f"over the budget of {MAX_LEVEL_POINTS}")
 
 
@@ -292,8 +304,9 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     ValueError (:func:`check_budget`) before building any grid.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    levels = _level_counts(spec.counts_for(len(box)), spec)
-    check_budget(levels[0], spec)
+    counts = spec.counts_for(len(box))
+    check_budget(counts, spec)
+    levels = _level_counts(counts, spec)
 
     coarse = _single_level(f, box, levels[0])
     if len(levels) == 1:

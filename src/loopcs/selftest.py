@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from . import geometry, metrics, wcs
+from . import geometry, jets, metrics, wcs
 from .cycles import CircleAction, integrate_cycle
 from .quadrature import QuadratureSpec, gauss_nodes
 
@@ -19,9 +19,6 @@ __all__ = ["run_all", "SUITES"]
 
 
 def _jets_finite_difference():
-    from .jets import jet_variable
-    import loopcs.jets as J
-
     rng = np.random.default_rng(42)
     ops2 = ["add", "sub", "mul", "div"]
     fns = ["sin", "cos", "sqrt", "square"]
@@ -47,11 +44,11 @@ def _jets_finite_difference():
         fn = fns[int(rng.integers(len(fns)))]
         inner = random_expr(nvars, depth - 1, rng)
         if fn == "sin":
-            return lambda xs: J.sin(inner(xs))
+            return lambda xs: jets.sin(inner(xs))
         if fn == "cos":
-            return lambda xs: J.cos(inner(xs))
+            return lambda xs: jets.cos(inner(xs))
         if fn == "sqrt":
-            return lambda xs: J.sqrt(2.5 + _square(inner(xs)))
+            return lambda xs: jets.sqrt(2.5 + _square(inner(xs)))
         return lambda xs: _square(inner(xs))
 
     def _square(x):
@@ -63,9 +60,9 @@ def _jets_finite_difference():
         nvars = int(rng.integers(2, 6))
         expr = random_expr(nvars, 3, rng)
         x0 = rng.uniform(-1.0, 1.0, nvars)
-        jets = [jet_variable(i, x0[i], nvars) for i in range(nvars)]
-        out = expr(jets)
-        if not isinstance(out, J.Jet2):
+        variables = [jets.jet_variable(i, x0[i], nvars) for i in range(nvars)]
+        out = expr(variables)
+        if not isinstance(out, jets.Jet2):
             continue
         scale_g = max(np.max(np.abs(out.grad)), 1.0)
         scale_h = max(np.max(np.abs(out.hess)), 1.0)
@@ -126,7 +123,7 @@ def _dim3_vanishing():
             frame = rng.standard_normal((3, 3))
             gd = rng.standard_normal(3)
             for variant in ("reduced", "full"):
-                v = wcs.wcs_integrand(pack, wcs.WcsFrame(2, gd, frame), variant)
+                v = wcs.wcs_integrand(pack, frame, gd, variant)
                 worst = max(worst, float(np.max(np.abs(v))) / scale)
     return worst <= 1e-10, f"max integrand / curvature^2 = {worst:.2e} (tol 1e-10)"
 
@@ -140,8 +137,8 @@ def _full_equals_reduced():
     for _ in range(3):
         frame = rng.standard_normal((5, 5))
         gd = rng.standard_normal(5)
-        a = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, frame), "full"))
-        b = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, frame), "reduced"))
+        a = np.asarray(wcs.wcs_integrand(pack, frame, gd, "full"))
+        b = np.asarray(wcs.wcs_integrand(pack, frame, gd, "reduced"))
         worst = max(worst, float(np.max(np.abs(a - b)) / max(np.max(np.abs(b)), 1e-300)))
     return worst <= 1e-10, f"max relative difference {worst:.2e} (tol 1e-10)"
 

@@ -47,35 +47,15 @@ curvature endomorphism is skew.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache
 from itertools import combinations
 
 import numpy as np
 
 __all__ = [
-    "WcsFrame",
     "symbol_endo",
     "wcs_integrand",
 ]
-
-@dataclass(frozen=True)
-class WcsFrame:
-    """Degree parameter k, loop velocity, and a frame of 2k - 1 vectors."""
-
-    k: int
-    gammadot: np.ndarray
-    frame: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "gammadot", np.asarray(self.gammadot, dtype=float))
-        object.__setattr__(self, "frame", np.asarray(self.frame, dtype=float))
-        if self.k < 2:
-            raise ValueError("form degree parameter k must be >= 2")
-        if self.frame.shape[0] != 2 * self.k - 1:
-            raise ValueError(
-                f"frame must hold {2 * self.k - 1} vectors, got {self.frame.shape[0]}")
-
 
 def _bracket(rup, rows, gammadot, variant: str) -> np.ndarray:
     """Unhalved velocity bracket B(X) for every vector X in ``rows``.
@@ -143,21 +123,25 @@ def _wedge_tables(m: int):
     return levels, complement
 
 
-def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced") -> float | np.ndarray:
+def wcs_integrand(pack, frame, gammadot, variant: str = "reduced") -> float | np.ndarray:
     """Evaluate the integrand at one loop point (batched over the pack).
 
-    The returned value is the density of the (2k-1)-form against the given
-    frame; the loop integral and orientation bookkeeping live in the cycle
-    module.  Alternating in the frame and linear in the velocity.
+    ``frame`` holds m = 2k - 1 tangent vectors as rows, as many as the
+    pack's dimension, so the frame fixes the form degree k.  The returned
+    value is the density of the (2k-1)-form against the frame; the loop
+    integral and orientation bookkeeping live in the cycle module.
+    Alternating in the frame and linear in the velocity ``gammadot``.
     """
     n = pack.dim
-    m = 2 * wf.k - 1
-    if n != m:
-        raise ValueError(f"dimension {n} does not match 2k-1 = {m}")
+    F = np.asarray(frame, dtype=float)
+    if F.shape != (n, n) or n < 3 or n % 2 == 0:
+        raise ValueError(f"a frame must hold 2k - 1 vectors (k >= 2) of dimension {n} "
+                         f"= pack.dim, got shape {F.shape}")
+    m = len(F)
+    k = (m + 1) // 2
     rup = pack.riemann_up
-    F = wf.frame
     batch = rup.shape[:-4]
-    B = _bracket(rup, F, wf.gammadot, variant)
+    B = _bracket(rup, F, np.asarray(gammadot, dtype=float), variant)
 
     # (Omega_ab)^e_f = R_{cdf}^^e (X_a ^ X_b)^{cd} for a < b, with the
     # bivector X_a ^ X_b = (X_a X_b - X_b X_a)/2: one product against rup.
@@ -178,7 +162,7 @@ def wcs_integrand(pack, wf: WcsFrame, variant: str = "reduced") -> float | np.nd
         wedge = acc
     traces = np.einsum("...iab,...iba->...i", B, wedge[..., complement, :, :])
     signs = np.where(np.arange(m) % 2, -1.0, 1.0)
-    result = (2.0 ** (wf.k - 1) * 2.0 / math.factorial(m)) * (traces @ signs)
-    if result.ndim == 0:
-        return float(result)
-    return result
+    # einsum, not a matmul: BLAS gemv rounds the odd last row of a batch
+    # unlike the paired rows, so a point's value would depend on its batch.
+    result = (2.0 ** (k - 1) * 2.0 / math.factorial(m)) * np.einsum("...i,i->...", traces, signs)
+    return float(result) if result.ndim == 0 else result

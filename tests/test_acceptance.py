@@ -127,7 +127,7 @@ def test_criterion_04_dim3mod4_vanishing():
         for _ in range(3):
             frame = rng.standard_normal((3, 3))
             gd = rng.standard_normal(3)
-            v = wcs.wcs_integrand(pack, wcs.WcsFrame(2, gd, frame))
+            v = wcs.wcs_integrand(pack, frame, gd)
             worst_int = max(worst_int, float(np.max(np.abs(v))) / curv2)
 
             B = wcs.symbol_endo(pack, frame[0], gd, "reduced")
@@ -154,8 +154,8 @@ def test_criterion_05_full_equals_reduced(y73):
     for _ in range(3):
         frame = rng.standard_normal((5, 5))
         gd = rng.standard_normal(5)
-        full = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, frame), "full"))
-        red = np.asarray(wcs.wcs_integrand(pack, wcs.WcsFrame(3, gd, frame), "reduced"))
+        full = np.asarray(wcs.wcs_integrand(pack, frame, gd, "full"))
+        red = np.asarray(wcs.wcs_integrand(pack, frame, gd, "reduced"))
         worst = max(worst, float(np.max(np.abs(full - red)) / np.max(np.abs(red))))
     ok = worst <= 1e-10
     report(5, ok, f"max relative difference {worst:.2e} (tol 1e-10) over 100 points x 3 frames")
@@ -201,7 +201,7 @@ def test_criterion_07_curvature_identity_suite(y73):
 def test_criterion_08_degeneration_exponent():
     """Log-log exponent of |integral| vs (1-a) equals 2.0 +/- 0.05."""
     grid = [0.9, 0.95, 0.99, 0.995]
-    sweep = a_sweep(grid, k=3, quad=QuadratureSpec(nodes=32), ell=1.0)
+    sweep = a_sweep(grid, quad=QuadratureSpec(nodes=32), ell=1.0)
     values = [abs(row.result.value) for row in sweep.rows if row.result]
     exponent = sweep.fitted_exponent
     ratios = [v / (1 - a) ** 2 for v, a in zip(values, grid)]
@@ -223,7 +223,7 @@ def test_criterion_08_companion_pointwise_rate():
     dens = []
     for a in grid:
         metric = metrics.ypq_metric(metrics.ypq_params_from_a(a, ell=1.0))
-        dens.append(abs(pullback_density(metric, CircleAction.rotation(axis=4), 3, m0)))
+        dens.append(abs(pullback_density(metric, CircleAction.rotation(axis=4), m0)))
     slope = float(np.polyfit(np.log([1 - a for a in grid]), np.log(dens), 1)[0])
     ratios = [d / (1 - a) ** 2 for d, a in zip(dens, grid)]
     spread = (max(ratios) - min(ratios)) / max(ratios)

@@ -146,6 +146,7 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     for argv, flags, needle in [(ypq, ["--max-refinements", "-1"], "max_refinements"),
                                 (ypq, ["--loop-nodes", "0"], "loop_nodes"),
                                 (torus, ["--loop-nodes", "0"], "loop_nodes"),
+                                (torus, ["--loop-nodes", "1025"], "loop_nodes"),
                                 (ypq, ["--workers", "0"], "workers"),
                                 (torus, ["--workers", "-3"], "workers"),
                                 (ypq, ["--tol", "-1"], "rel_tol"),
@@ -158,7 +159,9 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
                                  "refinement factor"),
                                 (trivial, ["--loop-nodes", "0"], "loop_nodes"),
                                 (trivial, ["--nodes", "1"], "at least 2"),
-                                (trivial, ["--nodes", "2048"], "budget")]:
+                                (trivial, ["--nodes", "2048"], "budget"),
+                                (ypq, ["--tol", "1e-3", "--max-refinements", "100000"],
+                                 "budget")]:
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err
     assert calls == []
@@ -377,7 +380,7 @@ def test_selftest_names_broken_suite(monkeypatch, capsys):
         bad_down = pack.riemann_down.copy()
         bad_down[..., 0, 1, :, :] *= -1.0  # breaks first-pair antisymmetry
         return geometry.CurvaturePack(
-            g=pack.g, ginv=pack.ginv, gamma=pack.gamma,
+            g=pack.g, gamma=pack.gamma,
             riemann_up=pack.riemann_up, riemann_down=bad_down, ricci=pack.ricci)
 
     monkeypatch.setattr(geometry, "riemann", broken)

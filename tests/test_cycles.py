@@ -17,7 +17,7 @@ from loopcs.cycles import (
 )
 from loopcs.jets import ChartDomainError
 from loopcs.quadrature import QuadratureSpec, gauss_nodes
-from loopcs.wcs import WcsFrame, wcs_integrand
+from loopcs.wcs import wcs_integrand
 
 PI4 = math.pi**4
 
@@ -49,7 +49,7 @@ def closed_form_value(p, q):
 
 def test_trivial_action_density_and_integral_zero(y73):
     m0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
-    assert pullback_density(y73, CircleAction.trivial(), 3, m0) == 0.0
+    assert pullback_density(y73, CircleAction.trivial(), m0) == 0.0
     res = integrate_cycle(y73, CircleAction.trivial(), 3)
     assert res.value == 0.0
     assert res.error_estimate == 0.0
@@ -61,23 +61,23 @@ def test_trivial_action_density_and_integral_zero(y73):
 def test_density_independent_of_symmetry_axes(y73):
     action = CircleAction.rotation(axis=4)
     base = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
-    f0 = pullback_density(y73, action, 3, base)
+    f0 = pullback_density(y73, action, base)
     rng = np.random.default_rng(0)
     for _ in range(6):
         moved = base.copy()
         moved[0] = rng.uniform(0.1, 6.0)   # phi
         moved[2] = rng.uniform(0.1, 6.0)   # psi
         moved[4] = rng.uniform(0.01, 0.9)  # alpha
-        f1 = pullback_density(y73, action, 3, moved)
+        f1 = pullback_density(y73, action, moved)
         assert abs(f1 - f0) / abs(f0) < 1e-12
 
 
 def test_iterate_density_scales_exactly(y73):
     base = CircleAction.rotation(axis=4)
     m0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
-    f1 = pullback_density(y73, base, 3, m0)
-    f2 = pullback_density(y73, CircleAction.iterate(base, 2), 3, m0)
-    f3 = pullback_density(y73, CircleAction.iterate(base, 3), 3, m0)
+    f1 = pullback_density(y73, base, m0)
+    f2 = pullback_density(y73, CircleAction.iterate(base, 2), m0)
+    f3 = pullback_density(y73, CircleAction.iterate(base, 3), m0)
     assert abs(f2 - 2 * f1) / abs(2 * f1) < 1e-14
     assert abs(f3 - 3 * f1) / abs(3 * f1) < 1e-14
     assert CircleAction.iterate(base, 0).kind == "trivial"
@@ -88,8 +88,8 @@ def test_killing_shortcut_matches_trapezoid_loop(y73):
     # 16-sample trapezoid must agree with the one-sample 2 pi shortcut.
     action = CircleAction.rotation(axis=4)
     m0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
-    fast = pullback_density(y73, action, 3, m0)
-    slow = float(cycles._density_batch(y73, action, 3, m0, 16))
+    fast = pullback_density(y73, action, m0)
+    slow = float(cycles._density_batch(y73, action, m0, 16))
     assert abs(fast - slow) / abs(fast) < 1e-12
 
 
@@ -101,13 +101,13 @@ def test_non_killing_orbit_uses_trapezoid_loop():
     m = metrics.perturbed_torus(5)
     action = CircleAction.rotation(axis=0)
     m0 = np.array([1.3, 2.1, 0.7, 4.0, 2.6])
-    f8 = pullback_density(m, action, 3, m0, loop_nodes=8)
-    f16 = pullback_density(m, action, 3, m0, loop_nodes=16)
-    f32 = pullback_density(m, action, 3, m0, loop_nodes=32)
+    f8 = pullback_density(m, action, m0, loop_nodes=8)
+    f16 = pullback_density(m, action, m0, loop_nodes=16)
+    f32 = pullback_density(m, action, m0, loop_nodes=32)
     assert abs(f8) > 1e-8  # genuinely nonzero
     assert abs(f32 - f16) < 1e-6 * abs(f16)  # periodic trapezoid converges fast
     # the 2-fold iterate at 16 nodes samples the base orbit's 8 points twice
-    f2 = pullback_density(m, CircleAction.iterate(action, 2), 3, m0, loop_nodes=16)
+    f2 = pullback_density(m, CircleAction.iterate(action, 2), m0, loop_nodes=16)
     assert abs(f2 - 2 * f8) < 1e-12 * abs(f8)
 
 
@@ -158,7 +158,7 @@ def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
     # A refused input, not a chart exit met during evaluation.
     for metric, action, k in cases:
         with pytest.raises(ValueError, match="non-periodic") as exc:
-            pullback_density(metric, action, k, metric.box.sample_interior(
+            pullback_density(metric, action, metric.box.sample_interior(
                 np.random.default_rng(0), 1)[0])
         assert not isinstance(exc.value, ChartDomainError)
         with pytest.raises(ValueError, match="non-periodic") as exc:
@@ -192,12 +192,12 @@ def test_density_matches_closed_form(params):
     want = _closed_form_density(params, pts[:, 1], pts[:, 3])
     bound = 1e-13 * np.max(np.abs(want))
     action = CircleAction.rotation(axis=4)
-    fast = np.array([pullback_density(m, action, 3, x) for x in pts])
-    slow = cycles._density_batch(m, action, 3, pts, 16)
+    fast = np.array([pullback_density(m, action, x) for x in pts])
+    slow = cycles._density_batch(m, action, pts, 16)
     for got in (fast, slow):
         assert np.max(np.abs(got - want)) <= bound
-    frame = WcsFrame(3, action.velocity(m), np.eye(5)[list(m.orientation())])
-    full = 2.0 * math.pi * wcs_integrand(riemann(m, pts), frame, "full")
+    frame = np.eye(5)[list(m.orientation())]
+    full = 2.0 * math.pi * wcs_integrand(riemann(m, pts), frame, action.velocity(m), "full")
     assert np.max(np.abs(full - want)) <= bound
 
 
@@ -213,7 +213,7 @@ def test_end_node_roundoff_floor(p, q):
     pts = np.tile([0.5 * (lo + hi) for lo, hi in m.box.intervals], (len(ys), 1))
     pts[:, 3] = ys
     want = _closed_form_density(params, pts[:, 1], ys)
-    err = np.abs(cycles._density_batch(m, CircleAction.rotation(axis=4), 3, pts, 1) - want)
+    err = np.abs(cycles._density_batch(m, CircleAction.rotation(axis=4), pts, 1) - want)
     assert np.max(err) / np.max(np.abs(want)) <= 2e-11
     assert np.argmax(err) in (0, len(ys) - 1)
 
@@ -300,13 +300,11 @@ def test_shared_rotation_axis_matches_bruteforce():
     res = integrate_cycle(m, action, 3, QuadratureSpec(nodes=3, refinement_factor=1,
                                                       mask=()), loop_nodes=64)
     rules = [gauss_nodes(3, iv) for iv in m.box.intervals]
-    total = scale = 0.0
-    for idx in np.ndindex(*(3,) * 5):
-        x = np.array([rules[a][0][i] for a, i in enumerate(idx)])
-        w = math.prod(rules[a][1][i] for a, i in enumerate(idx))
-        f = pullback_density(m, action, 3, x, loop_nodes=64)
-        total += w * f
-        scale += w * abs(f)
+    x = np.stack(np.meshgrid(*(r[0] for r in rules), indexing="ij"), axis=-1)
+    w = math.prod(np.meshgrid(*(r[1] for r in rules), indexing="ij"))
+    f = pullback_density(m, action, x, loop_nodes=64)
+    assert f.shape == (3,) * 5
+    total, scale = np.sum(w * f), np.sum(w * np.abs(f))
     assert res.node_counts == (3, 3, 3, 3, 3)
     assert abs(res.value - total) <= 1e-13 * scale
 
@@ -318,12 +316,12 @@ def test_density_independent_of_rotation_coordinate():
     base = np.array([1.3, 2.1, 0.7, 4.0, 2.6])
     rotation = CircleAction.rotation(axis=0)
     for action in (rotation, CircleAction.iterate(rotation, 3)):
-        f0 = pullback_density(m, action, 3, base)
+        f0 = pullback_density(m, action, base)
         assert abs(f0) > 1e-8
         for x0 in np.linspace(0.2, 6.1, 7):
             moved = base.copy()
             moved[0] = x0
-            assert abs(pullback_density(m, action, 3, moved) - f0) <= 1e-13 * abs(f0)
+            assert abs(pullback_density(m, action, moved) - f0) <= 1e-13 * abs(f0)
 
 
 def test_shared_axis_reports_refined_count(y73):
@@ -452,11 +450,40 @@ def test_density_does_not_depend_on_its_batch():
     m = metrics.perturbed_torus(3)
     action = CircleAction.rotation(axis=0)
     pts = m.box.from_unit(np.random.default_rng(3).uniform(size=(5, 3)), margin=0.1)
-    batch = cycles._density_batch(m, action, 2, pts, loop_samples=64)
-    alone = [cycles._density_batch(m, action, 2, pts[i:i + 1], loop_samples=64)[0]
+    batch = cycles._density_batch(m, action, pts, loop_samples=64)
+    alone = [cycles._density_batch(m, action, pts[i:i + 1], loop_samples=64)[0]
              for i in range(len(pts))]
     assert batch.tolist() == alone
-    assert pullback_density(m, action, 2, pts[0]) == batch[0]
+    assert pullback_density(m, action, pts[0]) == batch[0]
+
+
+@pytest.mark.parametrize("case", ["perturbed_torus5", "7-3"])
+def test_batched_density_equals_pointwise(y73, case, monkeypatch):
+    # A batch of points gives the densities of its points one at a time, bit
+    # for bit, in the batch's shape, and measures the constant axes once.
+    if case == "7-3":
+        m, action = y73, CircleAction.rotation(axis=4)
+    else:
+        m, action = metrics.perturbed_torus(5), CircleAction.rotation(axis=0)
+    pts = m.box.from_unit(np.random.default_rng(9).uniform(size=(2, 3, m.dim)), margin=0.1)
+    measured = []
+    real = cycles._constant_axes
+
+    def counted(metric):
+        measured.append(metric)
+        return real(metric)
+
+    monkeypatch.setattr(cycles, "_constant_axes", counted)
+    batch = pullback_density(m, action, pts, loop_nodes=64)
+    assert len(measured) == 1
+    assert batch.shape == (2, 3)
+    alone = [[pullback_density(m, action, x, loop_nodes=64) for x in row] for row in pts]
+    assert batch.tolist() == alone
+    assert all(isinstance(f, float) for row in alone for f in row)
+    measured.clear()
+    zeros = pullback_density(m, CircleAction.trivial(), pts)
+    assert len(measured) == 1
+    assert zeros.shape == (2, 3) and not np.any(zeros)
 
 
 def test_orbit_reduction_passes_the_condition_guard(y73):
@@ -517,7 +544,7 @@ def test_each_axis_checked_once_per_call(y73, monkeypatch):
                                                        mask=mask))
         assert calls == [16], mask  # one check, not one per axis or per chunk
     calls.clear()
-    pullback_density(y73, action, 3, np.array([1.0, 1.2, 2.0, 0.1, 0.5]))
+    pullback_density(y73, action, np.array([1.0, 1.2, 2.0, 0.1, 0.5]))
     assert calls == [16]
 
 
@@ -547,9 +574,9 @@ def test_undeclared_constant_axis_is_masked(monkeypatch):
     samples = []
     real = cycles._density_batch
 
-    def counted(metric, action, k, coords, loop_samples):
+    def counted(metric, action, coords, loop_samples):
         samples.append(loop_samples)
-        return real(metric, action, k, coords, loop_samples)
+        return real(metric, action, coords, loop_samples)
 
     monkeypatch.setattr(cycles, "_density_batch", counted)
     action = CircleAction.rotation(axis=2)
@@ -592,11 +619,12 @@ def test_wrong_dimension_rejected():
         integrate_cycle(m, CircleAction.rotation(axis=2), 3)
 
 
-@pytest.mark.parametrize("loop_nodes", [0, -3])
+@pytest.mark.parametrize("loop_nodes", [0, -3, 1025])
 def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypatch):
     # Both loop plans: the Killing fiber axis of (7,3) (one sample) and an
     # axis of the perturbed torus, which varies along it (loop_nodes samples);
-    # the trivial action, whose value needs no loop, is refused alike.
+    # the trivial action, whose value needs no loop, is refused alike.  Over
+    # MAX_ORBIT_POINTS one row would not fit in a curvature batch.
     calls = []
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
     torus = metrics.perturbed_torus(3)
@@ -608,7 +636,7 @@ def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypa
             integrate_cycle(metric, action, k, QuadratureSpec(nodes=3, mask=()),
                             loop_nodes=loop_nodes)
         with pytest.raises(ValueError, match="loop_nodes"):
-            pullback_density(metric, action, k, metric.box.sample_interior(
+            pullback_density(metric, action, metric.box.sample_interior(
                 np.random.default_rng(0), 1)[0], loop_nodes=loop_nodes)
     assert calls == []
 

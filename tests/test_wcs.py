@@ -1,9 +1,11 @@
 """Pointwise Wodzicki-Chern-Simons integrand: vanishing theorems and structure."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from loopcs import geometry, metrics
-from loopcs.wcs import WcsFrame, symbol_endo, wcs_integrand
+from loopcs.wcs import symbol_endo, wcs_integrand
 
 
 @pytest.fixture(scope="module")
@@ -20,7 +22,7 @@ def test_flat_everything_zero():
     X, gd = rng.standard_normal(5), rng.standard_normal(5)
     assert np.max(np.abs(symbol_endo(pack, X, gd, "full"))) == 0.0
     frame = rng.standard_normal((5, 5))
-    assert np.max(np.abs(wcs_integrand(pack, WcsFrame(3, gd, frame)))) == 0.0
+    assert np.max(np.abs(wcs_integrand(pack, frame, gd))) == 0.0
 
 
 def test_symbol_endo_bilinearity(y73_pack):
@@ -63,7 +65,7 @@ def test_dim3mod4_pointwise_vanishing(name):
         frame = rng.standard_normal((3, 3))
         gd = rng.standard_normal(3)
         for variant in ("reduced", "full"):
-            v = wcs_integrand(pack, WcsFrame(2, gd, frame), variant)
+            v = wcs_integrand(pack, frame, gd, variant)
             assert float(np.max(np.abs(v))) <= 1e-10 * curv2
 
 
@@ -72,8 +74,8 @@ def test_full_equals_reduced_on_top_frames(y73_pack):
     for _ in range(5):
         frame = rng.standard_normal((5, 5))
         gd = rng.standard_normal(5)
-        full = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame), "full"))
-        red = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame), "reduced"))
+        full = np.asarray(wcs_integrand(y73_pack, frame, gd, "full"))
+        red = np.asarray(wcs_integrand(y73_pack, frame, gd, "reduced"))
         assert np.max(np.abs(full - red)) / np.max(np.abs(red)) < 1e-10
 
 
@@ -81,11 +83,11 @@ def test_alternating_under_transpositions(y73_pack):
     rng = np.random.default_rng(7)
     frame = rng.standard_normal((5, 5))
     gd = rng.standard_normal(5)
-    base = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame)))
+    base = np.asarray(wcs_integrand(y73_pack, frame, gd))
     for (i, j) in ((0, 1), (1, 4), (2, 3)):
         swapped = frame.copy()
         swapped[[i, j]] = swapped[[j, i]]
-        flipped = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, swapped)))
+        flipped = np.asarray(wcs_integrand(y73_pack, swapped, gd))
         assert np.max(np.abs(base + flipped)) / np.max(np.abs(base)) < 1e-12
 
 
@@ -93,9 +95,9 @@ def test_degenerate_frame_vanishes(y73_pack):
     rng = np.random.default_rng(8)
     frame = rng.standard_normal((5, 5))
     gd = rng.standard_normal(5)
-    scale = np.max(np.abs(np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame)))))
+    scale = np.max(np.abs(np.asarray(wcs_integrand(y73_pack, frame, gd))))
     frame[4] = 1.5 * frame[0] - 0.25 * frame[2]
-    v = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame)))
+    v = np.asarray(wcs_integrand(y73_pack, frame, gd))
     assert np.max(np.abs(v)) / scale < 1e-10
 
 
@@ -103,17 +105,21 @@ def test_linear_in_velocity(y73_pack):
     rng = np.random.default_rng(10)
     frame = rng.standard_normal((5, 5))
     gd = rng.standard_normal(5)
-    v1 = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, gd, frame)))
-    v2 = np.asarray(wcs_integrand(y73_pack, WcsFrame(3, 2.0 * gd, frame)))
+    v1 = np.asarray(wcs_integrand(y73_pack, frame, gd))
+    v2 = np.asarray(wcs_integrand(y73_pack, frame, 2.0 * gd))
     assert np.max(np.abs(v2 - 2 * v1)) / np.max(np.abs(v1)) < 1e-12
 
 
 def test_dimension_mismatch_rejected(y73_pack):
-    with pytest.raises(ValueError):
-        wcs_integrand(y73_pack, WcsFrame(2, np.zeros(3), np.zeros((3, 3))))
-    with pytest.raises(ValueError):
-        WcsFrame(3, np.zeros(5), np.zeros((4, 5)))
-    with pytest.raises(ValueError):
-        WcsFrame(1, np.zeros(1), np.zeros((1, 1)))
-    with pytest.raises(ValueError):
-        wcs_integrand(y73_pack, WcsFrame(3, np.zeros(5), np.zeros((5, 5))), variant="fancy")
+    # The frame fixes the degree: it holds pack.dim vectors of that dimension,
+    # and their number m is 2k - 1 for some k >= 2.
+    with pytest.raises(ValueError, match="dimension 5 = pack.dim"):
+        wcs_integrand(y73_pack, np.zeros((3, 3)), np.zeros(3))
+    with pytest.raises(ValueError, match="dimension 5 = pack.dim"):
+        wcs_integrand(y73_pack, np.zeros((4, 5)), np.zeros(5))
+    for n in (1, 2, 4):
+        pack = SimpleNamespace(dim=n, riemann_up=np.zeros((n,) * 4))
+        with pytest.raises(ValueError, match="2k - 1"):
+            wcs_integrand(pack, np.zeros((n, n)), np.zeros(n))
+    with pytest.raises(ValueError, match="variant"):
+        wcs_integrand(y73_pack, np.zeros((5, 5)), np.zeros(5), variant="fancy")

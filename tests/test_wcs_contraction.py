@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from loopcs import geometry, metrics
-from loopcs.wcs import WcsFrame, wcs_integrand
+from loopcs.wcs import wcs_integrand
 
 
 def literal_integrand(rup, k, gd, frame, variant):
@@ -54,7 +54,7 @@ def test_contraction_matches_literal_signed_sum(k, variant, batch):
     pack = SimpleNamespace(dim=m, riemann_up=rup)
     gd = rng.standard_normal(m)
     frame = rng.standard_normal((m, m))
-    got = np.asarray(wcs_integrand(pack, WcsFrame(k, gd, frame), variant))
+    got = np.asarray(wcs_integrand(pack, frame, gd, variant))
     want = np.empty(batch)
     for idx in np.ndindex(batch):
         want[idx] = literal_integrand(rup[idx], k, gd, frame, variant)
@@ -73,13 +73,12 @@ def test_k4_vanishes_on_7_manifolds_fast_in_bounded_memory(metric):
     packs = [geometry.riemann(metric, pts[s:s + 64]) for s in range(0, 1000, 64)]
     gd = rng.standard_normal(7)
     frame = rng.standard_normal((7, 7))
-    wf = WcsFrame(4, gd, frame)
     curv3 = max(float(np.max(np.abs(p.riemann_up))) for p in packs) ** 3
     for variant in ("reduced", "full"):
         best = math.inf
         for _ in range(3):  # best of three: one load spike must not fail the rate
             start = time.perf_counter()
-            values = [np.asarray(wcs_integrand(p, wf, variant)) for p in packs]
+            values = [np.asarray(wcs_integrand(p, frame, gd, variant)) for p in packs]
             best = min(best, time.perf_counter() - start)
         assert max(float(np.max(np.abs(v))) for v in values) <= 1e-10 * curv3
         assert 1000 / best >= 1000.0, f"{variant}: {1000 / best:.0f} points/s"
@@ -89,7 +88,7 @@ def test_k4_vanishes_on_7_manifolds_fast_in_bounded_memory(metric):
             for pack in packs:
                 tracemalloc.reset_peak()
                 base = tracemalloc.get_traced_memory()[0]
-                wcs_integrand(pack, wf, variant)
+                wcs_integrand(pack, frame, gd, variant)
                 peak = tracemalloc.get_traced_memory()[1] - base
                 assert peak <= 32 * 2 ** 20, f"{variant}: {peak / 2 ** 20:.1f} MB per chunk"
         finally:
