@@ -29,7 +29,7 @@ import sys
 import numpy as np
 
 from . import __version__, geometry, metrics, selftest
-from .cycles import CircleAction, integrate_cycle, ypq_sweep
+from .cycles import MAX_ORBIT_POINTS, CircleAction, integrate_cycle, ypq_sweep
 from .jets import ChartDomainError
 from .quadrature import QuadratureError, QuadratureSpec
 from .records import format_float, result_to_json, sweep_to_csv
@@ -218,8 +218,9 @@ def _write(text: str, path: str | None):
 
 
 def cmd_verify(args) -> int:
-    if args.samples < 1:
-        raise UsageError(f"--samples must be >= 1, got {args.samples}")
+    if not 1 <= args.samples <= MAX_ORBIT_POINTS:  # one curvature call's cap
+        raise UsageError(f"--samples must be >= 1 and at most {MAX_ORBIT_POINTS}, "
+                         f"got {args.samples}")
     metric = _select_metric(args)
     rng = np.random.default_rng(args.seed)
     pts = metric.box.sample_interior(rng, args.samples)

@@ -58,7 +58,7 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -204,13 +204,13 @@ def _loop_samples(metric: MetricField, action: CircleAction, loop_nodes: int,
 
 
 def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
-                loop_nodes: int) -> tuple[tuple[str, ...], tuple[int, ...], int]:
-    """Refuse bad input and plan each axis, once per call: the kinds, the
-    requested node count per axis (0 on masked axes) and the loop samples.
+                loop_nodes: int) -> tuple[tuple[str, ...], int]:
+    """Refuse bad input and plan each axis, once per call: the kinds and the
+    loop samples; each axis that is not ``extent`` takes ``quad.nodes`` nodes.
 
     ``mask=None`` masks the measured constant axes; an explicit mask axis
-    that is not constant, an unmasked axis with fewer than 2 nodes and a grid
-    over :func:`check_budget` raise.  The kinds are ``extent`` (masked),
+    that is not constant, ``quad.nodes`` below 2 with any unmasked axis and a
+    grid over :func:`check_budget` raise.  The kinds are ``extent`` (masked),
     ``loop`` (the unmasked rotation axis) and ``grid``; after every refusal,
     with ``mask=None`` and one loop sample, :func:`_orbit_axes` may make
     ``grid`` axes ``orbit`` axes, which stay in the box.
@@ -227,16 +227,13 @@ def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
                 "varies along it")
     kinds = tuple("extent" if a in mask else "loop" if a == action.axis else "grid"
                   for a in range(metric.dim))
-    # Tuple node counts are per unmasked axis, in increasing axis order.
-    requested = iter(quad.counts_for(metric.dim - len(mask)))
-    counts = tuple(0 if kind == "extent" else next(requested) for kind in kinds)
-    if any(c < 2 for c, kind in zip(counts, kinds) if kind != "extent"):
+    if quad.nodes < 2 and any(kind != "extent" for kind in kinds):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    check_budget(tuple(c for c, kind in zip(counts, kinds) if kind == "grid"), quad)
+    check_budget((quad.nodes,) * kinds.count("grid"), quad)
     # Every orbit axis measured comes from a rotation along a constant axis.
     if quad.mask is None and loop_samples == 1 and action.kind == "rotation":
         kinds = _orbit_axes(metric, action, kinds)
-    return kinds, counts, loop_samples
+    return kinds, loop_samples
 
 
 def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
@@ -428,7 +425,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     if not math.isfinite(s_scale):
         raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
-    kinds, counts, loop_samples = _cycle_plan(metric, action, quad, loop_nodes)
+    kinds, loop_samples = _cycle_plan(metric, action, quad, loop_nodes)
 
     params = metric.params
     exact_mode = bool(getattr(params, "exact_mode", False))
@@ -466,7 +463,6 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
     box_axes = axes["grid"] + axes["orbit"]
     box = [metric.box.intervals[a] for a in box_axes]
-    spec = replace(quad, nodes=tuple(counts[a] for a in box_axes))
     density = partial(_pinned, partial(_density_batch, metric, action,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
@@ -489,7 +485,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.
     with pool(quad.workers) as executor:
-        box_result = integrate_box(level, box, spec)
+        box_result = integrate_box(level, box, quad)
 
     value = s_scale * (factor * box_result.value)
     error = abs(s_scale) * factor * box_result.error_estimate
@@ -498,7 +494,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             f"cycle value overflows: value {value}, error estimate {error} "
             f"(box integral {box_result.value!r} times axis extents {factor!r})")
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(c * box_result.growth for c in counts)
+    node_counts = tuple(0 if kind == "extent" else quad.nodes * box_result.growth
+                        for kind in kinds)
     prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
     prov["loop_averaged_axes"] = [metric.coord_names[a] for a in axes["loop"]]

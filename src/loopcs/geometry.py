@@ -221,18 +221,21 @@ class CurvaturePack:
 
     Index layout: ``gamma[a, b, c] = Gamma^a_{bc}``,
     ``riemann_up[j, b, c, a] = R_{jbc}^^a``, ``riemann_down`` its lowering in
-    the last slot, ``ricci[b, c] = R_{abc}^^a``.
+    the last slot, and the property ``ricci[b, c] = R_{abc}^^a``.
     """
 
     g: np.ndarray
     gamma: np.ndarray
     riemann_up: np.ndarray
     riemann_down: np.ndarray
-    ricci: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.g.shape[-1]
+
+    @property
+    def ricci(self) -> np.ndarray:
+        return np.einsum("...abca->...bc", self.riemann_up)
 
 
 def _riemann_down(d2g, s, gamma):
@@ -260,8 +263,7 @@ def riemann(metric: MetricField, x) -> CurvaturePack:
     rdown = _riemann_down(d2g, s, gamma)
     n = g.shape[-1]
     rup = (rdown.reshape(g.shape[:-2] + (n ** 3, n)) @ ginv).reshape(rdown.shape)
-    ricci = np.einsum("...abca->...bc", rup)
-    return CurvaturePack(g=g, gamma=gamma, riemann_up=rup, riemann_down=rdown, ricci=ricci)
+    return CurvaturePack(g=g, gamma=gamma, riemann_up=rup, riemann_down=rdown)
 
 
 def curvature_endo(pack: CurvaturePack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -328,6 +330,7 @@ def validate_curvature(metric: MetricField, samples) -> CurvatureReport:
     scale = max(float(np.max(np.abs(rd))), np.finfo(float).tiny)
     gscale = max(float(np.max(np.abs(g))), np.finfo(float).tiny)
     gamma_scale = max(float(np.max(np.abs(pack.gamma))), 1.0)
+    ric = pack.ricci
 
     residuals = {
         "gamma_symmetry": float(np.max(np.abs(pack.gamma - np.swapaxes(pack.gamma, -1, -2)))) / gamma_scale,
@@ -338,8 +341,8 @@ def validate_curvature(metric: MetricField, samples) -> CurvatureReport:
         "pair_swap": float(np.max(np.abs(rd - np.einsum("...jbca->...cajb", rd)))) / scale,
         "first_bianchi": float(np.max(np.abs(
             rd + np.einsum("...bcja->...jbca", rd) + np.einsum("...cjba->...jbca", rd)))) / scale,
-        "ricci_symmetry": float(np.max(np.abs(pack.ricci - np.swapaxes(pack.ricci, -1, -2)))) / max(
-            float(np.max(np.abs(pack.ricci))), np.finfo(float).tiny),
+        "ricci_symmetry": float(np.max(np.abs(ric - np.swapaxes(ric, -1, -2)))) / max(
+            float(np.max(np.abs(ric))), np.finfo(float).tiny),
     }
     return CurvatureReport(residuals=residuals)
 

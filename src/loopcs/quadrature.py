@@ -19,6 +19,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -76,8 +77,7 @@ class QuadratureError(RuntimeError):
 class QuadratureSpec:
     """Node counts and refinement policy for a tensor-product rule.
 
-    nodes: per-axis Gauss-Legendre node count; an int applies to every
-        non-masked axis.
+    nodes: Gauss-Legendre node count on every box axis of the coarse level.
     refinement_factor: node-count multiplier for the error-estimation pass.
     max_refinements: extra refinement rounds allowed when rel_tol is set.
     rel_tol: target relative tolerance; None accepts the two-level estimate.
@@ -88,11 +88,12 @@ class QuadratureSpec:
         of them, lets ``integrate_cycle`` reduce orbit axes), () means no mask.
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
-    Construction raises ValueError for a refinement factor or ``workers``
-    below 1, negative ``max_refinements``, or a ``rel_tol`` not > 0 or with a factor of 1.
+    Construction raises ValueError for ``nodes`` not a whole number (a numpy
+    integer is one), a refinement factor or ``workers`` below 1, negative
+    ``max_refinements``, or a ``rel_tol`` not > 0 or with a factor of 1.
     """
 
-    nodes: int | tuple[int, ...] = 32
+    nodes: int = 32
     refinement_factor: int = 2
     max_refinements: int = 0
     rel_tol: float | None = None
@@ -100,6 +101,10 @@ class QuadratureSpec:
     workers: int = 1
 
     def __post_init__(self):
+        try:  # a numpy integer is stored as the int it equals
+            object.__setattr__(self, "nodes", operator.index(self.nodes))
+        except TypeError:
+            raise ValueError(f"nodes must be a whole number, got {self.nodes!r}") from None
         if int(self.refinement_factor) < 1:
             raise ValueError("refinement factor must be >= 1")
         if self.max_refinements < 0:
@@ -110,14 +115,6 @@ class QuadratureSpec:
             raise ValueError("rel_tol needs a refinement factor above 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
-
-    def counts_for(self, naxes: int) -> tuple[int, ...]:
-        if isinstance(self.nodes, int):
-            return (self.nodes,) * naxes
-        if len(self.nodes) != naxes:
-            raise ValueError(
-                f"node counts {self.nodes} do not match {naxes} integration axes")
-        return tuple(int(c) for c in self.nodes)
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,13 +264,6 @@ def _rounds(spec: QuadratureSpec) -> int:
             else int(int(spec.refinement_factor) > 1))
 
 
-def _level_counts(counts: tuple[int, ...], spec: QuadratureSpec) -> list[tuple[int, ...]]:
-    """Node counts of the levels ``spec`` allows, coarse first: each
-    refinement multiplies the counts by the factor."""
-    fac = int(spec.refinement_factor)
-    return [tuple(int(c) * fac**j for c in counts) for j in range(_rounds(spec) + 1)]
-
-
 def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
     """Refuse, before any grid is built, node counts whose finest level allowed
     by ``spec`` would exceed ``MAX_LEVEL_POINTS``."""
@@ -293,32 +283,36 @@ def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
 def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     """Tensor-product Gauss-Legendre integral of ``f`` over an open box.
 
-    ``f`` is called once per level with the level's whole (m, dim) array of
+    Level j has ``spec.nodes * refinement_factor**j`` nodes on every axis and
+    is built when it is reached, so unused refinements cost nothing.  ``f``
+    is called once per level with the level's whole (m, dim) array of
     interior points, in row-major tensor order, and returns an (m,) array of
     values; it must be pure.  A failure of ``f`` is raised as
     :class:`QuadratureError`.  ``spec.workers`` is not read: an ``f`` that
-    wants batches or a :func:`pool` calls :func:`evaluate` itself.  The returned
-    ``value`` is the refined-level result and ``error_estimate`` the
-    absolute difference between the two finest levels.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
-    set and unmet after ``spec.max_refinements`` extra rounds, and raises
-    ValueError (:func:`check_budget`) before building any grid.
+    wants batches or a :func:`pool` calls :func:`evaluate` itself.  ``value``
+    is the finest level's result and ``error_estimate`` its distance from the
+    level before.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
+    unmet after ``spec.max_refinements`` extra rounds, and ValueError
+    (:func:`check_budget`) before building any grid.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    counts = spec.counts_for(len(box))
-    check_budget(counts, spec)
-    levels = _level_counts(counts, spec)
+    check_budget((spec.nodes,) * len(box), spec)
+    fac = int(spec.refinement_factor)
 
-    coarse = _single_level(f, box, levels[0])
-    if len(levels) == 1:
-        return BoxResult(coarse, 0.0, levels[0], coarse, levels[0], 1)
-    for j in range(1, len(levels)):
-        fine = _single_level(f, box, levels[j])
+    def counts(j: int) -> tuple[int, ...]:
+        return (spec.nodes * fac**j,) * len(box)
+
+    coarse = _single_level(f, box, counts(0))
+    rounds = _rounds(spec)
+    if rounds == 0:
+        return BoxResult(coarse, 0.0, counts(0), coarse, counts(0), 1)
+    for j in range(1, rounds + 1):
+        fine = _single_level(f, box, counts(j))
         err = abs(fine - coarse)
         scale = max(abs(fine), np.finfo(float).tiny)
         if spec.rel_tol is None or err <= spec.rel_tol * scale:
-            return BoxResult(fine, err, levels[j], coarse, levels[j - 1],
-                             int(spec.refinement_factor) ** j)
+            return BoxResult(fine, err, counts(j), coarse, counts(j - 1), fac**j)
         coarse = fine
     raise QuadratureError(
         f"relative tolerance {spec.rel_tol} not reached: "
-        f"estimate {err:.3e} at {levels[-1]} nodes")
+        f"estimate {err:.3e} at {counts(rounds)} nodes")

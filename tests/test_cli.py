@@ -49,7 +49,7 @@ def test_verify_requires_metric():
 
 
 def test_verify_bad_samples_exit_2(capsys):
-    for samples in ("0", "-4"):
+    for samples in ("0", "-4", "1025"):
         assert run(["verify", "--metric", "round_sphere3", "--samples", samples]) == 2
         assert "--samples must be >= 1" in capsys.readouterr().err
 
@@ -381,7 +381,7 @@ def test_selftest_names_broken_suite(monkeypatch, capsys):
         bad_down[..., 0, 1, :, :] *= -1.0  # breaks first-pair antisymmetry
         return geometry.CurvaturePack(
             g=pack.g, gamma=pack.gamma,
-            riemann_up=pack.riemann_up, riemann_down=bad_down, ricci=pack.ricci)
+            riemann_up=pack.riemann_up, riemann_down=bad_down)
 
     monkeypatch.setattr(geometry, "riemann", broken)
     assert run(["selftest"]) == 1

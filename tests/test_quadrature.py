@@ -64,9 +64,13 @@ def test_bad_rule_arguments():
                            ({"rel_tol": float("nan")}, "rel_tol"),
                            ({"rel_tol": 1e-12, "refinement_factor": 1}, "rel_tol"),
                            ({"workers": 0}, "workers"),
-                           ({"workers": -3}, "workers")]:
+                           ({"workers": -3}, "workers"),
+                           ({"nodes": (8, 16)}, "nodes"),
+                           ({"nodes": 8.0}, "nodes")]:
         with pytest.raises(ValueError, match=needle):
-            QuadratureSpec(nodes=2, **kwargs)
+            QuadratureSpec(**{"nodes": 2, **kwargs})
+    # A numpy integer is a whole number, stored as the int it equals.
+    assert type(QuadratureSpec(nodes=np.int64(8)).nodes) is int
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
@@ -178,11 +182,33 @@ def test_non_convergence_raises():
 def test_budget_counts_only_levels_that_can_run():
     # Without rel_tol the extra rounds never run: 300 -> 600 is the finest
     # level, whatever max_refinements says.
+    sizes = []
+
+    def counting(p):
+        sizes.append(len(p))
+        return np.ones(len(p))
+
+    integrate_box(counting, [(0.0, 1.0)], QuadratureSpec(nodes=3, max_refinements=3))
+    assert sizes == [3, 6]
     spec = QuadratureSpec(nodes=300, max_refinements=3)
-    assert quadrature._level_counts((300, 300), spec) == [(300, 300), (600, 600)]
     check_budget((300, 300), spec)
     with pytest.raises(ValueError, match="23040000 points"):
         check_budget((300, 300), QuadratureSpec(nodes=300, max_refinements=3, rel_tol=1e-9))
+
+
+def test_levels_are_built_as_they_are_reached():
+    # With no box axis every level agrees, so the second one meets rel_tol;
+    # the ten million levels allowed after it are never built.
+    calls = []
+
+    def constant(p):
+        calls.append(p.shape)
+        return np.full(len(p), 2.0)
+
+    res = integrate_box(constant, [],
+                        QuadratureSpec(nodes=4, rel_tol=1e-3, max_refinements=10**7))
+    assert calls == [(1, 0), (1, 0)]
+    assert res.value == 2.0 and res.growth == 2
 
 
 def test_refinement_until_tolerance():
