@@ -70,7 +70,7 @@ report = geometry.validate_curvature(m, pts)
 for line in report.lines():
     print(line)
 audit("identity suite on Y(7,3)", report.passed)
-ein = metrics.einstein_residual(m, pts, metrics.EINSTEIN_CONSTANT_DIM5)
+ein = metrics.einstein_residual(geometry.riemann(m, pts), metrics.EINSTEIN_CONSTANT_DIM5)
 audit("Einstein property Ric = 4 g on Y(7,3)", ein < 1e-8, f"residual {ein:.2e}")
 
 print(f"\n{sum(checks)}/{len(checks)} checks passed")

@@ -2,8 +2,18 @@
 
 Curvature is computed from metric component functions via second-order
 forward-mode jets; cycle integrals over circle actions reduce to
-deterministic tensor-product Gauss-Legendre quadrature.
+deterministic tensor-product Gauss-Legendre quadrature.  Importing the
+package runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 """
+import os
+
+# Every BLAS/LAPACK call here is tiny: stacked products of at most
+# (21 x 49) @ (49 x 49) per point and inv/det/eigvalsh of n x n, n <= 7, far
+# below OpenBLAS's threading threshold.  Its helper thread only spins (about
+# 0.06 s of CPU after a bare numpy import), so it is not started.  This must
+# run before the first submodule import, which loads numpy; a value the
+# caller set is kept, and a numpy loaded before loopcs keeps its threads.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 

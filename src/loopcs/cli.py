@@ -224,13 +224,16 @@ def cmd_verify(args) -> int:
     metric = _select_metric(args)
     rng = np.random.default_rng(args.seed)
     pts = metric.box.sample_interior(rng, args.samples)
-    report = geometry.validate_curvature(metric, pts)
+    # One curvature pass feeds both checks.
+    _, dg, _ = jets = geometry.metric_jets(metric, pts)
+    pack = geometry.curvature_pack(*jets)
+    report = geometry.curvature_report(pack, dg)
     lines = [f"curvature identity residuals for {metric.name} "
              f"({args.samples} interior points, tol {geometry.IDENTITY_TOL:g}):"]
     lines += report.lines()
     ok = report.passed
     if isinstance(metric.params, metrics.YpqParams):
-        res = metrics.einstein_residual(metric, pts, metrics.EINSTEIN_CONSTANT_DIM5)
+        res = metrics.einstein_residual(pack, metrics.EINSTEIN_CONSTANT_DIM5)
         flag = "pass" if res <= 1e-8 else "FAIL"
         lines.append(f"  {'einstein_ric_4g':<22} {res:12.3e}  {flag}")
         ok = ok and res <= 1e-8

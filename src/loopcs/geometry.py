@@ -37,8 +37,10 @@ __all__ = [
     "metric_jets",
     "metric_values",
     "christoffel",
+    "curvature_pack",
     "riemann",
     "curvature_endo",
+    "curvature_report",
     "validate_curvature",
     "leading_minors_positive",
 ]
@@ -256,14 +258,19 @@ def _riemann_down(d2g, s, gamma):
     return a - np.swapaxes(a, -4, -3)
 
 
-def riemann(metric: MetricField, x) -> CurvaturePack:
-    """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``."""
-    g, dg, d2g = metric_jets(metric, x)
+def curvature_pack(g, dg, d2g) -> CurvaturePack:
+    """Full curvature pack (Christoffels, Riemann, Ricci) from the metric
+    jets that :func:`metric_jets` returns."""
     ginv, s, gamma = _gamma_terms(g, dg)
     rdown = _riemann_down(d2g, s, gamma)
     n = g.shape[-1]
     rup = (rdown.reshape(g.shape[:-2] + (n ** 3, n)) @ ginv).reshape(rdown.shape)
     return CurvaturePack(g=g, gamma=gamma, riemann_up=rup, riemann_down=rdown)
+
+
+def riemann(metric: MetricField, x) -> CurvaturePack:
+    """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``."""
+    return curvature_pack(*metric_jets(metric, x))
 
 
 def curvature_endo(pack: CurvaturePack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -306,29 +313,18 @@ class CurvatureReport:
         return out
 
 
-def validate_curvature(metric: MetricField, samples) -> CurvatureReport:
-    """Check the curvature identity suite at a batch of interior points.
+def curvature_report(pack: CurvaturePack, dg: np.ndarray) -> CurvatureReport:
+    """The curvature identity suite of ``pack``, built from the metric
+    gradient ``dg``.
 
     Residuals are relative to the largest lowered-curvature component (or to
     the metric scale where more natural) and cover: Christoffel symmetry,
     metric compatibility, both Riemann antisymmetries, pair-swap symmetry,
     the first Bianchi identity, and Ricci symmetry.
     """
-    coords = np.asarray(samples, dtype=float)
-    if coords.ndim == 1:
-        coords = coords[None, :]
-    if not metric.box.contains(coords):
-        lows = np.array([iv[0] for iv in metric.box.intervals])
-        highs = np.array([iv[1] for iv in metric.box.intervals])
-        bad = np.any((coords <= lows) | (coords >= highs), axis=-1)
-        where = coords[np.argmax(bad)]
-        raise ChartDomainError(
-            f"validation sample outside the open chart domain: {where.tolist()}")
-    g, dg, _ = metric_jets(metric, coords)
-    pack = riemann(metric, coords)
     rd = pack.riemann_down
     scale = max(float(np.max(np.abs(rd))), np.finfo(float).tiny)
-    gscale = max(float(np.max(np.abs(g))), np.finfo(float).tiny)
+    gscale = max(float(np.max(np.abs(pack.g))), np.finfo(float).tiny)
     gamma_scale = max(float(np.max(np.abs(pack.gamma))), 1.0)
     ric = pack.ricci
 
@@ -345,6 +341,23 @@ def validate_curvature(metric: MetricField, samples) -> CurvatureReport:
             float(np.max(np.abs(ric))), np.finfo(float).tiny),
     }
     return CurvatureReport(residuals=residuals)
+
+
+def validate_curvature(metric: MetricField, samples) -> CurvatureReport:
+    """:func:`curvature_report` at a batch of interior points, from one
+    :func:`metric_jets` call."""
+    coords = np.asarray(samples, dtype=float)
+    if coords.ndim == 1:
+        coords = coords[None, :]
+    if not metric.box.contains(coords):
+        lows = np.array([iv[0] for iv in metric.box.intervals])
+        highs = np.array([iv[1] for iv in metric.box.intervals])
+        bad = np.any((coords <= lows) | (coords >= highs), axis=-1)
+        where = coords[np.argmax(bad)]
+        raise ChartDomainError(
+            f"validation sample outside the open chart domain: {where.tolist()}")
+    g, dg, d2g = metric_jets(metric, coords)
+    return curvature_report(curvature_pack(g, dg, d2g), dg)
 
 
 def leading_minors_positive(g: np.ndarray) -> bool:

@@ -39,7 +39,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets
-from .geometry import CoordBox, MetricField, leading_minors_positive, metric_values, riemann
+from .geometry import (CoordBox, CurvaturePack, MetricField, leading_minors_positive,
+                       metric_values)
 from .jets import ChartDomainError
 
 __all__ = [
@@ -365,9 +366,8 @@ def catalog(name: str) -> MetricField:
                          f"choices: {sorted(table)}") from None
 
 
-def einstein_residual(metric: MetricField, samples, constant: float) -> float:
-    """Max relative residual of Ric = constant * g over the samples."""
-    pack = riemann(metric, np.asarray(samples, dtype=float))
+def einstein_residual(pack: CurvaturePack, constant: float) -> float:
+    """Max relative residual of Ric = constant * g over the points of ``pack``."""
     num = np.max(np.abs(pack.ricci - constant * pack.g))
     den = max(float(np.max(np.abs(constant * pack.g))), np.finfo(float).tiny)
     return float(num) / den

@@ -164,7 +164,7 @@ def test_criterion_05_full_equals_reduced(y73):
 
 def test_criterion_06_einstein_property(y73):
     pts = y73.box.sample_interior(np.random.default_rng(606), 100)
-    res = metrics.einstein_residual(y73, pts, 4.0)
+    res = metrics.einstein_residual(geometry.riemann(y73, pts), 4.0)
     ok = res <= 1e-8
     report(6, ok, f"max |Ric - 4 g| relative = {res:.2e} over 100 points (tol 1e-8)")
     assert ok

@@ -19,10 +19,14 @@ def run(argv):
     return cli.main(argv)
 
 
-def child(code, *args, **kwargs):
+def child(code, *args, blas_threads=None, **kwargs):
     """A fresh interpreter running ``code`` with ``args`` as ``sys.argv[1:]``
-    and the package source on its path."""
+    and the package source on its path.  ``OPENBLAS_NUM_THREADS`` is
+    ``blas_threads``, or unset as in a fresh shell when that is None."""
     env = dict(os.environ)
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if blas_threads is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas_threads
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     return subprocess.Popen([sys.executable, "-c", code, *args], env=env, **kwargs)
 
@@ -38,6 +42,23 @@ def test_verify_ypq_includes_einstein(capsys):
                 "--samples", "30"]) == 0
     out = capsys.readouterr().out
     assert "einstein_ric_4g" in out
+
+
+def test_verify_makes_one_curvature_pass(monkeypatch, capsys):
+    # The identity suite and the Einstein check read the same jets and pack.
+    calls = {"metric_jets": 0, "curvature_pack": 0}
+    for name in calls:
+        real = getattr(geometry, name)
+
+        def counted(*args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(geometry, name, counted)
+    assert run(["verify", "--metric", "ypq", "--p", "7", "--q", "3",
+                "--samples", "30"]) == 0
+    assert "einstein_ric_4g" in capsys.readouterr().out
+    assert calls == {"metric_jets": 1, "curvature_pack": 1}
 
 
 def test_verify_bad_parameters_exit_2(capsys):
@@ -373,17 +394,17 @@ def test_selftest_passes(capsys):
 def test_selftest_names_broken_suite(monkeypatch, capsys):
     # Inject a sign error into the curvature pipeline: the identity suite
     # must fail and the selftest must name it.
-    real = geometry.riemann
+    real = geometry.curvature_pack
 
-    def broken(metric, x):
-        pack = real(metric, x)
+    def broken(g, dg, d2g):
+        pack = real(g, dg, d2g)
         bad_down = pack.riemann_down.copy()
         bad_down[..., 0, 1, :, :] *= -1.0  # breaks first-pair antisymmetry
         return geometry.CurvaturePack(
             g=pack.g, gamma=pack.gamma,
             riemann_up=pack.riemann_up, riemann_down=bad_down)
 
-    monkeypatch.setattr(geometry, "riemann", broken)
+    monkeypatch.setattr(geometry, "curvature_pack", broken)
     assert run(["selftest"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out and "curvature_identities" in out
@@ -416,6 +437,48 @@ def test_import_leaves_the_pool_machinery_unloaded():
     proc = child(code, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
     out, err = proc.communicate(timeout=300)
     assert out.split() == ["False"], err
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
+def test_import_runs_blas_on_one_thread():
+    # Importing loopcs sets OPENBLAS_NUM_THREADS=1 before numpy loads, so no
+    # BLAS helper thread is started; a value the caller set is kept.
+    code = ("import os, loopcs; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
+    seen = []
+    for threads in (None, "3"):
+        proc = child(code, blas_threads=threads, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        seen.append(out.split())
+    assert seen[0] == ["1", "1"]
+    assert seen[1][1] == "3"
+
+
+def test_results_do_not_depend_on_blas_threads():
+    # The headline at 8 nodes and the orbit problem, in fresh interpreters:
+    # the default one BLAS thread and two set by the caller give the same bits.
+    code = """if True:
+        from loopcs import metrics
+        from loopcs.cycles import CircleAction, integrate_cycle
+        from loopcs.quadrature import QuadratureSpec
+        runs = [(metrics.ypq_metric(metrics.solve_ypq(7, 3)), 4, 3, QuadratureSpec(nodes=8)),
+                (metrics.perturbed_torus(3), 0, 2, QuadratureSpec(nodes=6, mask=()))]
+        for metric, axis, k, spec in runs:
+            r = integrate_cycle(metric, CircleAction.rotation(axis=axis), k, quad=spec)
+            print(r.value.hex(), r.error_estimate.hex())
+        """
+    outs = []
+    for threads in (None, "2"):
+        proc = child(code, blas_threads=threads, stdout=subprocess.PIPE,
+                     stderr=subprocess.PIPE, text=True)
+        out, err = proc.communicate(timeout=300)
+        assert proc.returncode == 0, err
+        outs.append(out.split())
+    assert len(outs[0]) == 4
+    assert outs[0] == outs[1]
+    assert outs[0][2:] == ["0x1.21355a891fe56p-60", "0x1.6e8d47ccd22a7p-55"]
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
