@@ -22,7 +22,7 @@ def test_trajectory_reproduces_the_committed_medians():
     for line in lines:
         row = dict(zip(names, line.split()))
         table[row["file"], row["workload"]] = row
-    # From the first committed pair (PR 8's parent) to PR 18's result.
+    # The oldest committed file and a later one with its measured medians.
     first, last = "BENCH_pr8_parent.json", "BENCH_pr18.json"
     assert round(float(table[first, "headline"]["wall_s"]), 3) == 0.362
     assert round(float(table[last, "headline"]["wall_s"]), 4) == 0.0225
@@ -32,7 +32,7 @@ def test_trajectory_reproduces_the_committed_medians():
     assert round(float(table[last, "orbit"]["peak_rss_mb"]), 1) == 36.0
     assert table[first, "orbit"]["runs"] == "13"
     assert table[first, "orbit"]["commit"] == "3a93bfa"
-    # Parent before change, in PR order.
+    # Ordered by the number in the name, each parent before its change.
     files = list(dict.fromkeys(f for f, _ in table))
     assert files.index(first) < files.index("BENCH_pr8.json") < files.index(last)
 

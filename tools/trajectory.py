@@ -3,8 +3,9 @@
 Each row gives the file, the workload, the commit it measured, the medians
 of the end-to-end metrics (wall_s, setup_s, cpu_s, peak_rss_mb) as
 ``bench/run.py`` recorded them, and the number of runs behind them.  Files
-are ordered by PR number, each parent before its change.  A file may hold
-one result or a list of results.  The script only prints; it checks nothing.
+named ``BENCH_pr<N>[_parent].json`` are ordered by N, each parent before its
+change.  A file may hold one result or a list of results.  The script only
+prints; it checks nothing.
 
 Run from anywhere:  python3 tools/trajectory.py
 """
@@ -19,7 +20,7 @@ METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
 
 
 def _order(path: pathlib.Path):
-    """PR number, then the parent file before the change's."""
+    """N of ``BENCH_pr<N>``, then the parent file before the change's."""
     match = re.fullmatch(r"BENCH_pr(\d+)(_parent)?\.json", path.name)
     if match is None:
         return (float("inf"), 1, path.name)
