@@ -439,21 +439,23 @@ def test_import_leaves_the_pool_machinery_unloaded():
     assert out.split() == ["False"], err
 
 
+def _child_words(code, blas_threads=None):
+    """The whitespace-separated words ``code`` prints in a fresh interpreter."""
+    proc = child(code, blas_threads=blas_threads, stdout=subprocess.PIPE,
+                 stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=300)
+    assert proc.returncode == 0, err
+    return out.split()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="no /proc")
 def test_import_runs_blas_on_one_thread():
     # Importing loopcs sets OPENBLAS_NUM_THREADS=1 before numpy loads, so no
     # BLAS helper thread is started; a value the caller set is kept.
     code = ("import os, loopcs; "
             "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])")
-    seen = []
-    for threads in (None, "3"):
-        proc = child(code, blas_threads=threads, stdout=subprocess.PIPE,
-                     stderr=subprocess.PIPE, text=True)
-        out, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err
-        seen.append(out.split())
-    assert seen[0] == ["1", "1"]
-    assert seen[1][1] == "3"
+    assert _child_words(code) == ["1", "1"]
+    assert _child_words(code, blas_threads="3")[1] == "3"
 
 
 def test_results_do_not_depend_on_blas_threads():
@@ -469,16 +471,10 @@ def test_results_do_not_depend_on_blas_threads():
             r = integrate_cycle(metric, CircleAction.rotation(axis=axis), k, quad=spec)
             print(r.value.hex(), r.error_estimate.hex())
         """
-    outs = []
-    for threads in (None, "2"):
-        proc = child(code, blas_threads=threads, stdout=subprocess.PIPE,
-                     stderr=subprocess.PIPE, text=True)
-        out, err = proc.communicate(timeout=300)
-        assert proc.returncode == 0, err
-        outs.append(out.split())
-    assert len(outs[0]) == 4
-    assert outs[0] == outs[1]
-    assert outs[0][2:] == ["0x1.21355a891fe56p-60", "0x1.6e8d47ccd22a7p-55"]
+    default = _child_words(code)
+    assert len(default) == 4
+    assert _child_words(code, blas_threads="2") == default
+    assert default[2:] == ["0x1.21355a891fe56p-60", "0x1.6e8d47ccd22a7p-55"]
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
