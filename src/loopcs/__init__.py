@@ -8,7 +8,8 @@ package runs OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set.
 import os
 
 # Every BLAS/LAPACK call here is tiny: stacked products of at most
-# (21 x 49) @ (49 x 49) per point and inv/det/eigvalsh of n x n, n <= 7, far
+# (49 x 7) @ (7 x 49) per point (the curvature's Gamma.S term; the (343 x 7)
+# @ (7 x 7) raise costs as much) and inv/det/eigvalsh of n x n, n <= 7, far
 # below OpenBLAS's threading threshold.  Its helper thread only spins (about
 # 0.06 s of CPU after a bare numpy import), so it is not started.  This must
 # run before the first submodule import, which loads numpy; a value the

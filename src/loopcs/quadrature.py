@@ -88,8 +88,8 @@ class QuadratureSpec:
         of them, lets ``integrate_cycle`` reduce orbit axes), () means no mask.
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
-    Construction raises ValueError for ``nodes`` not a whole number (a numpy
-    integer is one), a refinement factor or ``workers`` below 1, negative
+    Construction raises ValueError for an int field not a whole number (a
+    numpy integer is one), a refinement factor or ``workers`` below 1, negative
     ``max_refinements``, or a ``rel_tol`` not > 0 or with a factor of 1.
     """
 
@@ -101,17 +101,19 @@ class QuadratureSpec:
     workers: int = 1
 
     def __post_init__(self):
-        try:  # a numpy integer is stored as the int it equals
-            object.__setattr__(self, "nodes", operator.index(self.nodes))
-        except TypeError:
-            raise ValueError(f"nodes must be a whole number, got {self.nodes!r}") from None
-        if int(self.refinement_factor) < 1:
+        for name in ("nodes", "refinement_factor", "max_refinements", "workers"):
+            value = getattr(self, name)
+            try:  # a numpy integer is stored as the int it equals
+                object.__setattr__(self, name, operator.index(value))
+            except TypeError:
+                raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+        if self.refinement_factor < 1:
             raise ValueError("refinement factor must be >= 1")
         if self.max_refinements < 0:
             raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
         if self.rel_tol is not None and not self.rel_tol > 0:
             raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.rel_tol is not None and int(self.refinement_factor) == 1:
+        if self.rel_tol is not None and self.refinement_factor == 1:
             raise ValueError("rel_tol needs a refinement factor above 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
@@ -261,13 +263,13 @@ class BoxResult:
 def _rounds(spec: QuadratureSpec) -> int:
     """Refinement rounds ``spec`` allows; only a ``rel_tol`` allows two or more."""
     return (spec.max_refinements + 1 if spec.rel_tol is not None
-            else int(int(spec.refinement_factor) > 1))
+            else int(spec.refinement_factor > 1))
 
 
 def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
     """Refuse, before any grid is built, node counts whose finest level allowed
     by ``spec`` would exceed ``MAX_LEVEL_POINTS``."""
-    rounds, growth = _rounds(spec), int(spec.refinement_factor) ** len(counts)
+    rounds, growth = _rounds(spec), spec.refinement_factor ** len(counts)
     points, level = math.prod(counts), 0
     # No level past the budget's square is counted: a huge max_refinements
     # is refused at once, and the count stays short enough to print.
@@ -297,7 +299,7 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     check_budget((spec.nodes,) * len(box), spec)
-    fac = int(spec.refinement_factor)
+    fac = spec.refinement_factor
 
     def counts(j: int) -> tuple[int, ...]:
         return (spec.nodes * fac**j,) * len(box)

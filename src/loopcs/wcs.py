@@ -12,8 +12,11 @@ with Omega(X, Y) the curvature endomorphism and B the velocity bracket
     reduced:  B(X)^a_b = (-R_{bdc}^^a + R_{cbd}^^a) X^c gd^d
     full:     B(X)^a_b = (-2 R_{cdb}^^a - R_{bdc}^^a + R_{cbd}^^a) X^c gd^d.
 
-The signed sum is contracted, not materialised.  Only the antisymmetric part
-Omega_ab = (Omega(X_a, X_b) - Omega(X_b, X_a))/2 survives it, and each
+The sum is alternating in the m = dim frame vectors, so with F the matrix of
+the frame's rows, f(F) = det(F) * f(e_1, .., e_m): it is contracted on the
+coordinate vectors and scaled by det(F), exactly +-1 on the cycle frames.
+The contraction does not materialise the sum.  Only the antisymmetric part
+(Omega_ab)^e_f = (R_{abf}^^e - R_{baf}^^e)/2, a < b, survives it, and each
 unordered pair {a, b} appears in both orders with opposite signs, which
 gives the factor 2^{k-1}.  Summing the remaining orderings gives the
 End-valued wedge power of the curvature 2-form: for a sorted index set J of
@@ -25,7 +28,7 @@ size 2j,
 where sgn(J - {a,b}, a, b) is the sign of the permutation that moves a and b
 to the end of J.  Grouping the signed sum by sigma(1) = i then gives
 
-    2^{k-1} * 2/m! * sum_i (-1)^i tr[ B(X_i) . W_{J_i} ],
+    2^{k-1} * 2/m! * sum_i (-1)^i tr[ B(e_i) . W_{J_i} ],
 
 with J_i the complement of i (0-based i).  Level j of the recursion costs
 C(m, 2j) * C(2j, 2) matrix products, e.g. 30 for k = 3 and 315 for k = 4,
@@ -57,22 +60,16 @@ __all__ = [
     "wcs_integrand",
 ]
 
-def _bracket(rup, rows, gammadot, variant: str) -> np.ndarray:
-    """Unhalved velocity bracket B(X) for every vector X in ``rows``.
-
-    ``rows`` has shape ``(..., r, n)``; the result ``(..., r, n, n)`` holds
-    B(X)^a_b at ``[..., a, b]``.
-    """
+def _bracket(rup, gammadot, variant: str) -> np.ndarray:
+    """Unhalved velocity bracket on the coordinate vectors, t[..., c, b, a] = B(e_c)^a_b."""
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-    n = rup.shape[-1]
     # t[..., c, b, a] = (R_{cbd}^^a - R_{bdc}^^a [- 2 R_{cdb}^^a]) gd^d
     r_cdb = np.einsum("...cdba,...d->...cba", rup, gammadot)
     t = np.einsum("...cbda,...d->...cba", rup, gammadot) - np.swapaxes(r_cdb, -3, -2)
     if variant == "full":
         t = t - 2.0 * r_cdb
-    out = rows @ t.reshape(t.shape[:-3] + (n, n * n))
-    return np.swapaxes(out.reshape(out.shape[:-1] + (n, n)), -1, -2)
+    return t
 
 
 def symbol_endo(pack, X, gammadot, variant: str = "full") -> np.ndarray:
@@ -82,9 +79,8 @@ def symbol_endo(pack, X, gammadot, variant: str = "full") -> np.ndarray:
     ``reduced`` drops the first term and the 1/2.  Linear in both X and the
     velocity; the lowered reduced endomorphism is symmetric.
     """
-    X = np.asarray(X, dtype=float)
-    gd = np.asarray(gammadot, dtype=float)
-    out = _bracket(pack.riemann_up, X[..., None, :], gd, variant)[..., 0, :, :]
+    t = _bracket(pack.riemann_up, np.asarray(gammadot, dtype=float), variant)
+    out = np.einsum("...c,...cba->...ab", np.asarray(X, dtype=float), t)
     if variant == "full":
         out = 0.5 * out
     return out
@@ -141,15 +137,13 @@ def wcs_integrand(pack, frame, gammadot, variant: str = "reduced") -> float | np
     k = (m + 1) // 2
     rup = pack.riemann_up
     batch = rup.shape[:-4]
-    B = _bracket(rup, F, np.asarray(gammadot, dtype=float), variant)
+    t = _bracket(rup, np.asarray(gammadot, dtype=float), variant)
 
-    # (Omega_ab)^e_f = R_{cdf}^^e (X_a ^ X_b)^{cd} for a < b, with the
-    # bivector X_a ^ X_b = (X_a X_b - X_b X_a)/2: one product against rup.
+    # (Omega_ab)^e_f = (R_{abf}^^e - R_{baf}^^e)/2 for a < b, formed in place.
     ia, ib = np.triu_indices(m, 1)
-    bivectors = F[ia, :, None] * F[ib, None, :]
-    bivectors = 0.5 * (bivectors - np.swapaxes(bivectors, -1, -2)).reshape(-1, n * n)
-    pairs = bivectors @ rup.reshape(batch + (n * n, n * n))
-    pairs = np.swapaxes(pairs.reshape(pairs.shape[:-1] + (n, n)), -1, -2)
+    pairs = np.swapaxes(rup[..., ia, ib, :, :], -1, -2)
+    pairs -= np.swapaxes(rup[..., ib, ia, :, :], -1, -2)
+    pairs *= 0.5
 
     # Summing each level's pair slots one at a time keeps every temporary at
     # (count, n, n) instead of materialising the (count * slots, n, n) stack.
@@ -160,9 +154,11 @@ def wcs_integrand(pack, frame, gammadot, variant: str = "reduced") -> float | np
         for p, q, s in zip(prev, pair, sign):
             acc += s[:, None, None] * (wedge[..., p, :, :] @ pairs[..., q, :, :])
         wedge = acc
-    traces = np.einsum("...iab,...iba->...i", B, wedge[..., complement, :, :])
+    # tr[B(e_i) . W_{J_i}] = t[i, b, a] W_{J_i}[b, a]
+    traces = np.einsum("...iba,...iba->...i", t, wedge[..., complement, :, :])
     signs = np.where(np.arange(m) % 2, -1.0, 1.0)
     # einsum, not a matmul: BLAS gemv rounds the odd last row of a batch
     # unlike the paired rows, so a point's value would depend on its batch.
-    result = (2.0 ** (k - 1) * 2.0 / math.factorial(m)) * np.einsum("...i,i->...", traces, signs)
+    scale = np.linalg.det(F) * (2.0 ** (k - 1) * 2.0 / math.factorial(m))
+    result = scale * np.einsum("...i,i->...", traces, signs)
     return float(result) if result.ndim == 0 else result

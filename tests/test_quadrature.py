@@ -66,7 +66,10 @@ def test_bad_rule_arguments():
                            ({"workers": 0}, "workers"),
                            ({"workers": -3}, "workers"),
                            ({"nodes": (8, 16)}, "nodes"),
-                           ({"nodes": 8.0}, "nodes")]:
+                           ({"nodes": 8.0}, "nodes"),
+                           ({"refinement_factor": 2.7}, "refinement_factor"),
+                           ({"max_refinements": 1.5, "rel_tol": 1e-12}, "max_refinements"),
+                           ({"workers": 2.5}, "workers")]:
         with pytest.raises(ValueError, match=needle):
             QuadratureSpec(**{"nodes": 2, **kwargs})
     # A numpy integer is a whole number, stored as the int it equals.

@@ -16,7 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from loopcs import geometry, metrics
+from loopcs import cycles, geometry, metrics
 from loopcs.wcs import wcs_integrand
 
 
@@ -44,16 +44,29 @@ def literal_integrand(rup, k, gd, frame, variant):
     return (2.0 / math.factorial(m)) * (gathered @ signs)
 
 
+def odd_permutation_frame(m):
+    """Coordinate vectors with the middle two swapped, as ypq's form order
+    (0, 1, 3, 2, 4) swaps them for m = 5."""
+    order = list(range(m))
+    order[m // 2], order[m // 2 + 1] = order[m // 2 + 1], order[m // 2]
+    return np.eye(m)[order]
+
+
 @pytest.mark.parametrize("k", [2, 3, 4])
 @pytest.mark.parametrize("variant", ["reduced", "full"])
-@pytest.mark.parametrize("batch", [(), (2, 3)])
-def test_contraction_matches_literal_signed_sum(k, variant, batch):
+@pytest.mark.parametrize("batch, frame_kind", [((), "random"), ((2, 3), "random"),
+                                               ((), "identity"), ((), "odd_permutation")],
+                         ids=["batch0", "batch1", "batch0-identity", "batch0-odd_permutation"])
+def test_contraction_matches_literal_signed_sum(k, variant, batch, frame_kind):
+    # The integrand is computed on the coordinate vectors and scaled by
+    # det(frame); the literal sum takes the frame's vectors as they are.
     m = 2 * k - 1
     rng = np.random.default_rng(100 * k + len(batch))
     rup = rng.standard_normal(batch + (m,) * 4)
     pack = SimpleNamespace(dim=m, riemann_up=rup)
     gd = rng.standard_normal(m)
-    frame = rng.standard_normal((m, m))
+    frame = {"random": rng.standard_normal((m, m)), "identity": np.eye(m),
+             "odd_permutation": odd_permutation_frame(m)}[frame_kind]
     got = np.asarray(wcs_integrand(pack, frame, gd, variant))
     want = np.empty(batch)
     for idx in np.ndindex(batch):
@@ -61,6 +74,17 @@ def test_contraction_matches_literal_signed_sum(k, variant, batch):
     assert got.shape == batch
     assert np.max(np.abs(want)) > 0.0
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["ypq73", "flat_torus2", "flat_torus3", "flat_torus5",
+                                  "round_sphere2", "round_sphere3", "round_sphere5",
+                                  "perturbed_torus3", "s2xs3"])
+def test_cycle_frames_have_determinant_exactly_one_in_magnitude(name):
+    # Cycle densities are det(frame) times the coordinate-frame value, so
+    # they are exact sign flips of it only if the determinant is exactly +-1.
+    metric = (metrics.ypq_metric(metrics.solve_ypq(7, 3)) if name == "ypq73"
+              else metrics.catalog(name))
+    assert abs(np.linalg.det(cycles._frame_vectors(metric))) == 1.0
 
 
 @pytest.mark.parametrize("metric", [metrics.round_sphere(7),
