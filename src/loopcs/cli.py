@@ -41,6 +41,10 @@ EXIT_NUMERIC = 1
 EXIT_USAGE = 2
 EXIT_PIPE = 128 + 13  # as a shell reports a SIGPIPE death
 
+# Largest --scan-p-max: the scan tests O(N^2) pairs in Python (0.19 s at
+# 1000) and integrates each of its exact pairs (274 at 1000) before writing.
+MAX_SCAN_P = 1000
+
 _AXIS_ALIASES = {"φ": "phi", "θ": "theta", "ψ": "psi", "α": "alpha"}
 
 
@@ -75,7 +79,11 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--max-refinements", type=int, default=0)
             p.add_argument("--tol", type=float, default=None,
                            help="target relative tolerance (error if unmet)")
-            p.add_argument("--loop-nodes", type=int, default=64)
+            p.add_argument("--loop-nodes", type=int, default=64,
+                           help="cap on the trapezoid samples per orbit of a "
+                                "rotation along a varying axis (1 to "
+                                f"{MAX_ORBIT_POINTS}); the count used is measured "
+                                "and recorded as loop_samples (default 64)")
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut and the "
                                 "orbit-axis reduction")
@@ -97,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--sweep-pq", default=None,
                          help="comma list like 7:3,13:8 of (p, q) pairs")
     p_sweep.add_argument("--scan-p-max", type=int, default=None,
-                         help="scan all exact-mode pairs with p <= N")
+                         help=f"scan all exact-mode pairs with p <= N (at most {MAX_SCAN_P})")
     p_sweep.add_argument("--sweep-a", default=None,
                          help="comma list of a values in (0, 1), fiber param fixed")
 
@@ -287,6 +295,8 @@ def cmd_sweep(args) -> int:
     labels = [{"a": float(tok)} for tok in (args.sweep_a or "").split(",") if tok.strip()]
     if args.given.ell is not None and not labels:
         raise UsageError("--ell applies only to --sweep-a rows")
+    if (args.scan_p_max or 0) > MAX_SCAN_P:
+        raise UsageError(f"--scan-p-max must be at most {MAX_SCAN_P}, got {args.scan_p_max}")
     pairs = _parse_pq_list(args.sweep_pq or "") + _exact_pairs(args.scan_p_max or 0)
     labels += [{"p": p, "q": q} for p, q in pairs]
     if not labels:

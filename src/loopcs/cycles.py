@@ -14,7 +14,11 @@ frame of pushed-forward coordinate vectors.  The loop integral is always the
 periodic trapezoid rule, spectrally accurate for smooth periodic integrands.
 Along an axis on which every metric component is measured constant (a
 Killing axis) the loop integrand is t-independent, so one sample is exact:
-2 pi times the pointwise value.  Orbits must wrap a periodic axis.
+2 pi times the pointwise value.  Along any other axis ``loop_nodes`` is a
+cap: the count is measured once per run at the probe points (the smallest
+of the halving chain from the cap whose rule agrees with the cap's to a few
+ulps of the curvature scale) and recorded as ``loop_samples`` in the
+provenance.  Orbits must wrap a periodic axis.
 
 The loop average does not depend on the coordinate of the rotation axis:
 the orbit wraps that axis a whole number of times, so moving the base point
@@ -171,6 +175,13 @@ ORBIT_TOL = 1e-12
 # A fixed constant, not worker-dependent, like ``quadrature.CHUNK``.
 MAX_ORBIT_POINTS = 1024
 
+# Largest difference between a loop rule and the cap's rule, in units of the
+# curvature scale max|R|^k max|v|, at which the smaller count still serves
+# (see _measured_loop_samples).  A few ulps of the scale: perturbed_torus(5)
+# under the x0 rotation agrees with the 64-sample rule to 1.7e-15 of it at
+# 16 samples and to 1.1e-8 at 8.
+LOOP_TOL = 16 * np.finfo(float).eps
+
 
 def _probe_points(metric: MetricField) -> np.ndarray:
     """The 16 seeded interior points at which a metric's axes are measured.
@@ -196,11 +207,57 @@ def _loop_samples(metric: MetricField, action: CircleAction, loop_nodes: int,
                   constant: tuple[int, ...]) -> int:
     """Trapezoid samples per orbit, once ``loop_nodes`` (1 to
     ``MAX_ORBIT_POINTS``) and the rotation are checked: 1 along a ``constant``
-    axis, where the loop integrand is t-independent, else ``loop_nodes``."""
+    axis, where the loop integrand is t-independent, else ``loop_nodes``
+    (which :func:`_cycle_plan` takes as the cap of a measured count)."""
     if not 1 <= loop_nodes <= MAX_ORBIT_POINTS:
         raise ValueError(f"loop_nodes must be 1 to {MAX_ORBIT_POINTS}, got {loop_nodes}")
     action.resolved_speed(metric)
     return 1 if action.axis in constant else loop_nodes
+
+
+def _measured_loop_samples(metric: MetricField, action: CircleAction, cap: int) -> int:
+    """Trapezoid samples per orbit for a rotation along a varying axis,
+    measured once per run at the 16 :func:`_probe_points`.
+
+    The probe orbits are evaluated at ``cap`` samples, in batches of at most
+    ``MAX_ORBIT_POINTS`` points.  Walking down the halving chain cap, cap/2,
+    ... (while even, down to 2), a count n is kept while the n-sample rule
+    T_n, taken on every (cap/n)-th sample, agrees with T_cap at every probe
+    point to ``LOOP_TOL`` times the curvature scale max|R|^k max|v| over
+    the probe's orbit points; the smallest count kept is returned.
+
+    Two choices are measured, not guessed.  Each T_n is compared with
+    T_cap, not with T_{n/2}: on a 5-torus whose g_44 depends on sin(2 x0),
+    T_2 equals T_1 (each sample repeats half a loop later) yet is 2.4e-4 of
+    the scale off.  The scale is the curvature's, not the samples' sum,
+    which never stops on an identically vanishing density: there the
+    samples are roundoff and their sum is of the size of the differences.
+    The floor of 2 keeps one sample meaning a constant axis.
+    """
+    chain = [cap]
+    while chain[-1] % 2 == 0 and chain[-1] > 2:
+        chain.append(chain[-1] // 2)
+    if len(chain) == 1:
+        return cap
+    points = _probe_points(metric)
+    vel = action.velocity(metric)
+    frame = _frame_vectors(metric)
+    rows = MAX_ORBIT_POINTS // cap
+    values, curvature = [], 0.0
+    for i in range(0, len(points), rows):
+        pack = riemann(metric, _orbit(metric, action, points[i:i + rows], cap))
+        values.append(wcs_integrand(pack, frame, vel).reshape(cap, -1))
+        curvature = max(curvature, float(np.max(np.abs(pack.riemann_up))))
+    values = np.concatenate(values, axis=1)
+    tol = LOOP_TOL * curvature ** ((metric.dim + 1) // 2) * float(np.max(np.abs(vel)))
+    reference = _trapezoid(values)
+    samples = cap
+    for n in chain[1:]:
+        # Not "> tol": a NaN difference keeps the cap, where the density fails.
+        if not np.max(np.abs(_trapezoid(values[::cap // n]) - reference)) <= tol:
+            break
+        samples = n
+    return samples
 
 
 def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
@@ -211,9 +268,11 @@ def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
     ``mask=None`` masks the measured constant axes; an explicit mask axis
     that is not constant, ``quad.nodes`` below 2 with any unmasked axis and a
     grid over :func:`check_budget` raise.  The kinds are ``extent`` (masked),
-    ``loop`` (the unmasked rotation axis) and ``grid``; after every refusal,
-    with ``mask=None`` and one loop sample, :func:`_orbit_axes` may make
-    ``grid`` axes ``orbit`` axes, which stay in the box.
+    ``loop`` (the unmasked rotation axis) and ``grid``.  After every refusal,
+    a rotation with more than one loop sample takes the count
+    :func:`_measured_loop_samples` measures, at most ``loop_nodes``; with
+    ``mask=None`` and one loop sample, :func:`_orbit_axes` may make ``grid``
+    axes ``orbit`` axes, which stay in the box.
     """
     constant = _constant_axes(metric)
     loop_samples = _loop_samples(metric, action, loop_nodes, constant)
@@ -230,8 +289,10 @@ def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
     if quad.nodes < 2 and any(kind != "extent" for kind in kinds):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
     check_budget((quad.nodes,) * kinds.count("grid"), quad)
-    # Every orbit axis measured comes from a rotation along a constant axis.
-    if quad.mask is None and loop_samples == 1 and action.kind == "rotation":
+    if action.kind == "rotation" and loop_samples > 1:
+        loop_samples = _measured_loop_samples(metric, action, loop_samples)
+    elif action.kind == "rotation" and quad.mask is None:
+        # Every orbit axis measured comes from a rotation along a constant axis.
         kinds = _orbit_axes(metric, action, kinds)
     return kinds, loop_samples
 
@@ -292,25 +353,37 @@ def _frame_vectors(metric: MetricField) -> np.ndarray:
     return np.eye(metric.dim)[list(order)]
 
 
+def _orbit(metric: MetricField, action: CircleAction, coords: np.ndarray,
+           loop_samples: int) -> np.ndarray:
+    """The ``loop_samples`` trapezoid points of the orbit through each point
+    of ``coords`` (any ``(..., dim)`` batch), sample-major: one
+    ``(loop_samples * rows, dim)`` array, ``rows`` the batch's point count."""
+    axis = action.axis
+    ts = np.linspace(0.0, 2.0 * math.pi, loop_samples, endpoint=False)
+    orbit = np.repeat(coords.reshape(1, -1, metric.dim), loop_samples, axis=0)
+    lo, hi = metric.box.intervals[axis]
+    speed = action.resolved_speed(metric)
+    orbit[..., axis] = lo + np.mod(orbit[..., axis] + speed * ts[:, None] - lo, hi - lo)
+    return orbit.reshape(-1, metric.dim)
+
+
+def _trapezoid(values: np.ndarray) -> np.ndarray:
+    """The periodic trapezoid rule over the loop samples on axis 0 of
+    ``values``.  A running sum over the samples: np.sum pairs them up instead
+    when the batch is one point, which would make a density depend on its
+    batch."""
+    return (2.0 * math.pi / len(values)) * np.cumsum(values, axis=0)[-1]
+
+
 def _density_batch(metric: MetricField, action: CircleAction,
                    coords: np.ndarray, loop_samples: int) -> np.ndarray:
     """Density f(m) of the pulled-back form at a batch of chart points: the
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
     all orbit points of the batch evaluated as one flat batch."""
     coords = np.asarray(coords, dtype=float)
-    vel = action.velocity(metric)
-    axis = action.axis
-    ts = np.linspace(0.0, 2.0 * math.pi, loop_samples, endpoint=False)
-    orbit = np.repeat(coords.reshape(1, -1, metric.dim), loop_samples, axis=0)
-    lo, hi = metric.box.intervals[axis]
-    orbit[..., axis] = lo + np.mod(orbit[..., axis] + vel[axis] * ts[:, None] - lo, hi - lo)
-    orbit = orbit.reshape(-1, metric.dim)
-    pack = riemann(metric, orbit)
-    values = wcs_integrand(pack, _frame_vectors(metric), vel)
-    values = values.reshape((loop_samples,) + coords.shape[:-1])
-    # A running sum over the samples: np.sum pairs them up instead when the
-    # batch is one point, which would make a density depend on its batch.
-    return (2.0 * math.pi / loop_samples) * np.cumsum(values, axis=0)[-1]
+    pack = riemann(metric, _orbit(metric, action, coords, loop_samples))
+    values = wcs_integrand(pack, _frame_vectors(metric), action.velocity(metric))
+    return _trapezoid(values.reshape((loop_samples,) + coords.shape[:-1]))
 
 
 def pullback_density(metric: MetricField, action: CircleAction, points,
@@ -319,7 +392,9 @@ def pullback_density(metric: MetricField, action: CircleAction, points,
     float) or a ``(..., dim)`` batch (an array of the batch shape, bit for bit
     its points' densities one at a time); zeros for the trivial action.  The
     checks run once per call, then batches of at most ``MAX_ORBIT_POINTS``
-    orbit points, as in :func:`integrate_cycle`, keep the memory bounded."""
+    orbit points, as in :func:`integrate_cycle`, keep the memory bounded.
+    Along a varying axis the loop takes exactly ``loop_nodes`` samples, not
+    a measured count: this is the oracle of :func:`_measured_loop_samples`."""
     coords = np.asarray(points, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
@@ -413,7 +488,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     its orbit points.  A sqrt(det g) batch holds ``quadrature.CHUNK`` rows; a
     density batch holds at most ``MAX_ORBIT_POINTS`` loop orbit points (16
     rows at 64 loop samples, 1024 at one), so the curvature's memory stays
-    bounded.  Only the densities go to the one pool of ``quad.workers``
+    bounded.  ``loop_nodes`` caps the loop samples along a varying axis; the
+    count taken is measured and recorded as ``provenance["loop_samples"]``.  Only the densities go to the one pool of ``quad.workers``
     processes opened after the plan (sqrt(det g) is cheaper to compute than
     to ship).  The result scales exactly linearly in a finite ``s_scale``,
     which is applied as a final factor; a value or estimate that overflows
@@ -500,6 +576,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
     prov["loop_averaged_axes"] = [metric.coord_names[a] for a in axes["loop"]]
     prov["orbit_reduced_axes"] = [metric.coord_names[a] for a in axes["orbit"]]
+    if loop_samples > 1:  # the measured count; one sample needs no record
+        prov["loop_samples"] = loop_samples
     prov["refinement_factor"] = quad.refinement_factor
 
     snapped = snap_pi4_multiple(value, error, coarse) if exact_mode else None
@@ -531,8 +609,10 @@ def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
     member's own failure (bad parameters, a chart or quadrature error) is an
     error row; any other ValueError, ``ell`` included, refuses a shared
     setting and propagates before any row.
-    When at least two ``a`` rows give nonzero values, the result carries the
-    fitted log-log slope of |value| against (1 - a).
+    ``loop_nodes`` is each integral's loop-sample cap (see
+    :func:`integrate_cycle`).  When at least two ``a`` rows give nonzero
+    values, the result carries the fitted log-log slope of |value| against
+    (1 - a).
     """
     labels = list(labels)
     if any("a" in label for label in labels):

@@ -321,6 +321,17 @@ def test_sweep_scan_exact_pairs(tmp_path):
     assert any(line.startswith("result,7,5") for line in lines)
 
 
+def test_sweep_scan_bound_refused_up_front(capsys, monkeypatch):
+    # The pair scan is quadratic in N and each exact pair is integrated:
+    # over the bound, exit 2 naming it, before any pair is scanned.
+    scanned = []
+    monkeypatch.setattr(cli, "_exact_pairs", scanned.append)
+    for n in (cli.MAX_SCAN_P + 1, 100000):
+        assert run(["sweep", "--scan-p-max", str(n)]) == 2
+        assert f"--scan-p-max must be at most {cli.MAX_SCAN_P}" in capsys.readouterr().err
+    assert scanned == []
+
+
 def test_sweep_a_grid_appends_exponent(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--sweep-a", "0.4,0.6", "--nodes", "6",
@@ -474,7 +485,7 @@ def test_results_do_not_depend_on_blas_threads():
     default = _child_words(code)
     assert len(default) == 4
     assert _child_words(code, blas_threads="2") == default
-    assert default[2:] == ["0x1.21355a891fe56p-60", "0x1.6e8d47ccd22a7p-55"]
+    assert default[2:] == ["0x1.37c036d88ab66p-56", "0x1.0a1d61a72fa97p-55"]
 
 
 @pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")

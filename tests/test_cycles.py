@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loopcs import cycles, metrics
-from loopcs.geometry import riemann
+from loopcs import cycles, jets, metrics
+from loopcs.geometry import MetricField, riemann
 from loopcs.cycles import (
     CircleAction,
     a_sweep,
@@ -274,7 +274,8 @@ def test_mask_shortcut_matches_bruteforce(y73):
 def test_rotation_axis_evaluated_once_per_line(monkeypatch):
     # The non-Killing orbit problem: a k = 2 rotation along x0 of the
     # perturbed 3-torus on the unmasked box.  x0 keeps its node count but is
-    # not gridded: 6^2 + 12^2 lines of 64 loop samples, not 6^3 + 12^3.
+    # not gridded: after the probe's 16 orbits at the cap of 64 samples,
+    # 6^2 + 12^2 lines of the measured loop samples, not 6^3 + 12^3.
     seen = []
     real = cycles.riemann
 
@@ -285,7 +286,7 @@ def test_rotation_axis_evaluated_once_per_line(monkeypatch):
     monkeypatch.setattr(cycles, "riemann", counted)
     res = integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
                           QuadratureSpec(nodes=6, mask=()))
-    assert sum(seen) == (36 + 144) * 64
+    assert sum(seen) == 16 * 64 + (36 + 144) * res.provenance["loop_samples"]
     assert res.node_counts == (12, 12, 12)
     assert res.provenance["loop_averaged_axes"] == ["x0"]
 
@@ -369,6 +370,7 @@ def test_headline_density_once_per_line(y73, monkeypatch):
     res = integrate_cycle(y73, CircleAction.rotation(axis=4), 3)
     assert sum(seen) == 32 + 64 + 3 * 16
     assert res.node_counts == (0, 64, 0, 64, 0)
+    assert "loop_samples" not in res.provenance  # no count was measured
     assert abs(res.value - float(closed_form_value(7, 3)) * PI4) <= 1e-13
     assert res.pi4_multiple == Fraction(-432, 6125)
 
@@ -394,15 +396,17 @@ def test_tolerance_run_evaluates_only_the_levels_it_reaches(y73, monkeypatch):
 
 
 def test_unreduced_path_worker_count_does_not_change_bits(pool_starts, pool_maps):
-    # Without an orbit axis the pool evaluates densities in batches of 16
-    # lines (1024 orbit points at 64 loop samples): the 6^2 coarse lines of
-    # x1, x2 are three batches, the 12^2 fine ones nine.
-    m = metrics.perturbed_torus(3)
+    # Without an orbit axis the pool evaluates densities in batches of
+    # 1024 / (loop samples) lines: at the 16 samples measured for the x0
+    # rotation of the perturbed 5-torus, 64 lines, so the 3^4 coarse lines of
+    # x1 ... x4 are two batches and the 6^4 fine ones 21.
+    m = metrics.perturbed_torus(5)
     action = CircleAction.rotation(axis=0)
-    one = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=1))
+    one = integrate_cycle(m, action, 3, QuadratureSpec(nodes=3, mask=(), workers=1))
     assert pool_starts == []
-    two = integrate_cycle(m, action, 2, QuadratureSpec(nodes=6, mask=(), workers=2))
-    assert pool_starts == [2] and pool_maps == [3, 9]
+    two = integrate_cycle(m, action, 3, QuadratureSpec(nodes=3, mask=(), workers=2))
+    assert two.provenance["loop_samples"] == 16
+    assert pool_starts == [2] and pool_maps == [2, 21]
     assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
     assert two.provenance["orbit_reduced_axes"] == []
 
@@ -425,9 +429,10 @@ def test_one_pool_per_cycle_integral(y73, pool_starts, pool_maps, axis, nodes, m
 
 
 def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
-    # Each of the 6^2 + 12^2 lines of x1, x2 takes 64 loop samples along x0:
-    # 11,520 curvature points in all, at most 1024 (16 lines) per call.  The
-    # default mask adds no orbit probe: x0 varies, so the loop takes 64 samples.
+    # The loop probe evaluates its 16 orbits at the cap, then each of the
+    # 6^2 + 12^2 lines of x1, x2 takes the measured loop samples along x0;
+    # no call exceeds 1024 orbit points.  The default mask adds no orbit-axis
+    # probe: x0 varies, so the loop takes more than one sample.
     seen = []
     real = cycles.riemann
 
@@ -436,12 +441,82 @@ def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
         return real(metric, coords)
 
     monkeypatch.setattr(cycles, "riemann", counted)
+    torus, action = metrics.perturbed_torus(3), CircleAction.rotation(axis=0)
     for mask in ((), None):
         seen.clear()
-        integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
-                        QuadratureSpec(nodes=6, mask=mask))
+        res = integrate_cycle(torus, action, 2, QuadratureSpec(nodes=6, mask=mask))
+        samples = res.provenance["loop_samples"]
         assert max(seen) <= cycles.MAX_ORBIT_POINTS == 1024, mask
-        assert sum(seen) == (6**2 + 12**2) * 64 == 11_520, mask
+        assert sum(seen) == 16 * 64 + (6**2 + 12**2) * samples, mask
+    # At the largest cap the probe takes one orbit of 1024 points per call.
+    seen.clear()
+    res = integrate_cycle(torus, action, 2, QuadratureSpec(nodes=6, mask=()),
+                          loop_nodes=1024)
+    samples = res.provenance["loop_samples"]
+    assert seen == [1024] * 16 + [36 * samples, 144 * samples]
+
+
+def _even_harmonic_torus():
+    """The perturbed 5-torus with g_44 = 1 + a sin(2 x0): along the x0
+    rotation each loop sample repeats half a loop later, so the two-sample
+    rule equals the one-sample rule although neither has converged."""
+    base = metrics.perturbed_torus(5)
+
+    def components(xs):
+        rows = base.components(xs)
+        rows[4][4] = 1.0 + base.components.amplitudes[4] * jets.sin(2 * xs[0])
+        return rows
+
+    return MetricField(box=base.box, components=components,
+                       coord_names=base.coord_names, name="even_harmonic_torus5")
+
+
+def _probe_densities(metric, action, samples):
+    """The loop rule at the 16 probe points and the curvature scale
+    max|R|^k max|v| over their orbits at ``samples`` samples."""
+    pts = cycles._probe_points(metric)
+    pack = riemann(metric, cycles._orbit(metric, action, pts, samples))
+    vel = action.velocity(metric)
+    scale = np.max(np.abs(pack.riemann_up)) ** ((metric.dim + 1) // 2) * np.max(np.abs(vel))
+    return pts, cycles._density_batch(metric, action, pts, samples), scale
+
+
+def test_orbit_problem_takes_two_loop_samples():
+    # The k = 2 form vanishes in dimension 3: every loop rule agrees with the
+    # cap's to roundoff, so the measured count falls to its floor of 2.
+    res = integrate_cycle(metrics.perturbed_torus(3), CircleAction.rotation(axis=0), 2,
+                          QuadratureSpec(nodes=6, mask=()))
+    assert res.provenance["loop_samples"] == 2
+    assert res.node_counts == (12, 12, 12)
+    assert abs(res.value) <= 1e-12
+
+
+@pytest.mark.parametrize("case", ["perturbed_torus5", "even_harmonic"])
+def test_measured_loop_samples_agree_with_the_cap(case):
+    # The count recorded is below the cap of 64, its rule agrees with the
+    # cap's at the probe points to LOOP_TOL times the curvature scale, and
+    # half the count does not.
+    m = metrics.perturbed_torus(5) if case == "perturbed_torus5" else _even_harmonic_torus()
+    action = CircleAction.rotation(axis=0)
+    res = integrate_cycle(m, action, 3, QuadratureSpec(nodes=2, mask=()))
+    n = res.provenance["loop_samples"]
+    assert 2 < n < 64
+    pts, cap, scale = _probe_densities(m, action, 64)
+    tol = cycles.LOOP_TOL * scale
+    assert np.max(np.abs(cycles._density_batch(m, action, pts, n) - cap)) <= tol
+    assert np.max(np.abs(cycles._density_batch(m, action, pts, n // 2) - cap)) > tol
+
+
+def test_even_harmonic_orbit_does_not_stop_at_two_samples():
+    # A ladder of T_n against T_{n/2} is fooled here: T_2 equals T_1 to
+    # roundoff, yet T_2 is far from the cap's rule.  Against the cap the
+    # count stays above 2.
+    m, action = _even_harmonic_torus(), CircleAction.rotation(axis=0)
+    pts, cap, scale = _probe_densities(m, action, 64)
+    one, two = (cycles._density_batch(m, action, pts, n) for n in (1, 2))
+    assert np.max(np.abs(two - one)) <= cycles.LOOP_TOL * scale
+    assert np.max(np.abs(two - cap)) > 1e6 * cycles.LOOP_TOL * scale
+    assert cycles._measured_loop_samples(m, action, 64) > 2
 
 
 def test_density_does_not_depend_on_its_batch():
