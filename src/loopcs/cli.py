@@ -295,9 +295,10 @@ def cmd_sweep(args) -> int:
     labels = [{"a": float(tok)} for tok in (args.sweep_a or "").split(",") if tok.strip()]
     if args.given.ell is not None and not labels:
         raise UsageError("--ell applies only to --sweep-a rows")
-    if (args.scan_p_max or 0) > MAX_SCAN_P:
-        raise UsageError(f"--scan-p-max must be at most {MAX_SCAN_P}, got {args.scan_p_max}")
-    pairs = _parse_pq_list(args.sweep_pq or "") + _exact_pairs(args.scan_p_max or 0)
+    p_max = args.scan_p_max or 0
+    if p_max > MAX_SCAN_P:
+        raise UsageError(f"--scan-p-max must be at most {MAX_SCAN_P}, got {p_max}")
+    pairs = _parse_pq_list(args.sweep_pq or "") + _exact_pairs(p_max)
     labels += [{"p": p, "q": q} for p, q in pairs]
     if not labels:
         raise UsageError("sweep needs --sweep-pq, --scan-p-max, or a non-empty --sweep-a")
