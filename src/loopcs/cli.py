@@ -75,15 +75,12 @@ def build_parser() -> argparse.ArgumentParser:
                            help="regularization parameter scaling (exactly linear)")
             p.add_argument("--nodes", type=int, default=32,
                            help="Gauss-Legendre nodes per unmasked axis")
-            p.add_argument("--refine-factor", type=int, default=2)
-            p.add_argument("--max-refinements", type=int, default=0)
+            p.add_argument("--refine-factor", type=int, default=2,
+                           help="node multiplier of the error-estimate level (default 2)")
+            p.add_argument("--max-refinements", type=int, default=0,
+                           help="extra refinement levels allowed to meet --tol (default 0)")
             p.add_argument("--tol", type=float, default=None,
                            help="target relative tolerance (error if unmet)")
-            p.add_argument("--loop-nodes", type=int, default=64,
-                           help="cap on the trapezoid samples per orbit of a "
-                                "rotation along a varying axis (1 to "
-                                f"{MAX_ORBIT_POINTS}); the count used is measured "
-                                "and recorded as loop_samples (default 64)")
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut and the "
                                 "orbit-axis reduction")
@@ -93,8 +90,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="curvature identity residuals")
     add_common(p_verify, with_action=False)
-    p_verify.add_argument("--samples", type=int, default=100)
-    p_verify.add_argument("--seed", type=int, default=2024)
+    p_verify.add_argument("--samples", type=int, default=100,
+                          help=f"sample points (1 to {MAX_ORBIT_POINTS}, default 100)")
+    p_verify.add_argument("--seed", type=int, default=2024,
+                          help="seed of the sample points (default 2024)")
 
     p_wcs = sub.add_parser("wcs", help="cycle integral of the WCS form")
     add_common(p_wcs)
@@ -255,7 +254,7 @@ def cmd_wcs(args) -> int:
     action = _select_action(metric.coord_names, args.action)
     spec = _quad_spec(args)
     result = integrate_cycle(metric, action, (metric.dim + 1) // 2, quad=spec,
-                             s_scale=args.s_scale, loop_nodes=args.loop_nodes)
+                             s_scale=args.s_scale)
     _write(result_to_json(result), args.out)
     pi4 = result.pi4_multiple
     summary = (f"# value = {format_float(result.value)}"
@@ -303,8 +302,7 @@ def cmd_sweep(args) -> int:
     if not labels:
         raise UsageError("sweep needs --sweep-pq, --scan-p-max, or a non-empty --sweep-a")
     action = _select_action(metrics.YPQ_COORDS, args.action or "rotate:alpha")
-    sweep = ypq_sweep(labels, action, quad=_quad_spec(args),
-                      s_scale=args.s_scale, loop_nodes=args.loop_nodes,
+    sweep = ypq_sweep(labels, action, quad=_quad_spec(args), s_scale=args.s_scale,
                       ell=1.0 if args.ell is None else args.ell)
     _write(sweep_to_csv(sweep), args.out)
     return EXIT_OK

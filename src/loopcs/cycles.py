@@ -14,11 +14,11 @@ frame of pushed-forward coordinate vectors.  The loop integral is always the
 periodic trapezoid rule, spectrally accurate for smooth periodic integrands.
 Along an axis on which every metric component is measured constant (a
 Killing axis) the loop integrand is t-independent, so one sample is exact:
-2 pi times the pointwise value.  Along any other axis ``loop_nodes`` is a
-cap: the count is measured once per run at the probe points (the smallest
-of the halving chain from the cap whose rule agrees with the cap's to a few
-ulps of the curvature scale) and recorded as ``loop_samples`` in the
-provenance.  Orbits must wrap a periodic axis.
+2 pi times the pointwise value.  Along any other axis the count is measured
+once per run at the probe points (the smallest of the halving chain from
+``LOOP_CAP`` = 64 whose rule agrees with the cap's to a few ulps of the
+curvature scale) and recorded as ``loop_samples`` in the provenance.  Orbits
+must wrap a periodic axis.
 
 The loop average does not depend on the coordinate of the rotation axis:
 the orbit wraps that axis a whole number of times, so moving the base point
@@ -73,7 +73,7 @@ from .geometry import MetricField, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
 from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
 from .quadrature import (QuadratureError, QuadratureSpec, check_budget, evaluate,
-                         integrate_box, pool)
+                         integrate_box, pool, whole_number)
 from .wcs import wcs_integrand
 
 __all__ = [
@@ -117,11 +117,12 @@ class CircleAction:
 
     @staticmethod
     def rotation(axis: int, speed: float | None = None) -> "CircleAction":
-        return CircleAction(axis=int(axis), speed=None if speed is None else float(speed))
+        return CircleAction(axis=whole_number("axis", axis),
+                            speed=None if speed is None else float(speed))
 
     @staticmethod
     def iterate(base: "CircleAction", n: int) -> "CircleAction":
-        n = int(n)
+        n = whole_number("iterate count", n)
         if n < 0:
             raise ValueError("iterate count must be >= 0")
         if n == 0 or base.kind == "trivial":
@@ -175,6 +176,10 @@ ORBIT_TOL = 1e-12
 # A fixed constant, not worker-dependent, like ``quadrature.CHUNK``.
 MAX_ORBIT_POINTS = 1024
 
+# Most trapezoid samples per orbit along a varying axis: the top of the
+# halving chain _measured_loop_samples walks.
+LOOP_CAP = 64
+
 # Largest difference between a loop rule and the cap's rule, in units of the
 # curvature scale max|R|^k max|v|, at which the smaller count still serves
 # (see _measured_loop_samples).  A few ulps of the scale: perturbed_torus(5)
@@ -203,28 +208,16 @@ def _constant_axes(metric: MetricField) -> tuple[int, ...]:
     return tuple(a for a in range(metric.dim) if not np.any(dg[..., a]))
 
 
-def _loop_samples(metric: MetricField, action: CircleAction, loop_nodes: int,
-                  constant: tuple[int, ...]) -> int:
-    """Trapezoid samples per orbit, once ``loop_nodes`` (1 to
-    ``MAX_ORBIT_POINTS``) and the rotation are checked: 1 along a ``constant``
-    axis, where the loop integrand is t-independent, else ``loop_nodes``
-    (which :func:`_cycle_plan` takes as the cap of a measured count)."""
-    if not 1 <= loop_nodes <= MAX_ORBIT_POINTS:
-        raise ValueError(f"loop_nodes must be 1 to {MAX_ORBIT_POINTS}, got {loop_nodes}")
-    action.resolved_speed(metric)
-    return 1 if action.axis in constant else loop_nodes
-
-
-def _measured_loop_samples(metric: MetricField, action: CircleAction, cap: int) -> int:
+def _measured_loop_samples(metric: MetricField, action: CircleAction) -> int:
     """Trapezoid samples per orbit for a rotation along a varying axis,
     measured once per run at the 16 :func:`_probe_points`.
 
-    The probe orbits are evaluated at ``cap`` samples, in batches of at most
-    ``MAX_ORBIT_POINTS`` points.  Walking down the halving chain cap, cap/2,
-    ... (while even, down to 2), a count n is kept while the n-sample rule
-    T_n, taken on every (cap/n)-th sample, agrees with T_cap at every probe
-    point to ``LOOP_TOL`` times the curvature scale max|R|^k max|v| over
-    the probe's orbit points; the smallest count kept is returned.
+    The probe orbits are evaluated at ``LOOP_CAP`` samples.  Walking down
+    the halving chain 32, 16, 8, 4, 2, a count n is kept while the n-sample
+    rule T_n, taken on every (LOOP_CAP/n)-th sample, agrees with T_cap at
+    every probe point to ``LOOP_TOL`` times the curvature scale
+    max|R|^k max|v| over the probe's orbit points; the smallest count kept
+    is returned.
 
     Two choices are measured, not guessed.  Each T_n is compared with
     T_cap, not with T_{n/2}: on a 5-torus whose g_44 depends on sin(2 x0),
@@ -234,49 +227,41 @@ def _measured_loop_samples(metric: MetricField, action: CircleAction, cap: int) 
     samples are roundoff and their sum is of the size of the differences.
     The floor of 2 keeps one sample meaning a constant axis.
     """
-    chain = [cap]
-    while chain[-1] % 2 == 0 and chain[-1] > 2:
-        chain.append(chain[-1] // 2)
-    if len(chain) == 1:
-        return cap
-    points = _probe_points(metric)
     vel = action.velocity(metric)
-    frame = _frame_vectors(metric)
-    rows = MAX_ORBIT_POINTS // cap
-    values, curvature = [], 0.0
-    for i in range(0, len(points), rows):
-        pack = riemann(metric, _orbit(metric, action, points[i:i + rows], cap))
-        values.append(wcs_integrand(pack, frame, vel).reshape(cap, -1))
-        curvature = max(curvature, float(np.max(np.abs(pack.riemann_up))))
-    values = np.concatenate(values, axis=1)
+    # 16 probe points times LOOP_CAP samples is exactly MAX_ORBIT_POINTS, so
+    # the probe is one curvature call.
+    pack = riemann(metric, _orbit(metric, action, _probe_points(metric), LOOP_CAP))
+    values = wcs_integrand(pack, _frame_vectors(metric), vel).reshape(LOOP_CAP, -1)
+    curvature = float(np.max(np.abs(pack.riemann_up)))
     tol = LOOP_TOL * curvature ** ((metric.dim + 1) // 2) * float(np.max(np.abs(vel)))
     reference = _trapezoid(values)
-    samples = cap
-    for n in chain[1:]:
+    samples = LOOP_CAP
+    for n in (32, 16, 8, 4, 2):
         # Not "> tol": a NaN difference keeps the cap, where the density fails.
-        if not np.max(np.abs(_trapezoid(values[::cap // n]) - reference)) <= tol:
+        if not np.max(np.abs(_trapezoid(values[::LOOP_CAP // n]) - reference)) <= tol:
             break
         samples = n
     return samples
 
 
-def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
-                loop_nodes: int) -> tuple[tuple[str, ...], int]:
+def _cycle_plan(metric: MetricField, action: CircleAction,
+                quad: QuadratureSpec) -> tuple[tuple[str, ...], int]:
     """Refuse bad input and plan each axis, once per call: the kinds and the
     loop samples; each axis that is not ``extent`` takes ``quad.nodes`` nodes.
 
-    ``mask=None`` masks the measured constant axes; an explicit mask axis
-    that is not constant, ``quad.nodes`` below 2 with any unmasked axis and a
-    grid over :func:`check_budget` raise.  The kinds are ``extent`` (masked),
-    ``loop`` (the unmasked rotation axis) and ``grid``.  After every refusal,
-    a rotation with more than one loop sample takes the count
-    :func:`_measured_loop_samples` measures, at most ``loop_nodes``; with
-    ``mask=None`` and one loop sample, :func:`_orbit_axes` may make ``grid``
+    ``mask=None`` masks the measured constant axes; a rotation that does not
+    close, an explicit mask axis that is not constant, ``quad.nodes`` below
+    2 with any unmasked axis and a grid over :func:`check_budget` raise.
+    The kinds are ``extent`` (masked), ``loop`` (the unmasked rotation axis)
+    and ``grid``.  After every refusal, the trivial action and a rotation
+    along a constant axis take one loop sample, and any other rotation the
+    count :func:`_measured_loop_samples` measures; with ``mask=None`` a
+    rotation along a constant axis lets :func:`_orbit_axes` make ``grid``
     axes ``orbit`` axes, which stay in the box.
     """
     constant = _constant_axes(metric)
-    loop_samples = _loop_samples(metric, action, loop_nodes, constant)
-    mask = tuple(sorted({int(a) for a in (constant if quad.mask is None else quad.mask)}))
+    action.resolved_speed(metric)
+    mask = tuple(sorted(set(constant if quad.mask is None else quad.mask)))
     for a in mask:
         if not 0 <= a < metric.dim:
             raise ValueError(f"mask axis {a} out of range")
@@ -289,12 +274,12 @@ def _cycle_plan(metric: MetricField, action: CircleAction, quad: QuadratureSpec,
     if quad.nodes < 2 and any(kind != "extent" for kind in kinds):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
     check_budget((quad.nodes,) * kinds.count("grid"), quad)
-    if action.kind == "rotation" and loop_samples > 1:
-        loop_samples = _measured_loop_samples(metric, action, loop_samples)
-    elif action.kind == "rotation" and quad.mask is None:
+    if action.kind == "rotation" and action.axis not in constant:
+        return kinds, _measured_loop_samples(metric, action)
+    if action.kind == "rotation" and quad.mask is None:
         # Every orbit axis measured comes from a rotation along a constant axis.
         kinds = _orbit_axes(metric, action, kinds)
-    return kinds, loop_samples
+    return kinds, 1
 
 
 def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
@@ -393,12 +378,19 @@ def pullback_density(metric: MetricField, action: CircleAction, points,
     its points' densities one at a time); zeros for the trivial action.  The
     checks run once per call, then batches of at most ``MAX_ORBIT_POINTS``
     orbit points, as in :func:`integrate_cycle`, keep the memory bounded.
-    Along a varying axis the loop takes exactly ``loop_nodes`` samples, not
-    a measured count: this is the oracle of :func:`_measured_loop_samples`."""
+    Along a varying axis the loop takes exactly ``loop_nodes`` samples (1 to
+    ``MAX_ORBIT_POINTS``), as the oracle of :func:`_measured_loop_samples`:
+    the measured count's tolerance is absolute in the curvature scale, so
+    where ``perturbed_torus(5)`` under the x0 rotation has density -3.05e-7
+    its 16 samples give the 64-sample density only to 5.0e-12 relative,
+    while 64 and 128 samples agree to 1.7e-15."""
     coords = np.asarray(points, dtype=float)
     if not metric.box.contains(coords):
         raise ChartDomainError("density evaluation point outside the chart box")
-    samples = _loop_samples(metric, action, loop_nodes, _constant_axes(metric))
+    if not 1 <= loop_nodes <= MAX_ORBIT_POINTS:
+        raise ValueError(f"loop_nodes must be 1 to {MAX_ORBIT_POINTS}, got {loop_nodes}")
+    action.resolved_speed(metric)
+    samples = 1 if action.axis in _constant_axes(metric) else loop_nodes
     if action.kind == "trivial":
         values = np.zeros(coords.shape[:-1])
     else:
@@ -472,7 +464,7 @@ def snap_pi4_multiple(value: float, error_estimate: float,
 
 def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                     quad: QuadratureSpec | None = None,
-                    s_scale: float = 1.0, loop_nodes: int = 64) -> CycleResult:
+                    s_scale: float = 1.0) -> CycleResult:
     """Integrate the pulled-back form density over the coordinate box.
 
     Plan, integrate, record.  :func:`_cycle_plan` refuses bad input, for the
@@ -488,12 +480,12 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     its orbit points.  A sqrt(det g) batch holds ``quadrature.CHUNK`` rows; a
     density batch holds at most ``MAX_ORBIT_POINTS`` loop orbit points (16
     rows at 64 loop samples, 1024 at one), so the curvature's memory stays
-    bounded.  ``loop_nodes`` caps the loop samples along a varying axis; the
-    count taken is measured and recorded as ``provenance["loop_samples"]``.  Only the densities go to the one pool of ``quad.workers``
-    processes opened after the plan (sqrt(det g) is cheaper to compute than
-    to ship).  The result scales exactly linearly in a finite ``s_scale``,
-    which is applied as a final factor; a value or estimate that overflows
-    raises QuadratureError.
+    bounded.  Along a varying axis the loop samples are measured, at most
+    ``LOOP_CAP``, and recorded as ``provenance["loop_samples"]``.  Only the
+    densities go to the one pool of ``quad.workers`` processes opened after
+    the plan (sqrt(det g) is cheaper to compute than to ship).  The result
+    scales exactly linearly in a finite ``s_scale``, which is applied as a
+    final factor; a value or estimate that overflows raises QuadratureError.
     """
     start = time.perf_counter()
     if metric.dim != 2 * k - 1:
@@ -501,7 +493,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     if not math.isfinite(s_scale):
         raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
-    kinds, loop_samples = _cycle_plan(metric, action, quad, loop_nodes)
+    kinds, loop_samples = _cycle_plan(metric, action, quad)
 
     params = metric.params
     exact_mode = bool(getattr(params, "exact_mode", False))
@@ -600,19 +592,16 @@ class SweepResult:
 
 
 def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
-              s_scale: float = 1.0, loop_nodes: int = 64,
-              ell: float = 1.0) -> SweepResult:
+              s_scale: float = 1.0, ell: float = 1.0) -> SweepResult:
     """Cycle integrals (k = 3) of ``action`` across the five-dimensional family.
 
     Each label names one member: ``{"p": p, "q": q}`` for the (p, q) metric,
     or ``{"a": a}`` for the direct parameter with fiber period ``ell``.  A
     member's own failure (bad parameters, a chart or quadrature error) is an
     error row; any other ValueError, ``ell`` included, refuses a shared
-    setting and propagates before any row.
-    ``loop_nodes`` is each integral's loop-sample cap (see
-    :func:`integrate_cycle`).  When at least two ``a`` rows give nonzero
-    values, the result carries the fitted log-log slope of |value| against
-    (1 - a).
+    setting and propagates before any row.  When at least two ``a`` rows
+    give nonzero values, the result carries the fitted log-log slope of
+    |value| against (1 - a).
     """
     labels = list(labels)
     if any("a" in label for label in labels):
@@ -628,7 +617,7 @@ def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
             continue
         try:
             res = integrate_cycle(ypq_metric(params), action, 3, quad=quad,
-                                  s_scale=s_scale, loop_nodes=loop_nodes)
+                                  s_scale=s_scale)
         except (ChartDomainError, QuadratureError) as exc:
             rows.append(SweepRow(label=label, result=None, error=str(exc)))
             continue

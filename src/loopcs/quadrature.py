@@ -69,6 +69,14 @@ def _keep_heap() -> None:
 _keep_heap()
 
 
+def whole_number(name: str, value) -> int:
+    """``value`` as the int it equals (a numpy integer does); else ValueError."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+
+
 class QuadratureError(RuntimeError):
     """Quadrature failed to reach the requested tolerance."""
 
@@ -88,9 +96,10 @@ class QuadratureSpec:
         of them, lets ``integrate_cycle`` reduce orbit axes), () means no mask.
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
-    Construction raises ValueError for an int field not a whole number (a
-    numpy integer is one), a refinement factor or ``workers`` below 1, negative
-    ``max_refinements``, or a ``rel_tol`` not > 0 or with a factor of 1.
+    Construction raises ValueError for an int field or mask axis not a whole
+    number (a numpy integer is one), a refinement factor or ``workers`` below
+    1, negative ``max_refinements``, or a ``rel_tol`` not > 0 or with a
+    factor of 1.
     """
 
     nodes: int = 32
@@ -102,11 +111,10 @@ class QuadratureSpec:
 
     def __post_init__(self):
         for name in ("nodes", "refinement_factor", "max_refinements", "workers"):
-            value = getattr(self, name)
-            try:  # a numpy integer is stored as the int it equals
-                object.__setattr__(self, name, operator.index(value))
-            except TypeError:
-                raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+            object.__setattr__(self, name, whole_number(name, getattr(self, name)))
+        if self.mask is not None:
+            object.__setattr__(self, "mask",
+                               tuple(whole_number("mask axis", a) for a in self.mask))
         if self.refinement_factor < 1:
             raise ValueError("refinement factor must be >= 1")
         if self.max_refinements < 0:

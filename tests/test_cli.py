@@ -165,9 +165,6 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     trivial = ["wcs", "--metric", "round_sphere3", "--action", "trivial"]
     torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
     for argv, flags, needle in [(ypq, ["--max-refinements", "-1"], "max_refinements"),
-                                (ypq, ["--loop-nodes", "0"], "loop_nodes"),
-                                (torus, ["--loop-nodes", "0"], "loop_nodes"),
-                                (torus, ["--loop-nodes", "1025"], "loop_nodes"),
                                 (ypq, ["--workers", "0"], "workers"),
                                 (torus, ["--workers", "-3"], "workers"),
                                 (ypq, ["--tol", "-1"], "rel_tol"),
@@ -178,7 +175,6 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
                                        "--tol", "1e-12"], "refinement factor"),
                                 (trivial, ["--refine-factor", "1", "--tol", "1e-12"],
                                  "refinement factor"),
-                                (trivial, ["--loop-nodes", "0"], "loop_nodes"),
                                 (trivial, ["--nodes", "1"], "at least 2"),
                                 (trivial, ["--nodes", "2048"], "budget"),
                                 (ypq, ["--tol", "1e-3", "--max-refinements", "100000"],
@@ -189,14 +185,17 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
 
 
 def test_removed_form_settings_exit_2(tmp_path, capsys):
-    # The degree is fixed by the dimension and both brackets give the same
-    # cycle integral, so neither is a setting: flags and config keys exit 2.
+    # The degree is fixed by the dimension, both brackets give the same
+    # cycle integral and the loop cap is the constant cycles.LOOP_CAP, so
+    # none is a setting: flags and config keys exit 2.
     sphere = ["wcs", "--metric", "round_sphere3", "--action", "rotate:phi"]
     assert run(sphere + ["--variant", "full"]) == 2
     assert run(sphere + ["--k", "3"]) == 2
+    assert run(sphere + ["--loop-nodes", "64"]) == 2
     assert run(["sweep", "--sweep-pq", "7:3", "--nodes", "4", "--k", "2"]) == 2
+    assert run(["sweep", "--sweep-pq", "7:3", "--nodes", "4", "--loop-nodes", "64"]) == 2
     cfg = tmp_path / "run.cfg"
-    for entry in ("variant = reduced", "k = 3"):
+    for entry in ("variant = reduced", "k = 3", "loop_nodes = 64"):
         cfg.write_text(f"{entry}\n")
         assert run(sphere + ["--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
@@ -281,7 +280,6 @@ def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
     for flags, needle in [(["--workers", "0"], "workers"),
                           (["--tol", "-1"], "rel_tol"),
                           (["--max-refinements", "-1"], "max_refinements"),
-                          (["--loop-nodes", "0"], "loop_nodes"),
                           (["--nodes", "1"], "at least 2"),
                           (["--action", "rotate:theta"], "non-periodic"),
                           (["--no-mask", "--nodes", "64"], "budget")]:

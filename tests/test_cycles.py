@@ -47,15 +47,16 @@ def closed_form_value(p, q):
             * (G(params.y2_exact) - G(params.y1_exact)))
 
 
-def test_trivial_action_density_and_integral_zero(y73):
+def test_trivial_action_density_and_integral_zero(y73, monkeypatch):
+    # one loop sample under the default mask, yet no orbit probe: there is
+    # no orbit to probe
+    monkeypatch.setattr(cycles, "_orbit_axes", lambda *args: pytest.fail("orbit probe"))
     m0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
     assert pullback_density(y73, CircleAction.trivial(), m0) == 0.0
     res = integrate_cycle(y73, CircleAction.trivial(), 3)
     assert res.value == 0.0
     assert res.error_estimate == 0.0
     assert res.pi4_multiple == Fraction(0)
-    # one loop sample, yet no orbit probe: there is no orbit to probe
-    assert integrate_cycle(y73, CircleAction.trivial(), 3, loop_nodes=1).value == 0.0
 
 
 def test_density_independent_of_symmetry_axes(y73):
@@ -81,6 +82,22 @@ def test_iterate_density_scales_exactly(y73):
     assert abs(f2 - 2 * f1) / abs(2 * f1) < 1e-14
     assert abs(f3 - 3 * f1) / abs(3 * f1) < 1e-14
     assert CircleAction.iterate(base, 0).kind == "trivial"
+
+
+def test_whole_number_action_inputs_refused_not_truncated():
+    # An axis or iterate count that is not a whole number is refused by
+    # name, not truncated (2.9 once gave n = 2); a numpy integer is one.
+    base = CircleAction.rotation(axis=4)
+    for make, needle in [(lambda: CircleAction.rotation(axis=2.9), "axis"),
+                         (lambda: CircleAction.rotation(axis=4.0), "axis"),
+                         (lambda: CircleAction.iterate(base, 2.9), "iterate count"),
+                         (lambda: CircleAction.iterate(base, 2.0), "iterate count")]:
+        with pytest.raises(ValueError, match=f"{needle} must be a whole number"):
+            make()
+    rotation = CircleAction.rotation(axis=np.int64(4))
+    assert type(rotation.axis) is int and rotation == base
+    twice = CircleAction.iterate(base, np.int32(2))
+    assert type(twice.n_fold) is int and twice.n_fold == 2
 
 
 def test_killing_shortcut_matches_trapezoid_loop(y73):
@@ -299,7 +316,7 @@ def test_shared_rotation_axis_matches_bruteforce():
     m = metrics.perturbed_torus(5)
     action = CircleAction.rotation(axis=0)
     res = integrate_cycle(m, action, 3, QuadratureSpec(nodes=3, refinement_factor=1,
-                                                      mask=()), loop_nodes=64)
+                                                      mask=()))
     rules = [gauss_nodes(3, iv) for iv in m.box.intervals]
     x = np.stack(np.meshgrid(*(r[0] for r in rules), indexing="ij"), axis=-1)
     w = math.prod(np.meshgrid(*(r[1] for r in rules), indexing="ij"))
@@ -429,10 +446,11 @@ def test_one_pool_per_cycle_integral(y73, pool_starts, pool_maps, axis, nodes, m
 
 
 def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
-    # The loop probe evaluates its 16 orbits at the cap, then each of the
-    # 6^2 + 12^2 lines of x1, x2 takes the measured loop samples along x0;
-    # no call exceeds 1024 orbit points.  The default mask adds no orbit-axis
-    # probe: x0 varies, so the loop takes more than one sample.
+    # The loop probe evaluates its 16 orbits at the cap in one call of 1024
+    # points, then each of the 6^2 + 12^2 lines of x1, x2 takes the measured
+    # loop samples along x0; no call exceeds 1024 orbit points.  The default
+    # mask adds no orbit-axis probe: x0 varies, so the loop takes more than
+    # one sample.
     seen = []
     real = cycles.riemann
 
@@ -446,14 +464,8 @@ def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
         seen.clear()
         res = integrate_cycle(torus, action, 2, QuadratureSpec(nodes=6, mask=mask))
         samples = res.provenance["loop_samples"]
-        assert max(seen) <= cycles.MAX_ORBIT_POINTS == 1024, mask
-        assert sum(seen) == 16 * 64 + (6**2 + 12**2) * samples, mask
-    # At the largest cap the probe takes one orbit of 1024 points per call.
-    seen.clear()
-    res = integrate_cycle(torus, action, 2, QuadratureSpec(nodes=6, mask=()),
-                          loop_nodes=1024)
-    samples = res.provenance["loop_samples"]
-    assert seen == [1024] * 16 + [36 * samples, 144 * samples]
+        assert max(seen) <= cycles.MAX_ORBIT_POINTS == 16 * cycles.LOOP_CAP == 1024, mask
+        assert seen == [16 * 64, 36 * samples, 144 * samples], mask
 
 
 def _even_harmonic_torus():
@@ -516,7 +528,7 @@ def test_even_harmonic_orbit_does_not_stop_at_two_samples():
     one, two = (cycles._density_batch(m, action, pts, n) for n in (1, 2))
     assert np.max(np.abs(two - one)) <= cycles.LOOP_TOL * scale
     assert np.max(np.abs(two - cap)) > 1e6 * cycles.LOOP_TOL * scale
-    assert cycles._measured_loop_samples(m, action, 64) > 2
+    assert cycles._measured_loop_samples(m, action) > 2
 
 
 def test_density_does_not_depend_on_its_batch():
@@ -696,10 +708,12 @@ def test_wrong_dimension_rejected():
 
 @pytest.mark.parametrize("loop_nodes", [0, -3, 1025])
 def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypatch):
-    # Both loop plans: the Killing fiber axis of (7,3) (one sample) and an
-    # axis of the perturbed torus, which varies along it (loop_nodes samples);
-    # the trivial action, whose value needs no loop, is refused alike.  Over
-    # MAX_ORBIT_POINTS one row would not fit in a curvature batch.
+    # Both loop plans of the density: the Killing fiber axis of (7,3) (one
+    # sample) and an axis of the perturbed torus, which varies along it
+    # (loop_nodes samples); the trivial action, whose value needs no loop, is
+    # refused alike.  Over MAX_ORBIT_POINTS one row would not fit in a
+    # curvature batch.  An integral's loop cap is the constant LOOP_CAP, so
+    # integrate_cycle takes no loop_nodes at all.
     calls = []
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
     torus = metrics.perturbed_torus(3)
@@ -707,7 +721,7 @@ def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypa
              (torus, CircleAction.rotation(axis=0), 2),
              (y73, CircleAction.trivial(), 3)]
     for metric, action, k in cases:
-        with pytest.raises(ValueError, match="loop_nodes"):
+        with pytest.raises(TypeError, match="loop_nodes"):
             integrate_cycle(metric, action, k, QuadratureSpec(nodes=3, mask=()),
                             loop_nodes=loop_nodes)
         with pytest.raises(ValueError, match="loop_nodes"):

@@ -69,11 +69,15 @@ def test_bad_rule_arguments():
                            ({"nodes": 8.0}, "nodes"),
                            ({"refinement_factor": 2.7}, "refinement_factor"),
                            ({"max_refinements": 1.5, "rel_tol": 1e-12}, "max_refinements"),
-                           ({"workers": 2.5}, "workers")]:
+                           ({"workers": 2.5}, "workers"),
+                           ({"mask": (0.9, 2.2, 4.7)}, "mask axis"),
+                           ({"mask": (1, 2.0)}, "mask axis")]:
         with pytest.raises(ValueError, match=needle):
             QuadratureSpec(**{"nodes": 2, **kwargs})
     # A numpy integer is a whole number, stored as the int it equals.
     assert type(QuadratureSpec(nodes=np.int64(8)).nodes) is int
+    mask = QuadratureSpec(mask=[np.int64(4), 0]).mask
+    assert mask == (4, 0) and all(type(a) is int for a in mask)
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])

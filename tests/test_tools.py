@@ -1,4 +1,5 @@
-"""tools/trajectory.py reads the committed BENCH files and prints their medians."""
+"""tools/trajectory.py reads the committed BENCH files and prints their medians;
+tools/census.py counts the package's settable values and source lines."""
 import importlib.util
 import json
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
+SRC = TOOLS.parent / "src" / "loopcs"
 
 
 def _run(script):
@@ -50,3 +52,14 @@ def test_trajectory_reads_one_result_or_a_list(tmp_path):
     assert rows[-1] == {"file": "BENCH_pr2.json", "workload": "orbit", "commit": "0123456",
                         "runs": 2, "wall_s": 0.5, "setup_s": None, "cpu_s": 0.25,
                         "peak_rss_mb": None}
+
+
+def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
+    lines = _run("census.py")
+    counts = dict(line.split(":", 1) for line in lines if line.startswith(("settable", "source")))
+    assert int(counts["source lines"]) == sum(path.read_text(encoding="utf-8").count("\n")
+                                              for path in SRC.glob("*.py"))
+    # The loop cap of an integral is the constant cycles.LOOP_CAP; only the
+    # density oracle takes a sample count.
+    names = [name for line in lines for name in line.replace(",", " ").split()]
+    assert [name for name in names if "loop_nodes" in name] == ["pullback_density(loop_nodes=)"]
