@@ -9,7 +9,7 @@ Subcommands:
 * ``sweep``    -- batch runs over (p, q) pairs and/or an a-grid; writes CSV.
 * ``selftest`` -- the built-in invariant suite.
 
-Exit codes: 0 success, 1 numeric failure (validation or non-convergence),
+Exit codes: 0 success, 1 numeric failure (validation, integrand or overflow),
 2 usage/configuration error, 141 (128 + SIGPIPE) when the reader of stdout
 has gone away, with nothing on stderr.  Flags may also be supplied through
 a flat ``key = value`` config file; its entries are parsed as flags placed
@@ -76,11 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--nodes", type=int, default=32,
                            help="Gauss-Legendre nodes per unmasked axis")
             p.add_argument("--refine-factor", type=int, default=2,
-                           help="node multiplier of the error-estimate level (default 2)")
-            p.add_argument("--max-refinements", type=int, default=0,
-                           help="extra refinement levels allowed to meet --tol (default 0)")
-            p.add_argument("--tol", type=float, default=None,
-                           help="target relative tolerance (error if unmet)")
+                           help="node multiplier of the fine level (default 2; "
+                                "1 gives one level and no error estimate)")
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut and the "
                                 "orbit-axis reduction")
@@ -212,7 +209,6 @@ def _select_action(names: tuple[str, ...], text: str | None) -> CircleAction:
 def _quad_spec(args) -> QuadratureSpec:
     mask: tuple[int, ...] | None = () if getattr(args, "no_mask", False) else None
     return QuadratureSpec(nodes=args.nodes, refinement_factor=args.refine_factor,
-                          max_refinements=args.max_refinements, rel_tol=args.tol,
                           mask=mask, workers=args.workers)
 
 

@@ -562,7 +562,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             f"cycle value overflows: value {value}, error estimate {error} "
             f"(box integral {box_result.value!r} times axis extents {factor!r})")
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(0 if kind == "extent" else quad.nodes * box_result.growth
+    node_counts = tuple(0 if kind == "extent" else quad.nodes * quad.refinement_factor
                         for kind in kinds)
     prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]

@@ -78,17 +78,18 @@ def whole_number(name: str, value) -> int:
 
 
 class QuadratureError(RuntimeError):
-    """Quadrature failed to reach the requested tolerance."""
+    """The integrand failed, returned a non-finite value or an array of the
+    wrong shape, or a cycle value overflowed."""
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts and refinement policy for a tensor-product rule.
+    """Node counts of a tensor-product rule of one or two levels.
 
     nodes: Gauss-Legendre node count on every box axis of the coarse level.
-    refinement_factor: node-count multiplier for the error-estimation pass.
-    max_refinements: extra refinement rounds allowed when rel_tol is set.
-    rel_tol: target relative tolerance; None accepts the two-level estimate.
+    refinement_factor: node-count multiplier of the fine level, whose result
+        is the value and whose distance from the coarse one is the error
+        estimate; at 1 the coarse level is the only one and the estimate is 0.
     mask: axis indices along which the integrand is constant.
         ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
         axes from the box and multiplies by their exact extents.  None means
@@ -97,32 +98,23 @@ class QuadratureSpec:
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
     Construction raises ValueError for an int field or mask axis not a whole
-    number (a numpy integer is one), a refinement factor or ``workers`` below
-    1, negative ``max_refinements``, or a ``rel_tol`` not > 0 or with a
-    factor of 1.
+    number (a numpy integer is one), or a refinement factor or ``workers``
+    below 1.
     """
 
     nodes: int = 32
     refinement_factor: int = 2
-    max_refinements: int = 0
-    rel_tol: float | None = None
     mask: tuple[int, ...] | None = None
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("nodes", "refinement_factor", "max_refinements", "workers"):
+        for name in ("nodes", "refinement_factor", "workers"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.mask is not None:
             object.__setattr__(self, "mask",
                                tuple(whole_number("mask axis", a) for a in self.mask))
         if self.refinement_factor < 1:
             raise ValueError("refinement factor must be >= 1")
-        if self.max_refinements < 0:
-            raise ValueError(f"max_refinements must be >= 0, got {self.max_refinements}")
-        if self.rel_tol is not None and not self.rel_tol > 0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.rel_tol is not None and self.refinement_factor == 1:
-            raise ValueError("rel_tol needs a refinement factor above 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -254,75 +246,46 @@ def _single_level(f, box, counts):
 
 @dataclass(frozen=True)
 class BoxResult:
-    """Two-level quadrature result: refined value plus the coarser pass.
-
-    ``growth`` is the factor by which every requested node count grew to
-    ``counts``; it is defined for a box with no axes too.
-    """
+    """Quadrature result: the finest level's value at ``counts`` and the
+    coarse level's at ``coarse_counts``; with one level they are the same."""
 
     value: float
     error_estimate: float
     counts: tuple[int, ...]
     coarse_value: float
     coarse_counts: tuple[int, ...]
-    growth: int
-
-
-def _rounds(spec: QuadratureSpec) -> int:
-    """Refinement rounds ``spec`` allows; only a ``rel_tol`` allows two or more."""
-    return (spec.max_refinements + 1 if spec.rel_tol is not None
-            else int(spec.refinement_factor > 1))
 
 
 def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
-    """Refuse, before any grid is built, node counts whose finest level allowed
-    by ``spec`` would exceed ``MAX_LEVEL_POINTS``."""
-    rounds, growth = _rounds(spec), spec.refinement_factor ** len(counts)
-    points, level = math.prod(counts), 0
-    # No level past the budget's square is counted: a huge max_refinements
-    # is refused at once, and the count stays short enough to print.
-    while level < rounds and growth > 1 and points <= MAX_LEVEL_POINTS**2:
-        points, level = points * growth, level + 1
+    """Refuse, before any grid is built, node counts whose finest level (each
+    count times ``spec.refinement_factor``) would exceed ``MAX_LEVEL_POINTS``."""
+    points = math.prod(c * spec.refinement_factor for c in counts)
     if points > MAX_LEVEL_POINTS:
-        where = ("the finest quadrature level" if level == rounds
-                 else f"quadrature level {level} (of levels 0 to {rounds})")
-        raise ValueError(f"{where} would evaluate {points} points, "
+        raise ValueError(f"the finest quadrature level would evaluate {points} points, "
                          f"over the budget of {MAX_LEVEL_POINTS}")
 
 
 def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     """Tensor-product Gauss-Legendre integral of ``f`` over an open box.
 
-    Level j has ``spec.nodes * refinement_factor**j`` nodes on every axis and
-    is built when it is reached, so unused refinements cost nothing.  ``f``
-    is called once per level with the level's whole (m, dim) array of
-    interior points, in row-major tensor order, and returns an (m,) array of
-    values; it must be pure.  A failure of ``f`` is raised as
-    :class:`QuadratureError`.  ``spec.workers`` is not read: an ``f`` that
-    wants batches or a :func:`pool` calls :func:`evaluate` itself.  ``value``
-    is the finest level's result and ``error_estimate`` its distance from the
-    level before.  Raises :class:`QuadratureError` if ``spec.rel_tol`` is
-    unmet after ``spec.max_refinements`` extra rounds, and ValueError
-    (:func:`check_budget`) before building any grid.
+    The coarse level has ``spec.nodes`` nodes on every axis.  With a
+    ``refinement_factor`` above 1 exactly one fine level follows, with that
+    many times more: ``value`` is its result and ``error_estimate`` its
+    distance from the coarse one.  At factor 1 the coarse level is the
+    value and the estimate is 0.  ``f`` is called once per level with the
+    level's whole (m, dim) array of interior points, in row-major tensor
+    order, and returns an (m,) array of values; it must be pure.  A failure
+    of ``f`` is raised as :class:`QuadratureError`.  ``spec.workers`` is not
+    read: an ``f`` that wants batches or a :func:`pool` calls
+    :func:`evaluate` itself.  Raises ValueError (:func:`check_budget`)
+    before building any grid.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
-    check_budget((spec.nodes,) * len(box), spec)
-    fac = spec.refinement_factor
-
-    def counts(j: int) -> tuple[int, ...]:
-        return (spec.nodes * fac**j,) * len(box)
-
-    coarse = _single_level(f, box, counts(0))
-    rounds = _rounds(spec)
-    if rounds == 0:
-        return BoxResult(coarse, 0.0, counts(0), coarse, counts(0), 1)
-    for j in range(1, rounds + 1):
-        fine = _single_level(f, box, counts(j))
-        err = abs(fine - coarse)
-        scale = max(abs(fine), np.finfo(float).tiny)
-        if spec.rel_tol is None or err <= spec.rel_tol * scale:
-            return BoxResult(fine, err, counts(j), coarse, counts(j - 1), fac**j)
-        coarse = fine
-    raise QuadratureError(
-        f"relative tolerance {spec.rel_tol} not reached: "
-        f"estimate {err:.3e} at {counts(rounds)} nodes")
+    coarse_counts = (spec.nodes,) * len(box)
+    check_budget(coarse_counts, spec)
+    coarse = _single_level(f, box, coarse_counts)
+    if spec.refinement_factor == 1:
+        return BoxResult(coarse, 0.0, coarse_counts, coarse, coarse_counts)
+    counts = (spec.nodes * spec.refinement_factor,) * len(box)
+    fine = _single_level(f, box, counts)
+    return BoxResult(fine, abs(fine - coarse), counts, coarse, coarse_counts)

@@ -92,19 +92,14 @@ def test_over_budget_run_refused_before_any_evaluation(monkeypatch, capsys):
     assert calls == []
 
 
-def test_budget_ignores_rounds_without_tolerance(tmp_path, capsys):
-    # Without --tol no round past 300 -> 600 nodes can run, so the extra
-    # rounds are not charged to the budget and change nothing in the record.
-    ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha",
-           "--nodes", "300"]
-    records = []
-    for flags in (["--max-refinements", "3"], []):
-        out = tmp_path / "res.json"
-        assert run(ypq + flags + ["--out", str(out)]) == 0
-        records.append(json.loads(out.read_text()))
-        del records[-1]["wall_time"]
-    assert records[0] == records[1]
-    assert records[0]["node_counts"] == [0, 600, 0, 600, 0]
+def test_budget_charges_exactly_the_finest_level(capsys):
+    # The two gridded sphere axes at 2048 nodes and factor 1 are exactly
+    # 2^22 points, the budget; at 1025 nodes and factor 2 the fine level
+    # is 2050^2 points, over it, although the coarse one is not.
+    sphere = ["wcs", "--metric", "round_sphere3", "--action", "trivial"]
+    assert run(sphere + ["--nodes", "2048", "--refine-factor", "1"]) == 0
+    assert run(sphere + ["--nodes", "1025"]) == 2
+    assert "would evaluate 4202500 points" in capsys.readouterr().err
 
 
 def test_wcs_record_round_trips(tmp_path, capsys):
@@ -164,21 +159,12 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha"]
     trivial = ["wcs", "--metric", "round_sphere3", "--action", "trivial"]
     torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
-    for argv, flags, needle in [(ypq, ["--max-refinements", "-1"], "max_refinements"),
-                                (ypq, ["--workers", "0"], "workers"),
+    for argv, flags, needle in [(ypq, ["--workers", "0"], "workers"),
                                 (torus, ["--workers", "-3"], "workers"),
-                                (ypq, ["--tol", "-1"], "rel_tol"),
-                                (torus, ["--tol", "0"], "rel_tol"),
-                                (ypq, ["--tol", "nan"], "rel_tol"),
-                                (trivial, ["--workers", "0", "--tol", "-1"], "rel_tol"),
-                                (ypq, ["--nodes", "4", "--refine-factor", "1",
-                                       "--tol", "1e-12"], "refinement factor"),
-                                (trivial, ["--refine-factor", "1", "--tol", "1e-12"],
-                                 "refinement factor"),
+                                (trivial, ["--workers", "0"], "workers"),
+                                (ypq, ["--refine-factor", "0"], "refinement factor"),
                                 (trivial, ["--nodes", "1"], "at least 2"),
-                                (trivial, ["--nodes", "2048"], "budget"),
-                                (ypq, ["--tol", "1e-3", "--max-refinements", "100000"],
-                                 "budget")]:
+                                (trivial, ["--nodes", "2048"], "budget")]:
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err
     assert calls == []
@@ -186,16 +172,19 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
 
 def test_removed_form_settings_exit_2(tmp_path, capsys):
     # The degree is fixed by the dimension, both brackets give the same
-    # cycle integral and the loop cap is the constant cycles.LOOP_CAP, so
-    # none is a setting: flags and config keys exit 2.
+    # cycle integral, the loop cap is the constant cycles.LOOP_CAP and a
+    # cycle integral is one or two fixed quadrature levels, so none is a
+    # setting: flags and config keys exit 2.
     sphere = ["wcs", "--metric", "round_sphere3", "--action", "rotate:phi"]
+    sweep = ["sweep", "--sweep-pq", "7:3", "--nodes", "4"]
+    for argv in (sphere, sweep):
+        for flags in (["--k", "3"], ["--loop-nodes", "64"], ["--tol", "1e-9"],
+                      ["--max-refinements", "2"]):
+            assert run(argv + flags) == 2, argv + flags
     assert run(sphere + ["--variant", "full"]) == 2
-    assert run(sphere + ["--k", "3"]) == 2
-    assert run(sphere + ["--loop-nodes", "64"]) == 2
-    assert run(["sweep", "--sweep-pq", "7:3", "--nodes", "4", "--k", "2"]) == 2
-    assert run(["sweep", "--sweep-pq", "7:3", "--nodes", "4", "--loop-nodes", "64"]) == 2
     cfg = tmp_path / "run.cfg"
-    for entry in ("variant = reduced", "k = 3", "loop_nodes = 64"):
+    for entry in ("variant = reduced", "k = 3", "loop_nodes = 64", "tol = 1e-9",
+                  "max_refinements = 2"):
         cfg.write_text(f"{entry}\n")
         assert run(sphere + ["--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
@@ -278,8 +267,7 @@ def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
     sweep = ["sweep", "--sweep-pq", "7:3,3:3", "--nodes", "4"]
     for flags, needle in [(["--workers", "0"], "workers"),
-                          (["--tol", "-1"], "rel_tol"),
-                          (["--max-refinements", "-1"], "max_refinements"),
+                          (["--refine-factor", "0"], "refinement factor"),
                           (["--nodes", "1"], "at least 2"),
                           (["--action", "rotate:theta"], "non-periodic"),
                           (["--no-mask", "--nodes", "64"], "budget")]:

@@ -343,17 +343,16 @@ def test_density_independent_of_rotation_coordinate():
 
 
 def test_shared_axis_reports_refined_count(y73):
-    # 4 -> 8 misses the tolerance, 8 -> 16 meets it: the shared alpha axis is
-    # reported at 16 like the gridded theta and y.
+    # At refinement factor 4 the fine level has 4 * 4 nodes: the shared alpha
+    # axis is reported at 16 like the gridded theta and y.
     action = CircleAction.rotation(axis=4)
-    spec = QuadratureSpec(nodes=4, rel_tol=1e-4, max_refinements=2, mask=(0, 2))
+    spec = QuadratureSpec(nodes=4, refinement_factor=4, mask=(0, 2))
     res = integrate_cycle(y73, action, 3, spec)
     assert res.node_counts == (0, 16, 0, 16, 16)
     # With every other axis masked no axis is gridded; the count still refines.
     flat = metrics.flat_torus(3)
     res = integrate_cycle(flat, CircleAction.rotation(axis=0), 2,
-                          QuadratureSpec(nodes=4, rel_tol=1e-6, max_refinements=2,
-                                         mask=(1, 2)))
+                          QuadratureSpec(nodes=2, refinement_factor=4, mask=(1, 2)))
     assert res.node_counts == (8, 0, 0)
     assert res.provenance["loop_averaged_axes"] == ["x0"]
 
@@ -392,9 +391,9 @@ def test_headline_density_once_per_line(y73, monkeypatch):
     assert res.pi4_multiple == Fraction(-432, 6125)
 
 
-def test_tolerance_run_evaluates_only_the_levels_it_reaches(y73, monkeypatch):
-    # 8 -> 16 meets the tolerance: 8 + 16 y-lines and the 48 probe points.
-    # The levels a further refinement would reach are never evaluated.
+def test_one_level_run_evaluates_one_level(y73, monkeypatch):
+    # At factor 1 the 8 y-lines and the 48 probe points are all; the value
+    # is the fine level of the 4-node run at factor 2, with no estimate.
     seen = []
     real = cycles.riemann
 
@@ -404,12 +403,12 @@ def test_tolerance_run_evaluates_only_the_levels_it_reaches(y73, monkeypatch):
 
     monkeypatch.setattr(cycles, "riemann", counted)
     action = CircleAction.rotation(axis=4)
-    res = integrate_cycle(y73, action, 3,
-                          QuadratureSpec(nodes=8, rel_tol=1e-6, max_refinements=3))
-    assert sum(seen) == 8 + 16 + 3 * 16
-    ref = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=8))
-    assert (res.value, res.error_estimate, res.node_counts) == \
-        (ref.value, ref.error_estimate, ref.node_counts)
+    one = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=8, refinement_factor=1))
+    assert sum(seen) == 8 + 3 * 16
+    two = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=4))
+    assert one.value == two.value and one.node_counts == two.node_counts == (0, 8, 0, 8, 0)
+    assert one.error_estimate == 0.0 < two.error_estimate
+    assert one.provenance["refinement_factor"] == 1
 
 
 def test_unreduced_path_worker_count_does_not_change_bits(pool_starts, pool_maps):

@@ -58,22 +58,20 @@ def test_bad_rule_arguments():
         gauss_nodes(3, (1.0, 1.0))
     # A bad rule is refused when the spec is built, before any box is seen.
     for kwargs, needle in [({"refinement_factor": 0}, "refinement factor"),
-                           ({"max_refinements": -1}, "max_refinements"),
-                           ({"rel_tol": -1.0}, "rel_tol"),
-                           ({"rel_tol": 0.0}, "rel_tol"),
-                           ({"rel_tol": float("nan")}, "rel_tol"),
-                           ({"rel_tol": 1e-12, "refinement_factor": 1}, "rel_tol"),
                            ({"workers": 0}, "workers"),
                            ({"workers": -3}, "workers"),
                            ({"nodes": (8, 16)}, "nodes"),
                            ({"nodes": 8.0}, "nodes"),
                            ({"refinement_factor": 2.7}, "refinement_factor"),
-                           ({"max_refinements": 1.5, "rel_tol": 1e-12}, "max_refinements"),
                            ({"workers": 2.5}, "workers"),
                            ({"mask": (0.9, 2.2, 4.7)}, "mask axis"),
                            ({"mask": (1, 2.0)}, "mask axis")]:
         with pytest.raises(ValueError, match=needle):
             QuadratureSpec(**{"nodes": 2, **kwargs})
+    # A run is one or two fixed levels: there is no tolerance to set.
+    for gone in ("rel_tol", "max_refinements"):
+        with pytest.raises(TypeError, match=gone):
+            QuadratureSpec(**{gone: 1})
     # A numpy integer is a whole number, stored as the int it equals.
     assert type(QuadratureSpec(nodes=np.int64(8)).nodes) is int
     mask = QuadratureSpec(mask=[np.int64(4), 0]).mask
@@ -176,53 +174,39 @@ def test_non_finite_value_reports_node():
         integrate_box(nan_at_mid, [(0.0, 1.0)], QuadratureSpec(nodes=32))
 
 
-def test_non_convergence_raises():
-    # A kink keeps Gauss-Legendre from reaching 1e-14 at low node counts.
-    def kink(p):
-        return np.abs(p[:, 0] - 0.5) ** 0.5
-
-    with pytest.raises(QuadratureError, match="tolerance"):
-        integrate_box(kink, [(0.0, 1.0)],
-                      QuadratureSpec(nodes=4, rel_tol=1e-14, max_refinements=1))
-
-
 def test_budget_counts_only_levels_that_can_run():
-    # Without rel_tol the extra rounds never run: 300 -> 600 is the finest
-    # level, whatever max_refinements says.
+    # One level at factor 1 and exactly two otherwise, so 300 -> 600 is the
+    # finest level: 600^2 points fit the budget and 2400^2 do not.
     sizes = []
 
     def counting(p):
         sizes.append(len(p))
         return np.ones(len(p))
 
-    integrate_box(counting, [(0.0, 1.0)], QuadratureSpec(nodes=3, max_refinements=3))
+    integrate_box(counting, [(0.0, 1.0)], QuadratureSpec(nodes=3))
     assert sizes == [3, 6]
-    spec = QuadratureSpec(nodes=300, max_refinements=3)
-    check_budget((300, 300), spec)
-    with pytest.raises(ValueError, match="23040000 points"):
-        check_budget((300, 300), QuadratureSpec(nodes=300, max_refinements=3, rel_tol=1e-9))
+    one = integrate_box(counting, [(0.0, 1.0)], QuadratureSpec(nodes=3, refinement_factor=1))
+    assert sizes == [3, 6, 3]
+    assert one.counts == one.coarse_counts == (3,) and one.error_estimate == 0.0
+    check_budget((300, 300), QuadratureSpec(nodes=300))
+    with pytest.raises(ValueError, match="5760000 points"):
+        check_budget((300, 300), QuadratureSpec(nodes=300, refinement_factor=8))
 
 
-def test_levels_are_built_as_they_are_reached():
-    # With no box axis every level agrees, so the second one meets rel_tol;
-    # the ten million levels allowed after it are never built.
-    calls = []
+def test_fine_level_is_the_coarse_rule_at_factor_times_nodes():
+    # The value of a two-level run is the one-level run at nodes * factor,
+    # bit for bit, and its estimate is the distance from the coarse level.
+    def f(p):
+        return np.exp(np.sin(3 * p[:, 0]) + p[:, 1] ** 2)
 
-    def constant(p):
-        calls.append(p.shape)
-        return np.full(len(p), 2.0)
-
-    res = integrate_box(constant, [],
-                        QuadratureSpec(nodes=4, rel_tol=1e-3, max_refinements=10**7))
-    assert calls == [(1, 0), (1, 0)]
-    assert res.value == 2.0 and res.growth == 2
-
-
-def test_refinement_until_tolerance():
-    res = integrate_box(lambda p: np.exp(p[:, 0]), [(0.0, 1.0)],
-                        QuadratureSpec(nodes=2, rel_tol=1e-12, max_refinements=4))
-    assert res.error_estimate <= 1e-12 * abs(res.value)
-    assert res.counts[0] > 4
+    box = [(0.0, 1.0), (0.0, 2.0)]
+    two = integrate_box(f, box, QuadratureSpec(nodes=5, refinement_factor=3))
+    fine = integrate_box(f, box, QuadratureSpec(nodes=15, refinement_factor=1))
+    coarse = integrate_box(f, box, QuadratureSpec(nodes=5, refinement_factor=1))
+    assert (two.value, two.counts) == (fine.value, fine.counts) == (fine.value, (15, 15))
+    assert (two.coarse_value, two.coarse_counts) == (coarse.value, (5, 5))
+    assert two.error_estimate == abs(fine.value - coarse.value) > 0.0
+    assert fine.error_estimate == coarse.error_estimate == 0.0
 
 
 def test_convergence_is_geometric_for_smooth_integrands():

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src" / "loopcs"
 
@@ -63,3 +65,51 @@ def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
     # density oracle takes a sample count.
     names = [name for line in lines for name in line.replace(",", " ").split()]
     assert [name for name in names if "loop_nodes" in name] == ["pullback_density(loop_nodes=)"]
+    # Every cycle integral is one or two fixed levels: no tolerance, no
+    # refinement rounds, no growth to report.
+    assert int(counts["settable values"]) == 76
+    assert not [name for name in names
+                if any(gone in name for gone in ("rel_tol", "max_refinements", "growth"))]
+
+
+# Runs the tool named by argv[1] with a stdout that, once the first line is
+# out, waits until the reader has closed the pipe (a pipe's write end polls
+# POLLERR then), so the tool's next write always meets a closed pipe instead
+# of racing the reader's close.
+_AFTER_FIRST_LINE = """
+import runpy, select, sys
+
+class FirstLineThenWait:
+    def __init__(self, out):
+        self.out, self.waited = out, False
+
+    def write(self, text):
+        n = self.out.write(text)
+        if "\\n" in text and not self.waited:
+            self.out.flush()
+            self.waited = True
+            waiter = select.poll()
+            waiter.register(self.out.fileno(), 0)
+            waiter.poll()
+        return n
+
+    def __getattr__(self, name):
+        return getattr(self.out, name)
+
+sys.stdout = FirstLineThenWait(sys.stdout)
+sys.argv = sys.argv[1:]
+runpy.run_path(sys.argv[0], run_name="__main__")
+"""
+
+
+@pytest.mark.parametrize("script", ["census.py", "trajectory.py"])
+def test_closed_stdout_exits_141_quietly(script):
+    # As `python3 tools/SCRIPT | head -1`: one line is read, the pipe closed.
+    proc = subprocess.Popen([sys.executable, "-c", _AFTER_FIRST_LINE, str(TOOLS / script)],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().strip()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == 141, err
+    assert err == b""

@@ -3,14 +3,17 @@
 A settable value is a field of a ``@dataclass`` class or a function
 parameter with a default.  They are counted with ``ast``, so nothing is
 imported.  The line count is that of ``cat src/loopcs/*.py | wc -l``.
-The script only prints; it checks nothing.
+The script only prints; it checks nothing.  A reader that closes early
+ends it quietly with exit 141.
 
 Run from anywhere:  python3 tools/census.py
 """
 from __future__ import annotations
 
 import ast
+import os
 import pathlib
+import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "loopcs"
 
@@ -56,4 +59,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:  # the reader went away: stop quietly, as loopcs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)

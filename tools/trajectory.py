@@ -5,15 +5,18 @@ of the end-to-end metrics (wall_s, setup_s, cpu_s, peak_rss_mb) as
 ``bench/run.py`` recorded them, and the number of runs behind them.  Files
 named ``BENCH_pr<N>[_parent].json`` are ordered by N, each parent before its
 change.  A file may hold one result or a list of results.  The script only
-prints; it checks nothing.
+prints; it checks nothing.  A reader that closes early ends it quietly with
+exit 141.
 
 Run from anywhere:  python3 tools/trajectory.py
 """
 from __future__ import annotations
 
 import json
+import os
 import pathlib
 import re
+import sys
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 METRICS = ("wall_s", "setup_s", "cpu_s", "peak_rss_mb")
@@ -55,4 +58,9 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    try:
+        main()
+        sys.stdout.flush()  # a closed stdout shows here, not at interpreter exit
+    except BrokenPipeError:  # the reader went away: stop quietly, as loopcs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(141)
