@@ -9,11 +9,12 @@ import os
 
 # Every BLAS/LAPACK call here is tiny: stacked products of at most
 # (49 x 7) @ (7 x 49) per point (the curvature's Gamma.S term; the (343 x 7)
-# @ (7 x 7) raise costs as much) and inv/det/eigvalsh of n x n, n <= 7, far
-# below OpenBLAS's threading threshold.  Its helper thread only spins (about
-# 0.06 s of CPU after a bare numpy import), so it is not started.  This must
-# run before the first submodule import, which loads numpy; a value the
-# caller set is kept, and a numpy loaded before loopcs keeps its threads.
+# @ (7 x 7) raise costs as much) and inv/det of n x n, n <= 7 (eigvalsh only
+# on the condition guard's rare exact check), far below OpenBLAS's threading
+# threshold.  Its helper thread only spins (about 0.06 s of CPU after a bare
+# numpy import), so it is not started.  This must run before the first
+# submodule import, which loads numpy; a value the caller set is kept, and a
+# numpy loaded before loopcs keeps its threads.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"

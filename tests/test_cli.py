@@ -61,6 +61,17 @@ def test_verify_makes_one_curvature_pass(monkeypatch, capsys):
     assert calls == {"metric_jets": 1, "curvature_pack": 1}
 
 
+def test_headline_run_solves_no_eigenproblem(monkeypatch, capsys):
+    # Every metric of the default (7,3) run clears the condition guard with
+    # the inverse the curvature needs anyway.
+    monkeypatch.setattr(geometry, "_condition_number",
+                        lambda g: pytest.fail("exact condition check"))
+    assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
+                "--action", "rotate:alpha"]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["pi4_multiple"] == {"num": -432, "den": 6125}
+
+
 def test_verify_bad_parameters_exit_2(capsys):
     assert run(["verify", "--metric", "ypq", "--p", "3", "--q", "3"]) == 2
 

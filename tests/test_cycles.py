@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from loopcs import cycles, jets, metrics
-from loopcs.geometry import MetricField, riemann
+from loopcs.geometry import MetricField, riemann, validate_curvature
 from loopcs.cycles import (
     CircleAction,
     a_sweep,
@@ -57,6 +57,24 @@ def test_trivial_action_density_and_integral_zero(y73, monkeypatch):
     assert res.value == 0.0
     assert res.error_estimate == 0.0
     assert res.pi4_multiple == Fraction(0)
+
+
+def test_periodic_axis_endpoint_is_in_the_chart(y73):
+    # phi is periodic and constant: its interval endpoint is a chart point
+    # like any other, for the density and the identity suite alike
+    action = CircleAction.rotation(axis=4)
+    at_zero = np.array([0.0, 1.2, 2.0, 0.1, 0.5])
+    assert pullback_density(y73, action, at_zero) == pullback_density(
+        y73, action, np.array([1.0, 1.2, 2.0, 0.1, 0.5]))
+    assert validate_curvature(y73, at_zero).passed
+    # theta is a genuine chart boundary, refused up front even when the
+    # action is trivial
+    pole = np.array([1.0, 0.0, 2.0, 0.1, 0.5])
+    for call in (lambda: pullback_density(y73, action, pole),
+                 lambda: pullback_density(y73, CircleAction.trivial(), pole),
+                 lambda: validate_curvature(y73, pole)):
+        with pytest.raises(ChartDomainError, match="coordinate theta outside"):
+            call()
 
 
 def test_density_independent_of_symmetry_axes(y73):

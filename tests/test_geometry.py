@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from loopcs import geometry, metrics
+from loopcs.cycles import CircleAction, integrate_cycle
 from loopcs.geometry import (
     SingularMetricError,
     christoffel,
@@ -14,6 +15,7 @@ from loopcs.geometry import (
     riemann,
     validate_curvature,
 )
+from loopcs.quadrature import QuadratureError, QuadratureSpec
 
 
 def constant_curvature_lowered(g, K):
@@ -252,6 +254,70 @@ def test_singular_metric_guard():
     m = metrics.round_sphere(2)
     with pytest.raises(SingularMetricError):
         christoffel(m, np.array([1e-9, 1.0]))
+
+
+def metric_batch(smallest):
+    """Eight 5x5 identity metrics, the fourth with its last diagonal entry
+    set to ``smallest``, so kappa_2 = 1 / smallest."""
+    g = np.broadcast_to(np.eye(5), (8, 5, 5)).copy()
+    g[3, 4, 4] = smallest
+    return g
+
+
+@pytest.fixture
+def exact_checks(monkeypatch):
+    """Batch shapes on which the guard runs its exact eigenvalue check."""
+    calls = []
+    real = geometry._condition_number
+
+    def counted(g):
+        calls.append(g.shape)
+        return real(g)
+
+    monkeypatch.setattr(geometry, "_condition_number", counted)
+    return calls
+
+
+def test_guard_refuses_above_the_limit():
+    g = metric_batch(0.5e-12)
+    with pytest.raises(SingularMetricError,
+                       match=r"^metric condition number 2\.000e\+12 exceeds 1e\+12: "
+                             "chart-boundary degeneracy$"):
+        geometry._inverse_guarded(g)
+
+
+def test_guard_clears_a_well_conditioned_batch_without_eigenvalues(exact_checks):
+    g = metric_batch(1e-11)
+    ginv = geometry._inverse_guarded(g)
+    assert exact_checks == []
+    assert np.array_equal(ginv, np.linalg.inv(g))
+
+
+def test_guard_above_the_margin_takes_the_exact_check(exact_checks):
+    # kappa_2 = 4e11 passes, but |g|_F |g^-1|_F ~ 2 kappa_2 = 8e11 > 5e11
+    g = metric_batch(0.25e-11)
+    ginv = np.linalg.inv(g)
+    bound = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(ginv, axis=(-2, -1))
+    assert np.max(bound) > geometry.COND_LIMIT / 2
+    assert np.array_equal(geometry._inverse_guarded(g), ginv)
+    assert exact_checks == [g.shape]
+
+
+@pytest.mark.parametrize("bad", [np.ones((5, 5)), np.zeros((5, 5)),
+                                 np.where(np.eye(5) == 1.0, np.nan, 0.0)])
+def test_guard_refuses_singular_and_nan_metrics(bad):
+    g = metric_batch(1.0)
+    g[5] = bad
+    with pytest.raises(SingularMetricError, match="metric condition number"):
+        geometry._inverse_guarded(g)
+
+
+def test_guard_stops_the_unreduced_64_node_run():
+    y73 = metrics.ypq_metric(metrics.solve_ypq(7, 3))
+    with pytest.raises(QuadratureError,
+                       match=r"metric condition number 1\.023e\+12 exceeds 1e\+12"):
+        integrate_cycle(y73, CircleAction.rotation(axis=4), 3,
+                        QuadratureSpec(nodes=64, mask=(0, 2, 4)))
 
 
 def test_metric_jets_symmetry_is_bit_exact():
