@@ -232,7 +232,8 @@ def _measured_loop_samples(metric: MetricField, action: CircleAction) -> int:
     # the probe is one curvature call.
     pack = riemann(metric, _orbit(metric, action, _probe_points(metric), LOOP_CAP))
     values = wcs_integrand(pack, _frame_vectors(metric), vel).reshape(LOOP_CAP, -1)
-    curvature = float(np.max(np.abs(pack.riemann_up)))
+    # max|R| as max(max R, -min R), NaN included: no n^4 |R| temporary.
+    curvature = float(np.maximum(np.max(pack.riemann_up), -np.min(pack.riemann_up)))
     tol = LOOP_TOL * curvature ** ((metric.dim + 1) // 2) * float(np.max(np.abs(vel)))
     reference = _trapezoid(values)
     samples = LOOP_CAP

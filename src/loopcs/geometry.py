@@ -195,6 +195,8 @@ def _inverse_guarded(g: np.ndarray) -> np.ndarray:
     NaN bound or an exactly singular g takes the exact
     :func:`_condition_number` check, which alone decides every refusal; a
     batch whose eigenvalues do not converge (NaN entries) is refused whole.
+    A refusal names the batch's largest condition number, inf when any is
+    not finite.
     """
     try:
         ginv = np.linalg.inv(g)
@@ -207,8 +209,8 @@ def _inverse_guarded(g: np.ndarray) -> np.ndarray:
         cond = _condition_number(g)
     except np.linalg.LinAlgError:  # eigvalsh does not converge on NaN entries
         cond = np.full(g.shape[:-2], np.inf)
-    if np.any(~np.isfinite(cond)) or np.any(cond > COND_LIMIT):
-        worst = float(np.max(cond[np.isfinite(cond)])) if np.any(np.isfinite(cond)) else np.inf
+    if not np.all(cond <= COND_LIMIT):  # NaN included
+        worst = float(np.max(cond)) if np.all(np.isfinite(cond)) else np.inf
         raise SingularMetricError(
             f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}: "
             "chart-boundary degeneracy")
@@ -256,37 +258,69 @@ class CurvaturePack:
         return np.einsum("...abca->...bc", self.riemann_up)
 
 
-def _riemann_down(d2g, s, gamma):
+def _hessian_part(d2g):
+    """d_j d_c g_ab - d_j d_a g_bc as ``[..., j, b, c, a]``, the Hessian half
+    of A in :func:`_riemann_down`, in C order: every later pass then runs
+    over contiguous memory."""
+    return np.subtract(np.einsum("...abjc->...jbca", d2g),
+                       np.einsum("...bcja->...jbca", d2g), order="C")
+
+
+def _riemann_down(a, s, gamma):
     """R_jbca as A - A^(j<->b), exactly antisymmetric in (j, b), with
     A_jbca = 1/2 (d_j d_c g_ab - d_j d_a g_bc + Gamma^e_jc S_eba).
 
-    A function of its own so that A is freed before the raise.
+    ``a`` is the Hessian part from :func:`_hessian_part`; A is formed in it.
+    R is written over the Gamma.S product, which A no longer needs, so the
+    pass holds two n^4 arrays, ``a`` and the product, and ``a`` is free for
+    the raise (see :func:`_pack`).
     """
     n = gamma.shape[-1]
     batch = gamma.shape[:-3]
-    # C order: every later pass then runs over contiguous memory.
-    a = np.subtract(np.einsum("...abjc->...jbca", d2g),
-                    np.einsum("...bcja->...jbca", d2g), order="C")
     # Gamma^e_jc S_eba as [..., j, c, b, a], one (n^2 x n) @ (n x n^2) product.
-    a += np.swapaxes((np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2)
-                      @ s.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4), -3, -2)
+    product = (np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2)
+               @ s.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4)
+    a += np.swapaxes(product, -3, -2)
     a *= 0.5
-    return a - np.swapaxes(a, -4, -3)
+    return np.subtract(a, np.swapaxes(a, -4, -3), out=product)
+
+
+def _pack(g, ginv, s, gamma, a) -> CurvaturePack:
+    """The pack from the metric, its :func:`_gamma_terms` and the Hessian
+    part ``a``: ``riemann_down`` takes the Gamma.S product's buffer and
+    ``riemann_up``, raised by g^-1, takes ``a``'s."""
+    rdown = _riemann_down(a, s, gamma)
+    n = g.shape[-1]
+    rup = np.matmul(rdown.reshape(g.shape[:-2] + (n ** 3, n)), ginv,
+                    out=a.reshape(g.shape[:-2] + (n ** 3, n))).reshape(rdown.shape)
+    return CurvaturePack(g=g, gamma=gamma, riemann_up=rup, riemann_down=rdown)
 
 
 def curvature_pack(g, dg, d2g) -> CurvaturePack:
     """Full curvature pack (Christoffels, Riemann, Ricci) from the metric
-    jets that :func:`metric_jets` returns."""
-    ginv, s, gamma = _gamma_terms(g, dg)
-    rdown = _riemann_down(d2g, s, gamma)
-    n = g.shape[-1]
-    rup = (rdown.reshape(g.shape[:-2] + (n ** 3, n)) @ ginv).reshape(rdown.shape)
-    return CurvaturePack(g=g, gamma=gamma, riemann_up=rup, riemann_down=rdown)
+    jets that :func:`metric_jets` returns.
+
+    The Christoffel terms and the Hessian part A of the lowered tensor are
+    formed first; then Gamma.S is added into A, A - A^(j<->b) is written
+    over the product and raised by g^-1 into A's buffer.  The jets stay the
+    caller's.
+    """
+    return _pack(g, *_gamma_terms(g, dg), _hessian_part(d2g))
 
 
 def riemann(metric: MetricField, x) -> CurvaturePack:
-    """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``."""
-    return curvature_pack(*metric_jets(metric, x))
+    """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``.
+
+    The :func:`curvature_pack` pass, with each jet let go once it is used:
+    ``d2g`` after its Hessian part, ``dg`` after the Christoffel terms.  So
+    at most two n^4 arrays are alive at once.
+    """
+    g, dg, d2g = metric_jets(metric, x)
+    a = _hessian_part(d2g)
+    del d2g
+    terms = _gamma_terms(g, dg)
+    del dg
+    return _pack(g, *terms, a)
 
 
 def curvature_endo(pack: CurvaturePack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

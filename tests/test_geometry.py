@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from loopcs import geometry, metrics
+from loopcs import cycles, geometry, metrics
 from loopcs.cycles import CircleAction, integrate_cycle
 from loopcs.geometry import (
     SingularMetricError,
@@ -177,9 +177,25 @@ def test_condition_number_matches_svd():
             assert np.max(np.abs(geometry._condition_number(g) - want) / want) <= 1e-10
 
 
-def test_riemann_peak_memory():
-    m = metrics.perturbed_torus(3)
-    pts = m.box.sample_interior(np.random.default_rng(0), 4096)
+def probe_batch(metric):
+    """The 1024 orbit points of the loop-count probe: 16 points x 64 samples."""
+    return cycles._orbit(metric, CircleAction.rotation(0), cycles._probe_points(metric),
+                         cycles.LOOP_CAP)
+
+
+# A riemann pass holds at most two n^4 arrays (plus the jets' n^3 ones); the
+# bounds sit between that and the three of forming A - A^(j<->b) as a third
+# array beside A and the metric Hessian: perturbed_torus(3) at 4096 random
+# points measured 11.27e6 B with three and 7.74e6 B with two, the probe batch
+# 2.87e6 / 1.99e6 B, and perturbed_torus(5)'s probe batch 18.91e6 / 12.77e6 B.
+@pytest.mark.parametrize("dim, points, bound", [
+    (3, "random", 9.5e6), (3, "probe", 2.2e6), (5, "probe", 14e6)])
+def test_riemann_peak_memory(dim, points, bound):
+    m = metrics.perturbed_torus(dim)
+    if points == "random":
+        pts = m.box.sample_interior(np.random.default_rng(0), 4096)
+    else:
+        pts = probe_batch(m)
     riemann(m, pts)
     tracemalloc.start()
     try:
@@ -188,7 +204,19 @@ def test_riemann_peak_memory():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 14.5e6
+    assert peak <= bound
+
+
+def test_riemann_and_curvature_pack_agree_bit_for_bit():
+    m = metrics.perturbed_torus(5)
+    pts = probe_batch(m)
+    a, b = riemann(m, pts), geometry.curvature_pack(*metric_jets(m, pts))
+    for name in ("g", "gamma", "riemann_up", "riemann_down"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.flags.c_contiguous and y.flags.c_contiguous
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    # exactly antisymmetric in the first pair, as A - A^(j<->b) is
+    assert np.array_equal(a.riemann_down, -np.swapaxes(a.riemann_down, -4, -3))
 
 
 def test_metric_compatibility_y73():
@@ -309,6 +337,15 @@ def test_guard_refuses_singular_and_nan_metrics(bad):
     g = metric_batch(1.0)
     g[5] = bad
     with pytest.raises(SingularMetricError, match="metric condition number"):
+        geometry._inverse_guarded(g)
+
+
+def test_guard_names_inf_for_a_nan_metric_among_good_ones():
+    # Its condition number is NaN; the finite ones (all 1) must not be named.
+    g = np.broadcast_to(np.eye(2), (4, 2, 2)).copy()
+    g[2] = [[1.0, np.nan], [np.nan, 1.0]]
+    with pytest.raises(SingularMetricError,
+                       match=r"^metric condition number inf exceeds 1e\+12: "):
         geometry._inverse_guarded(g)
 
 

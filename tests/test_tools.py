@@ -1,5 +1,6 @@
 """tools/trajectory.py reads the committed BENCH files and prints their medians;
-tools/census.py counts the package's settable values and source lines."""
+tools/census.py counts the package's settable values and source lines;
+tools/peaks.py prints the peak and time of the curvature kernels."""
 import importlib.util
 import json
 import subprocess
@@ -12,8 +13,8 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src" / "loopcs"
 
 
-def _run(script):
-    proc = subprocess.run([sys.executable, str(TOOLS / script)], capture_output=True,
+def _run(script, *args):
+    proc = subprocess.run([sys.executable, str(TOOLS / script), *args], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
@@ -72,6 +73,18 @@ def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
                 if any(gone in name for gone in ("rel_tol", "max_refinements", "growth"))]
 
 
+def test_peaks_prints_one_row_per_metric_at_a_small_batch():
+    header, *lines = _run("peaks.py", "--samples", "2", "--repeats", "1")
+    assert header.split() == ["metric", "points", "riemann_peak_mb", "riemann_ms",
+                              "integrand_peak_mb", "integrand_ms"]
+    assert [line.split()[0] for line in lines] == ["perturbed_torus(3)", "perturbed_torus(5)",
+                                                   "ypq(7,3)"]
+    for line in lines:
+        points, *numbers = line.split()[1:]
+        assert int(points) == 16 * 2
+        assert all(float(x) > 0 for x in numbers)
+
+
 # Runs the tool named by argv[1] with a stdout that, once the first line is
 # out, waits until the reader has closed the pipe (a pipe's write end polls
 # POLLERR then), so the tool's next write always meets a closed pipe instead
@@ -102,7 +115,7 @@ runpy.run_path(sys.argv[0], run_name="__main__")
 """
 
 
-@pytest.mark.parametrize("script", ["census.py", "trajectory.py"])
+@pytest.mark.parametrize("script", ["census.py", "trajectory.py", "peaks.py"])
 def test_closed_stdout_exits_141_quietly(script):
     # As `python3 tools/SCRIPT | head -1`: one line is read, the pipe closed.
     proc = subprocess.Popen([sys.executable, "-c", _AFTER_FIRST_LINE, str(TOOLS / script)],
