@@ -298,22 +298,16 @@ def _pack(g, ginv, s, gamma, a) -> CurvaturePack:
 
 def curvature_pack(g, dg, d2g) -> CurvaturePack:
     """Full curvature pack (Christoffels, Riemann, Ricci) from the metric
-    jets that :func:`metric_jets` returns.
-
-    The Christoffel terms and the Hessian part A of the lowered tensor are
-    formed first; then Gamma.S is added into A, A - A^(j<->b) is written
-    over the product and raised by g^-1 into A's buffer.  The jets stay the
-    caller's.
-    """
+    jets that :func:`metric_jets` returns: the pass of :func:`riemann`, with
+    the jets left to the caller."""
     return _pack(g, *_gamma_terms(g, dg), _hessian_part(d2g))
 
 
 def riemann(metric: MetricField, x) -> CurvaturePack:
     """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``.
 
-    The :func:`curvature_pack` pass, with each jet let go once it is used:
-    ``d2g`` after its Hessian part, ``dg`` after the Christoffel terms.  So
-    at most two n^4 arrays are alive at once.
+    Each jet is let go once used, ``d2g`` after its Hessian part and ``dg``
+    after the Christoffel terms, so at most two n^4 arrays are alive at once.
     """
     g, dg, d2g = metric_jets(metric, x)
     a = _hessian_part(d2g)

@@ -183,11 +183,12 @@ def probe_batch(metric):
                          cycles.LOOP_CAP)
 
 
-# A riemann pass holds at most two n^4 arrays (plus the jets' n^3 ones); the
-# bounds sit between that and the three of forming A - A^(j<->b) as a third
-# array beside A and the metric Hessian: perturbed_torus(3) at 4096 random
-# points measured 11.27e6 B with three and 7.74e6 B with two, the probe batch
-# 2.87e6 / 1.99e6 B, and perturbed_torus(5)'s probe batch 18.91e6 / 12.77e6 B.
+# A riemann pass holds at most two n^4 arrays beside the n^3 ones of the jets
+# and Christoffel terms.  With three (the metric Hessian alive to the end, a
+# fresh array each for A - A^(j<->b) and its raise) the peaks were 11.27e6 B
+# for perturbed_torus(3) at 4096 random points, 2.87e6 B on its probe batch
+# and 18.91e6 B on perturbed_torus(5)'s; with two they are 7.74e6, 1.99e6 and
+# 12.77e6 B.  Each bound sits between the two.
 @pytest.mark.parametrize("dim, points, bound", [
     (3, "random", 9.5e6), (3, "probe", 2.2e6), (5, "probe", 14e6)])
 def test_riemann_peak_memory(dim, points, bound):
