@@ -64,18 +64,9 @@ def _bracket(rup, gammadot, variant: str) -> np.ndarray:
     """Unhalved velocity bracket on the coordinate vectors, t[..., c, b, a] = B(e_c)^a_b."""
     if variant not in ("full", "reduced"):
         raise ValueError(f"variant must be 'full' or 'reduced', got {variant!r}")
-    # t[..., c, b, a] = (R_{cbd}^^a - R_{bdc}^^a [- 2 R_{cdb}^^a]) gd^d, summed
-    # over the velocity's nonzero components only: a cycle velocity has one,
-    # so each contraction is one slice times the speed.  Accumulating from
-    # +0.0, as the einsum over every d does, keeps the einsum's bits, signed
-    # zeros included.
-    shape = np.broadcast_shapes(rup.shape[:-4], gammadot.shape[:-1]) + rup.shape[-3:]
-    r_cdb, t = np.zeros(shape), np.zeros(shape)
-    for d in np.flatnonzero(np.any(gammadot.reshape(-1, shape[-1]), axis=0)):
-        speed = gammadot[..., d, None, None, None]
-        r_cdb += rup[..., :, d, :, :] * speed
-        t += rup[..., :, :, d, :] * speed
-    t -= np.swapaxes(r_cdb, -3, -2)
+    # t[..., c, b, a] = (R_{cbd}^^a - R_{bdc}^^a [- 2 R_{cdb}^^a]) gd^d
+    r_cdb = np.einsum("...cdba,...d->...cba", rup, gammadot)
+    t = np.einsum("...cbda,...d->...cba", rup, gammadot) - np.swapaxes(r_cdb, -3, -2)
     if variant == "full":
         t = t - 2.0 * r_cdb
     return t

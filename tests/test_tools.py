@@ -13,11 +13,19 @@ TOOLS = Path(__file__).resolve().parent.parent / "tools"
 SRC = TOOLS.parent / "src" / "loopcs"
 
 
-def _run(script, *args):
-    proc = subprocess.run([sys.executable, str(TOOLS / script), *args], capture_output=True,
+def _run(script):
+    proc = subprocess.run([sys.executable, str(TOOLS / script)], capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
+
+
+def _load(name):
+    """The tool ``tools/NAME.py`` as a module, for its functions."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_trajectory_reproduces_the_committed_medians():
@@ -43,9 +51,7 @@ def test_trajectory_reproduces_the_committed_medians():
 
 
 def test_trajectory_reads_one_result_or_a_list(tmp_path):
-    spec = importlib.util.spec_from_file_location("trajectory", TOOLS / "trajectory.py")
-    trajectory = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(trajectory)
+    trajectory = _load("trajectory")
     result = {"workload": "orbit", "provenance": {"commit": "0123456789"},
               "runs": [{}, {}], "metrics": {"wall_s": 0.5, "cpu_s": 0.25}}
     (tmp_path / "BENCH_pr2.json").write_text(json.dumps(result))
@@ -73,16 +79,15 @@ def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
                 if any(gone in name for gone in ("rel_tol", "max_refinements", "growth"))]
 
 
-def test_peaks_prints_one_row_per_metric_at_a_small_batch():
-    header, *lines = _run("peaks.py", "--samples", "2", "--repeats", "1")
-    assert header.split() == ["metric", "points", "riemann_peak_mb", "riemann_ms",
-                              "integrand_peak_mb", "integrand_ms"]
-    assert [line.split()[0] for line in lines] == ["perturbed_torus(3)", "perturbed_torus(5)",
-                                                   "ypq(7,3)"]
-    for line in lines:
-        points, *numbers = line.split()[1:]
-        assert int(points) == 16 * 2
-        assert all(float(x) > 0 for x in numbers)
+def test_peaks_measures_both_kernels_at_a_small_batch():
+    peaks = _load("peaks")
+    assert [name for name, _, _ in peaks.CASES] == ["perturbed_torus(3)", "perturbed_torus(5)",
+                                                    "ypq(7,3)"]
+    for _, build, axis in peaks.CASES:
+        r = peaks.row(build(), axis, 2, 1)
+        assert r.pop("points") == 16 * 2
+        assert sorted(r) == ["integrand_ms", "integrand_peak_mb", "riemann_ms", "riemann_peak_mb"]
+        assert all(x > 0 for x in r.values())
 
 
 # Runs the tool named by argv[1] with a stdout that, once the first line is

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from loopcs import geometry, metrics, wcs
+from loopcs import geometry, metrics
 from loopcs.wcs import symbol_endo, wcs_integrand
 
 
@@ -123,61 +123,19 @@ def test_dimension_mismatch_rejected(y73_pack):
             wcs_integrand(pack, np.zeros((n, n)), np.zeros(n))
     with pytest.raises(ValueError, match="variant"):
         wcs_integrand(y73_pack, np.zeros((5, 5)), np.zeros(5), variant="fancy")
+    # A velocity has the pack's dimension, not a multiple of it.
+    for velocity in (np.eye(10)[0], np.tile(np.eye(10)[0], (100, 1))):
+        with pytest.raises(ValueError):
+            wcs_integrand(y73_pack, np.eye(5), velocity)
+        with pytest.raises(ValueError):
+            symbol_endo(y73_pack, np.eye(5)[0], velocity)
 
 
-def einsum_bracket(rup, gd, variant):
-    """The velocity bracket as one einsum contraction over every component."""
-    r_cdb = np.einsum("...cdba,...d->...cba", rup, gd)
-    t = np.einsum("...cbda,...d->...cba", rup, gd) - np.swapaxes(r_cdb, -3, -2)
-    return t - 2.0 * r_cdb if variant == "full" else t
-
-
-@pytest.fixture(scope="module")
-def torus5_pack():
-    m = metrics.perturbed_torus(5)
-    return geometry.riemann(m, m.box.sample_interior(np.random.default_rng(22), 100))
-
-
-@pytest.fixture(scope="module")
-def signed_zeros_pack():
-    # Zeros of both signs: a product of -0.0 is +0.0 in the einsum's sum, so
-    # R_{cbd}^^a gd^d - R_{bdc}^^a gd^d can be -0.0 only if that sum is not
-    # started from +0.0.
-    signs = np.random.default_rng(24).random((10, 5, 5, 5, 5)) < 0.5
-    return SimpleNamespace(riemann_up=np.where(signs, 0.0, -0.0))
-
-
-@pytest.mark.parametrize("pack_name", ["y73_pack", "torus5_pack", "signed_zeros_pack"])
-@pytest.mark.parametrize("variant", ["reduced", "full"])
-def test_bracket_of_a_single_axis_velocity_is_the_einsum_bit_for_bit(pack_name, variant,
-                                                                     request):
-    # A cycle velocity is speed * e_d: summing over its one nonzero component
-    # must reproduce the einsum's bits, signed zeros included.
-    rup = request.getfixturevalue(pack_name).riemann_up
-    for d in range(5):
-        for speed in (1.0, -2.5, 1.0 / 3.0):
-            gd = np.zeros(5)
-            gd[d] = speed
-            got = wcs._bracket(rup, gd, variant)
-            want = einsum_bracket(rup, gd, variant)
-            assert got.shape == want.shape
-            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
-
-
-def test_bracket_of_a_zero_velocity_keeps_its_shape(y73_pack):
-    rup = y73_pack.riemann_up
-    for gd in (np.zeros(5), np.zeros((100, 5))):
-        got = wcs._bracket(rup, gd, "reduced")
-        assert got.shape == (100, 5, 5, 5)
-        assert not np.any(got)
-    assert wcs._bracket(rup[0], np.zeros(5), "full").shape == (5, 5, 5)
-
-
-@pytest.mark.parametrize("variant", ["reduced", "full"])
-def test_bracket_of_a_dense_velocity_matches_the_einsum(y73_pack, variant):
-    rng = np.random.default_rng(23)
-    rup = y73_pack.riemann_up
-    for gd in (rng.standard_normal(5), rng.standard_normal((100, 5))):
-        got = wcs._bracket(rup, gd, variant)
-        want = einsum_bracket(rup, gd, variant)
-        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+def test_non_finite_curvature_reaches_the_symbol(y73_pack):
+    # A NaN in a slice that the velocity e_0 does not select still shows: the
+    # contraction multiplies every component, zeros included.
+    rup = y73_pack.riemann_up.copy()
+    rup[:, :, 3, :, :] = np.nan
+    pack = SimpleNamespace(dim=5, riemann_up=rup)
+    for variant in ("reduced", "full"):
+        assert np.all(np.isnan(symbol_endo(pack, np.eye(5)[1], np.eye(5)[0], variant)))

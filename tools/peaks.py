@@ -2,20 +2,18 @@
 
 For each of perturbed_torus(3), perturbed_torus(5) and ypq(7,3) the batch is
 the loop-count probe's: the 16 ``cycles._probe_points`` orbits, each at
-``--samples`` points (default ``cycles.LOOP_CAP``, so 1024 points), along
-x0 on the tori and alpha on ypq(7,3).  On it the script times
-``geometry.riemann`` and ``wcs.wcs_integrand`` (median of ``--repeats``
-calls) and traces the peak of one call of each with ``tracemalloc``, above
+``cycles.LOOP_CAP`` points (1024 points in all), along x0 on the tori and
+alpha on ypq(7,3).  On it the script times ``geometry.riemann`` and
+``wcs.wcs_integrand`` (median of ``REPEATS`` calls) and traces the peak of one call of each with ``tracemalloc``, above
 what was allocated before the call, in MB of 1e6 bytes.  Run it on two
 checkouts, alternating, to quote before/after numbers.  The script only
 prints; it checks nothing.  A reader that closes early ends it quietly with
 exit 141.
 
-Run from anywhere:  python3 tools/peaks.py [--samples S] [--repeats R]
+Run from anywhere:  python3 tools/peaks.py
 """
 from __future__ import annotations
 
-import argparse
 import os
 import pathlib
 import statistics
@@ -30,6 +28,7 @@ from loopcs import cycles, geometry, metrics, wcs  # noqa: E402
 CASES = (("perturbed_torus(3)", lambda: metrics.perturbed_torus(3), 0),
          ("perturbed_torus(5)", lambda: metrics.perturbed_torus(5), 0),
          ("ypq(7,3)", lambda: metrics.ypq_metric(metrics.solve_ypq(7, 3)), 4))
+REPEATS = 20  # timed calls per kernel
 
 
 def _peak_mb(call) -> float:
@@ -67,17 +66,11 @@ def row(metric, axis: int, samples: int, repeats: int) -> dict:
     return out
 
 
-def main(argv=None) -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--samples", type=int, default=cycles.LOOP_CAP,
-                        help=f"orbit points per probe point (default {cycles.LOOP_CAP})")
-    parser.add_argument("--repeats", type=int, default=20,
-                        help="timed calls per kernel (default 20)")
-    args = parser.parse_args(argv)
+def main() -> None:
     columns = ("points", "riemann_peak_mb", "riemann_ms", "integrand_peak_mb", "integrand_ms")
     print(f"{'metric':<20}" + " ".join(f"{c:>17}" for c in columns), flush=True)
     for name, build, axis in CASES:
-        r = row(build(), axis, args.samples, args.repeats)
+        r = row(build(), axis, cycles.LOOP_CAP, REPEATS)
         print(f"{name:<20}{r['points']:>17d} "
               + " ".join(f"{r[c]:17.3f}" for c in columns[1:]), flush=True)
 
