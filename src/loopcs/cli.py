@@ -144,10 +144,12 @@ def _config_tokens(parser: argparse.ArgumentParser, args: argparse.Namespace) ->
 
 def _parse_args(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
     """Parse ``argv``; config-file flags go first, so explicit flags win.
-    ``args.given`` holds the flags of ``argv`` alone."""
+    ``args.given`` holds the flags of ``argv`` alone.  ``argv`` is parsed
+    again only when a config file adds tokens."""
     given = parser.parse_args(argv)
     tokens = _config_tokens(parser, given) if getattr(given, "config", None) else []
-    args = parser.parse_args([argv[0], *tokens, *argv[1:]])
+    args = (parser.parse_args([argv[0], *tokens, *argv[1:]]) if tokens
+            else argparse.Namespace(**vars(given)))
     args.given = given
     return args
 

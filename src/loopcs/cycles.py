@@ -476,15 +476,18 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     docstring).  ``integrate_box`` hands over each level whole, and the
     densities and sqrt(det g) are computed by ``evaluate`` in fixed batches
     of rows, a row being one point or, with an orbit axis, one line with all
-    its orbit points.  A sqrt(det g) batch holds ``quadrature.CHUNK`` rows; a
-    density batch holds at most ``MAX_ORBIT_POINTS`` loop orbit points (16
-    rows at 64 loop samples, 1024 at one), so the curvature's memory stays
-    bounded.  Along a varying axis the loop samples are measured, at most
-    ``LOOP_CAP``, and recorded as ``provenance["loop_samples"]``.  Only the
-    densities go to the one pool of ``quad.workers`` processes opened after
-    the plan (sqrt(det g) is cheaper to compute than to ship).  The result
-    scales exactly linearly in a finite ``s_scale``, which is applied as a
-    final factor; a value or estimate that overflows raises QuadratureError.
+    its orbit points.  A density batch holds at most ``MAX_ORBIT_POINTS`` loop
+    orbit points (16 rows at 64 loop samples, 1024 at one), so the
+    curvature's memory stays bounded; a sqrt(det g) batch holds
+    ``quadrature.CHUNK`` lines at their pinned points or, at all their orbit
+    points, as many whole lines as fit in ``MAX_ORBIT_POINTS`` points (at
+    least one), so its memory is bounded too.  Along a varying axis the loop
+    samples are measured, at most ``LOOP_CAP``, and recorded as
+    ``provenance["loop_samples"]``.  Only the densities go to the one pool of
+    ``quad.workers`` processes opened after the plan (sqrt(det g) is cheaper
+    to compute than to ship).  The result scales exactly linearly in a
+    finite ``s_scale``, which is applied as a final factor; a value or
+    estimate that overflows raises QuadratureError.
     """
     start = time.perf_counter()
     if metric.dim != 2 * k - 1:
@@ -547,7 +550,10 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         lines = by_line[:, 0, :n_grid]
         ratios = (evaluate(density, lines, executor, rows)
                   / evaluate(partial(volume, axes["grid"]), lines))
-        return (ratios[:, None] * evaluate(partial(volume, box_axes), by_line)).ravel()
+        # Whole lines, at most MAX_ORBIT_POINTS points (or one line) a batch.
+        volumes = evaluate(partial(volume, box_axes), by_line,
+                           rows=max(1, MAX_ORBIT_POINTS // per_line))
+        return (ratios[:, None] * volumes).ravel()
 
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.

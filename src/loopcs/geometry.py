@@ -266,30 +266,33 @@ def _hessian_part(d2g):
                        np.einsum("...bcja->...jbca", d2g), order="C")
 
 
-def _riemann_down(a, s, gamma):
+def _riemann_down(a, s, gamma, out):
     """R_jbca as A - A^(j<->b), exactly antisymmetric in (j, b), with
     A_jbca = 1/2 (d_j d_c g_ab - d_j d_a g_bc + Gamma^e_jc S_eba).
 
     ``a`` is the Hessian part from :func:`_hessian_part`; A is formed in it.
-    R is written over the Gamma.S product, which A no longer needs, so the
-    pass holds two n^4 arrays, ``a`` and the product, and ``a`` is free for
-    the raise (see :func:`_pack`).
+    The Gamma.S product is written into ``out``, a C-ordered n^4 buffer of
+    the batch, and R over the product, which A no longer needs; so the pass
+    holds two n^4 arrays, ``a`` and ``out``, and ``a`` is free for the raise
+    (see :func:`_pack`).
     """
     n = gamma.shape[-1]
     batch = gamma.shape[:-3]
     # Gamma^e_jc S_eba as [..., j, c, b, a], one (n^2 x n) @ (n x n^2) product.
-    product = (np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2)
-               @ s.reshape(batch + (n, n * n))).reshape(batch + (n,) * 4)
+    product = np.matmul(np.swapaxes(gamma.reshape(batch + (n, n * n)), -1, -2),
+                        s.reshape(batch + (n, n * n)),
+                        out=out.reshape(batch + (n * n, n * n))).reshape(out.shape)
     a += np.swapaxes(product, -3, -2)
     a *= 0.5
     return np.subtract(a, np.swapaxes(a, -4, -3), out=product)
 
 
-def _pack(g, ginv, s, gamma, a) -> CurvaturePack:
-    """The pack from the metric, its :func:`_gamma_terms` and the Hessian
-    part ``a``: ``riemann_down`` takes the Gamma.S product's buffer and
-    ``riemann_up``, raised by g^-1, takes ``a``'s."""
-    rdown = _riemann_down(a, s, gamma)
+def _pack(g, ginv, s, gamma, a, out) -> CurvaturePack:
+    """The pack from the metric, its :func:`_gamma_terms`, the Hessian part
+    ``a`` and a C-ordered n^4 buffer ``out``: ``riemann_down`` takes
+    ``out`` (through the Gamma.S product) and ``riemann_up``, raised by
+    g^-1, takes ``a``'s buffer."""
+    rdown = _riemann_down(a, s, gamma, out)
     n = g.shape[-1]
     rup = np.matmul(rdown.reshape(g.shape[:-2] + (n ** 3, n)), ginv,
                     out=a.reshape(g.shape[:-2] + (n ** 3, n))).reshape(rdown.shape)
@@ -299,22 +302,23 @@ def _pack(g, ginv, s, gamma, a) -> CurvaturePack:
 def curvature_pack(g, dg, d2g) -> CurvaturePack:
     """Full curvature pack (Christoffels, Riemann, Ricci) from the metric
     jets that :func:`metric_jets` returns: the pass of :func:`riemann`, with
-    the jets left to the caller."""
-    return _pack(g, *_gamma_terms(g, dg), _hessian_part(d2g))
+    the jets left to the caller, unchanged, so ``riemann_down`` takes a
+    fresh buffer in place of ``d2g``'s."""
+    return _pack(g, *_gamma_terms(g, dg), _hessian_part(d2g), np.empty(d2g.shape))
 
 
 def riemann(metric: MetricField, x) -> CurvaturePack:
     """Full curvature pack (Christoffels, Riemann, Ricci) at ``x``.
 
-    Each jet is let go once used, ``d2g`` after its Hessian part and ``dg``
-    after the Christoffel terms, so at most two n^4 arrays are alive at once.
+    The Christoffel terms come first and ``dg`` is let go; the Hessian part
+    is then formed from ``d2g``, whose buffer takes the Gamma.S product and
+    so ``riemann_down``.  Beyond the jets the pass allocates one n^4 array,
+    the Hessian part, which ``riemann_up`` takes; at most two are alive.
     """
     g, dg, d2g = metric_jets(metric, x)
-    a = _hessian_part(d2g)
-    del d2g
     terms = _gamma_terms(g, dg)
     del dg
-    return _pack(g, *terms, a)
+    return _pack(g, *terms, _hessian_part(d2g), d2g)
 
 
 def curvature_endo(pack: CurvaturePack, X: np.ndarray, Y: np.ndarray) -> np.ndarray:

@@ -1,4 +1,5 @@
 """CLI surface: exit codes, record output, config files, selftest."""
+import argparse
 import ctypes
 import json
 import os
@@ -366,6 +367,28 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     # an explicit flag wins even when it equals the flag's default
     assert run(["verify", "--config", str(cfg), "--samples", "100"]) == 0
     assert "100 interior points" in capsys.readouterr().out
+
+
+def test_command_line_parsed_again_only_for_config_tokens(tmp_path, capsys, monkeypatch):
+    # Without --config the command line is parsed once; a config file that
+    # adds tokens parses it again, with the file's flags first.
+    calls = []
+    real = argparse.ArgumentParser.parse_args
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", counted)
+    assert run(["verify", "--metric", "flat_torus3", "--samples", "12"]) == 0
+    assert len(calls) == 1
+    assert "12 interior points" in capsys.readouterr().out
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("samples = 10\n")
+    calls.clear()
+    assert run(["verify", "--config", str(cfg), "--metric", "flat_torus3"]) == 0
+    assert len(calls) == 2
+    assert "10 interior points" in capsys.readouterr().out
 
 
 def test_config_unknown_key_exit_2(tmp_path):

@@ -599,12 +599,14 @@ def test_orbit_reduction_passes_the_condition_guard(y73):
     assert res.pi4_multiple == Fraction(-432, 6125)
 
 
-@pytest.mark.parametrize("nodes,calls", [(32, 5), (64, 7)])
+@pytest.mark.parametrize("nodes,calls", [(32, 8), (64, 24)])
 def test_volume_batched_by_line(y73, monkeypatch, nodes, calls):
-    # sqrt(det g) follows the density's batch rule: an evaluate row is one
-    # y-line with all its theta points.  One probe call, then per level one
-    # call per 64 lines at the lines and one at their points: 1 + 2 + 2 at
-    # 32 nodes (32 and 64 lines), 1 + 2 + 4 at 64 nodes (64 and 128 lines).
+    # sqrt(det g) follows the density's batch rule: a batch at the orbit
+    # points is whole y-lines with all their theta points, at most
+    # MAX_ORBIT_POINTS points.  One probe call, then per level one call per
+    # 64 lines at the lines and one per MAX_ORBIT_POINTS // per_line lines at
+    # their points: 1 + (1 + 1) + (1 + 4) at 32 nodes (32 lines of 32, 64 of
+    # 64), 1 + (1 + 4) + (2 + 16) at 64 nodes (64 lines of 64, 128 of 128).
     shapes = []
     real = cycles._volume
 
@@ -615,6 +617,7 @@ def test_volume_batched_by_line(y73, monkeypatch, nodes, calls):
     monkeypatch.setattr(cycles, "_volume", counted)
     integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
     assert len(shapes) == calls, shapes
+    assert max(math.prod(shape[:-1]) for shape in shapes) <= cycles.MAX_ORBIT_POINTS, shapes
 
 
 def test_orbit_probe_rejects_varying_ratio(y73):

@@ -188,7 +188,10 @@ def probe_batch(metric):
 # fresh array each for A - A^(j<->b) and its raise) the peaks were 11.27e6 B
 # for perturbed_torus(3) at 4096 random points, 2.87e6 B on its probe batch
 # and 18.91e6 B on perturbed_torus(5)'s; with two they are 7.74e6, 1.99e6 and
-# 12.77e6 B.  Each bound sits between the two.
+# 12.77e6 B.  Each bound sits between the two.  Writing the Gamma.S product
+# into the spent Hessian buffer keeps d2g alive through the n^3 Christoffel
+# terms, so the traced peaks rise to 7.80e6, 2.05e6 and 12.83e6 B while the
+# fresh n^4 allocations fall from two to one (peak RSS falls).
 @pytest.mark.parametrize("dim, points, bound", [
     (3, "random", 9.5e6), (3, "probe", 2.2e6), (5, "probe", 14e6)])
 def test_riemann_peak_memory(dim, points, bound):
@@ -218,6 +221,35 @@ def test_riemann_and_curvature_pack_agree_bit_for_bit():
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
     # exactly antisymmetric in the first pair, as A - A^(j<->b) is
     assert np.array_equal(a.riemann_down, -np.swapaxes(a.riemann_down, -4, -3))
+
+
+def test_riemann_down_takes_the_hessian_buffer(monkeypatch):
+    # riemann's one fresh n^4 array is the Hessian part: the Gamma.S product,
+    # and so riemann_down, is written into the d2g that metric_jets returned.
+    returned = []
+    real = geometry.metric_jets
+
+    def kept(metric, coords):
+        jets = real(metric, coords)
+        returned.append(jets[2])
+        return jets
+
+    monkeypatch.setattr(geometry, "metric_jets", kept)
+    m = metrics.perturbed_torus(3)
+    pack = riemann(m, probe_batch(m))
+    assert len(returned) == 1
+    assert np.shares_memory(pack.riemann_down, returned[0])
+    assert not np.shares_memory(pack.riemann_up, returned[0])
+
+
+def test_curvature_pack_leaves_the_callers_jets_unchanged():
+    m = metrics.perturbed_torus(3)
+    jets = metric_jets(m, probe_batch(m))
+    before = [x.copy() for x in jets]
+    pack = geometry.curvature_pack(*jets)
+    for x, y in zip(jets, before):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    assert not np.shares_memory(pack.riemann_down, jets[2])
 
 
 def test_metric_compatibility_y73():

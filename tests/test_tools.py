@@ -1,6 +1,6 @@
 """tools/trajectory.py reads the committed BENCH files and prints their medians;
 tools/census.py counts the package's settable values and source lines;
-tools/peaks.py prints the peak and time of the curvature kernels."""
+tools/peaks.py prints the peaks and time of the curvature kernels."""
 import importlib.util
 import json
 import subprocess
@@ -88,6 +88,9 @@ def test_peaks_measures_both_kernels_at_a_small_batch():
         assert r.pop("points") == 16 * 2
         assert sorted(r) == ["integrand_ms", "integrand_peak_mb", "riemann_ms", "riemann_peak_mb"]
         assert all(x > 0 for x in r.values())
+    # The cold column: a fresh child's peak RSS grows by the curvature
+    # pass, about 3 MiB on perturbed_torus(3)'s full probe batch.
+    assert 0.5 < peaks.cold_rss_mb(0) < 50
 
 
 # Runs the tool named by argv[1] with a stdout that, once the first line is
