@@ -14,6 +14,12 @@ functions below also take plain arrays and return plain arrays, with the
 same domain guards, so a component function evaluated on plain coordinates
 gives metric values alone, bit for bit the values of its jets.
 
+No rule writes into an operand's arrays, and a result may share them, so a
+jet's arrays are never mutated.  The zero seeds (a variable's Hessian, a
+constant's gradient and Hessian) rely on this: they are read-only
+zero-stride views of one float, not fresh (..., n, n) arrays per variable.
+A variable's gradient stays a real array; as a view it slowed small calls.
+
 Hessians are symmetric by construction: every rule below produces the (i, j)
 and (j, i) entries from the same pair of products added in commuted order,
 which is bit-exact in IEEE arithmetic.
@@ -118,25 +124,38 @@ class Jet2:
         return pow_int(self, exponent)
 
 
+# One zero float in an immutable buffer: every array over it is read-only.
+_ZERO = bytes(8)
+
+
+def _zeros(shape) -> np.ndarray:
+    """A read-only all-zero array of ``shape`` over one float, every stride 0:
+    a safe seed because no rule writes into a jet's arrays.  It is
+    ``np.broadcast_to(0.0, shape)`` without that function's Python-level
+    checks, which slowed 16- and 64-point ``metric_jets`` calls by 10-15%."""
+    return np.ndarray(shape, float, _ZERO, 0, (0,) * len(shape))
+
+
 def jet_variable(index: int, value, n: int) -> Jet2:
     """Jet of the coordinate function ``x^index`` at ``value``.
 
     The gradient is the standard basis vector ``e_index`` and the Hessian is
-    zero.  ``value`` may be an array, giving a batch of evaluation points.
+    zero, a read-only view of one float.  ``value`` may be an array, giving
+    a batch of evaluation points.
     """
     if not 0 <= index < n:
         raise IndexError(f"variable index {index} out of range for dimension {n}")
     v = _as_value(value)
     grad = np.zeros(v.shape + (n,))
     grad[..., index] = 1.0
-    hess = np.zeros(v.shape + (n, n))
-    return Jet2(v, grad, hess)
+    return Jet2(v, grad, _zeros(v.shape + (n, n)))
 
 
 def jet_constant(value, n: int) -> Jet2:
-    """Jet of a constant: zero gradient and Hessian."""
+    """Jet of a constant: zero gradient and Hessian, read-only views of one
+    float."""
     v = _as_value(value)
-    return Jet2(v, np.zeros(v.shape + (n,)), np.zeros(v.shape + (n, n)))
+    return Jet2(v, _zeros(v.shape + (n,)), _zeros(v.shape + (n, n)))
 
 
 def value_of(x) -> np.ndarray:

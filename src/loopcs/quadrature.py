@@ -142,8 +142,9 @@ def _legendre_newton(n: int) -> tuple[np.ndarray, np.ndarray]:
     pk, pm = _legendre_pair(n, x)
     dpk = n * (x * pk - pm) / (x * x - 1.0)
     w = 2.0 / ((1.0 - x * x) * dpk * dpk)
-    order = np.argsort(x)
-    return x[order], w[order]
+    # The guess, and so the converged rule, runs from +1 down to -1: reversed,
+    # it is in increasing order with no sort.
+    return x[::-1].copy(), w[::-1].copy()
 
 
 _rule_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
@@ -188,7 +189,7 @@ def _tensor_points(box, counts):
     for axis, (c, iv) in enumerate(zip(counts, box)):
         x, w = gauss_nodes(c, iv)
         points[..., axis] = x.reshape((c,) + (1,) * (len(counts) - axis - 1))
-        weights = np.multiply.outer(weights, w)
+        weights = weights[..., None] * w
     return points.reshape(weights.size, len(counts)), weights.ravel()
 
 

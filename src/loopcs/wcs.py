@@ -90,15 +90,19 @@ def symbol_endo(pack, X, gammadot, variant: str = "full") -> np.ndarray:
 def _wedge_tables(m: int):
     """Index and sign tables for the W_J recursion on m = 2k - 1 frame vectors.
 
-    Returns ``(levels, complement)``.  Level sets are sorted index sets in
-    ``combinations`` order, starting from the pairs a < b.  Each level above
-    the pairs is ``(prev, pair, sign)``, three ``(slots, count)`` arrays with
-    one column per index set J of the level and one row per pair slot {a, b}
-    of J: slot s of set J multiplies W[prev[s, J]] of the level below by
+    Returns ``(ia, ib, levels, complement, signs)``.  Level sets are sorted
+    index sets in ``combinations`` order, starting from the pairs a < b, whose
+    first and second indices are ``ia`` and ``ib``.  Each level above the
+    pairs is ``(prev, pair, sign)``, three ``(slots, count)`` arrays with one
+    column per index set J of the level and one row per pair slot {a, b} of
+    J: slot s of set J multiplies W[prev[s, J]] of the level below by
     Omega[pair[s, J]] with ``sign[s, J]``.  ``complement[i]`` is the position
-    of J_i in the top level.
+    of J_i in the top level and ``signs[i]`` is (-1)^i.  Built from Python
+    lists once per m, so a call of :func:`wcs_integrand` runs no index
+    kernel of numpy's.
     """
-    pair_pos = {p: t for t, p in enumerate(combinations(range(m), 2))}
+    pairs = list(combinations(range(m), 2))
+    pair_pos = {p: t for t, p in enumerate(pairs)}
     below = pair_pos
     levels = []
     for size in range(4, m, 2):
@@ -116,7 +120,8 @@ def _wedge_tables(m: int):
         below = {J: t for t, J in enumerate(sets)}
     complement = np.array([below[tuple(x for x in range(m) if x != i)]
                            for i in range(m)])
-    return levels, complement
+    ia, ib = (np.array(column) for column in zip(*pairs))
+    return ia, ib, levels, complement, np.array([(-1.0) ** i for i in range(m)])
 
 
 def wcs_integrand(pack, frame, gammadot, variant: str = "reduced") -> float | np.ndarray:
@@ -140,14 +145,13 @@ def wcs_integrand(pack, frame, gammadot, variant: str = "reduced") -> float | np
     t = _bracket(rup, np.asarray(gammadot, dtype=float), variant)
 
     # (Omega_ab)^e_f = (R_{abf}^^e - R_{baf}^^e)/2 for a < b, formed in place.
-    ia, ib = np.triu_indices(m, 1)
+    ia, ib, levels, complement, signs = _wedge_tables(m)
     pairs = np.swapaxes(rup[..., ia, ib, :, :], -1, -2)
     pairs -= np.swapaxes(rup[..., ib, ia, :, :], -1, -2)
     pairs *= 0.5
 
     # Summing each level's pair slots one at a time keeps every temporary at
     # (count, n, n) instead of materialising the (count * slots, n, n) stack.
-    levels, complement = _wedge_tables(m)
     wedge = pairs
     for prev, pair, sign in levels:
         acc = np.zeros(batch + (prev.shape[1], n, n))
@@ -156,7 +160,6 @@ def wcs_integrand(pack, frame, gammadot, variant: str = "reduced") -> float | np
         wedge = acc
     # tr[B(e_i) . W_{J_i}] = t[i, b, a] W_{J_i}[b, a]
     traces = np.einsum("...iba,...iba->...i", t, wedge[..., complement, :, :])
-    signs = np.where(np.arange(m) % 2, -1.0, 1.0)
     # einsum, not a matmul: BLAS gemv rounds the odd last row of a batch
     # unlike the paired rows, so a point's value would depend on its batch.
     scale = np.linalg.det(F) * (2.0 ** (k - 1) * 2.0 / math.factorial(m))

@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from loopcs import cycles, jets, metrics
+from loopcs import cycles, jets, metrics, quadrature, wcs
 from loopcs.geometry import MetricField, riemann, validate_curvature
 from loopcs.cycles import (
     CircleAction,
@@ -807,3 +807,20 @@ def test_a_sweep_rows_and_error_recording():
 
     sweep2 = a_sweep([0.4, 0.6], quad=QuadratureSpec(nodes=6))
     assert sweep2.fitted_exponent is not None
+
+
+def test_cycle_integrals_use_no_sort_or_triangle_kernel(monkeypatch, y73):
+    # Sorting the Gauss rule and the integrand's a < b pairs is bookkeeping:
+    # numpy's sort and triangle kernels page in code every fresh run would
+    # pay for, so neither bench problem calls them, rules and tables built
+    # afresh included.
+    torus = metrics.perturbed_torus(3)
+    monkeypatch.setattr(quadrature, "_rule_cache", {})
+    wcs._wedge_tables.cache_clear()
+    for name in ("argsort", "sort", "triu_indices"):
+        monkeypatch.setattr(np, name, lambda *a, _name=name, **k: pytest.fail(f"np.{_name}"))
+    runs = [(y73, 4, 3, QuadratureSpec(nodes=8)), (torus, 0, 2, QuadratureSpec(nodes=2, mask=()))]
+    for metric, axis, k, spec in runs:
+        r = integrate_cycle(metric, CircleAction.rotation(axis=axis), k, quad=spec)
+        assert math.isfinite(r.value) and r.node_counts
+    assert len(quadrature._rule_cache) >= 2

@@ -200,3 +200,74 @@ def test_batched_values_match_scalar_evaluation():
         assert batched.value[row] == single.value
         assert np.array_equal(batched.grad[row], single.grad)
         assert np.array_equal(batched.hess[row], single.hess)
+
+
+def _read_only_jet(rng, nvars=3, batch=(4,)):
+    """A jet with nonzero entries everywhere, every array read-only."""
+    arrays = [rng.uniform(0.5, 1.5, batch + (nvars,) * d) for d in range(3)]
+    arrays[2] = arrays[2] + np.swapaxes(arrays[2], -1, -2)
+    for a in arrays:
+        a.setflags(write=False)
+    return Jet2(*arrays)
+
+
+# Every rule of Jet2 and every elementary function, each with its operands.
+_RULES = {
+    "add": lambda a, b: a + b, "add_number": lambda a, b: a + 2.0,
+    "radd_number": lambda a, b: 2.0 + a, "sub": lambda a, b: a - b,
+    "sub_number": lambda a, b: a - 2.0, "rsub_number": lambda a, b: 2.0 - a,
+    "neg": lambda a, b: -a, "mul": lambda a, b: a * b, "mul_number": lambda a, b: a * 3.0,
+    "rmul_number": lambda a, b: 3.0 * a, "div": lambda a, b: a / b,
+    "div_number": lambda a, b: a / 3.0, "rdiv_number": lambda a, b: 3.0 / a,
+    "pow": lambda a, b: a ** 3, "pow_zero": lambda a, b: J.pow_int(a, 0),
+    "pow_negative": lambda a, b: J.pow_int(a, -2), "sin": lambda a, b: J.sin(a),
+    "cos": lambda a, b: J.cos(a), "sqrt": lambda a, b: J.sqrt(a),
+    "recip": lambda a, b: J.recip(a),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(_RULES))
+def test_no_rule_writes_into_its_operands(rule):
+    # The zero seeds are shared read-only views, so "no jet is ever mutated"
+    # is what keeps them valid: every operand array here is read-only (a
+    # write raises), left bit for bit as it was, and a seeded variable or
+    # constant gives the bits of the same rule on writable np.zeros seeds.
+    general = _read_only_jet(np.random.default_rng(3))
+    seeds = [jet_variable(1, np.full(4, 0.75), 3), jet_constant(np.full(4, 1.25), 3)]
+    for seed in seeds:
+        for d in seed.grad, seed.hess:
+            if not d.any():
+                assert not d.flags.writeable and 0 in d.strides
+    writable = [Jet2(s.value, np.array(s.grad), np.array(s.hess)) for s in seeds]
+    operands = [general, *seeds]
+    before = [[x.copy() for x in (j.value, j.grad, j.hess)] for j in operands]
+    for a, b in [(general, general), *zip(seeds, [general, general]),
+                 *zip([general, general], seeds), (seeds[0], seeds[1])]:
+        _RULES[rule](a, b)
+    for seed, plain in zip(seeds, writable):
+        for other in general, seed:
+            for got, want in [(_RULES[rule](seed, other), _RULES[rule](plain, other)),
+                              (_RULES[rule](other, seed), _RULES[rule](other, plain))]:
+                for x, y in zip((got.value, got.grad, got.hess),
+                                (want.value, want.grad, want.hess)):
+                    assert np.array_equal(x, y) and x.shape == y.shape
+    for j, arrays in zip(operands, before):
+        for x, y in zip((j.value, j.grad, j.hess), arrays):
+            assert np.array_equal(x, y)
+
+
+@pytest.mark.parametrize("name", ["flat_torus2", "flat_torus3", "flat_torus5", "round_sphere2",
+                                  "round_sphere3", "round_sphere5", "perturbed_torus3", "s2xs3",
+                                  "ypq73"])
+def test_zero_seeds_give_the_bits_of_writable_zeros(monkeypatch, name):
+    from loopcs import geometry, metrics
+    metric = (metrics.ypq_metric(metrics.solve_ypq(7, 3)) if name == "ypq73"
+              else metrics.catalog(name))
+    rng = np.random.default_rng(11)
+    points = metric.box.sample_interior(rng, 65)
+    seeded = geometry.metric_jets(metric, points)
+    monkeypatch.setattr(J, "_zeros", np.zeros)
+    assert jet_variable(0, points[:, 0], metric.dim).hess.flags.writeable
+    plain = geometry.metric_jets(metric, points)
+    for got, want in zip(seeded, plain):
+        assert got.tobytes() == want.tobytes()

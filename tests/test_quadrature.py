@@ -44,6 +44,32 @@ def test_nodes_match_numpy_reference(n):
     assert np.max(np.abs(w - wr)) < 1e-14
 
 
+def test_rule_is_the_sorted_newton_rule():
+    # The Newton iteration converges from +1 down to -1 and the rule is its
+    # reversal: the argsort order of the nodes, strictly increasing, with
+    # each weight the one the weight formula gives at its node.
+    for n in range(1, 257):
+        x, _ = gauss_nodes(n, (-1.0, 1.0))
+        raw_x, raw_w = quadrature._rule_cache[n]
+        assert np.array_equal(np.argsort(raw_x), np.arange(n))
+        assert np.all(np.diff(raw_x) > 0) and np.all(np.diff(x) > 0)
+        pk, pm = quadrature._legendre_pair(n, raw_x)
+        dpk = n * (raw_x * pk - pm) / (raw_x * raw_x - 1.0)
+        assert np.array_equal(raw_w, 2.0 / ((1.0 - raw_x * raw_x) * dpk * dpk))
+
+
+@pytest.mark.parametrize("axes", range(6))
+def test_tensor_weights_are_the_chained_outer_products(axes):
+    box = [(0.0, 1.0 + a) for a in range(axes)]
+    counts = [2 + a for a in range(axes)]
+    points, weights = quadrature._tensor_points(box, counts)
+    want = np.ones(())
+    for c, iv in zip(counts, box):
+        want = np.multiply.outer(want, gauss_nodes(c, iv)[1])
+    assert weights.tobytes() == want.ravel().tobytes()
+    assert points.shape == (want.size, axes)
+
+
 @pytest.mark.parametrize("n,interval", [(5, (0.0, 1.0)), (9, (-2.0, 3.5)), (2, (0.0, np.pi))])
 def test_weights_sum_to_length_and_interior(n, interval):
     x, w = gauss_nodes(n, interval)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from loopcs import geometry, metrics
+from loopcs import geometry, metrics, wcs
 from loopcs.wcs import symbol_endo, wcs_integrand
 
 
@@ -139,3 +139,14 @@ def test_non_finite_curvature_reaches_the_symbol(y73_pack):
     pack = SimpleNamespace(dim=5, riemann_up=rup)
     for variant in ("reduced", "full"):
         assert np.all(np.isnan(symbol_endo(pack, np.eye(5)[1], np.eye(5)[0], variant)))
+
+
+@pytest.mark.parametrize("m", [3, 5, 7])
+def test_wedge_tables_hold_the_pairs_and_signs(m):
+    # wcs_integrand reads its a < b pairs and its alternating signs from the
+    # cached tables, not from np.triu_indices and np.where on every call.
+    ia, ib, _, _, signs = wcs._wedge_tables(m)
+    want_a, want_b = np.triu_indices(m, 1)
+    assert np.array_equal(ia, want_a) and np.array_equal(ib, want_b)
+    assert ia.dtype == want_a.dtype and ib.dtype == want_b.dtype
+    assert signs.tolist() == [1.0, -1.0] * (m // 2) + [1.0]
