@@ -75,9 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="regularization parameter scaling (exactly linear)")
             p.add_argument("--nodes", type=int, default=32,
                            help="Gauss-Legendre nodes per unmasked axis")
-            p.add_argument("--refine-factor", type=int, default=2,
-                           help="node multiplier of the fine level (default 2; "
-                                "1 gives one level and no error estimate)")
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut and the "
                                 "orbit-axis reduction")
@@ -210,8 +207,7 @@ def _select_action(names: tuple[str, ...], text: str | None) -> CircleAction:
 
 def _quad_spec(args) -> QuadratureSpec:
     mask: tuple[int, ...] | None = () if getattr(args, "no_mask", False) else None
-    return QuadratureSpec(nodes=args.nodes, refinement_factor=args.refine_factor,
-                          mask=mask, workers=args.workers)
+    return QuadratureSpec(nodes=args.nodes, mask=mask, workers=args.workers)
 
 
 def _write(text: str, path: str | None):

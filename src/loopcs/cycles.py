@@ -72,8 +72,8 @@ from . import __version__
 from .geometry import MetricField, _chart_coords, metric_jets, metric_values, riemann
 from .jets import ChartDomainError
 from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
-from .quadrature import (QuadratureError, QuadratureSpec, check_budget, evaluate,
-                         integrate_box, pool, whole_number)
+from .quadrature import (REFINEMENT_FACTOR, QuadratureError, QuadratureSpec, check_budget,
+                         evaluate, integrate_box, pool, whole_number)
 from .wcs import wcs_integrand
 
 __all__ = [
@@ -274,7 +274,7 @@ def _cycle_plan(metric: MetricField, action: CircleAction,
                   for a in range(metric.dim))
     if quad.nodes < 2 and any(kind != "extent" for kind in kinds):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    check_budget((quad.nodes,) * kinds.count("grid"), quad)
+    check_budget((quad.nodes,) * kinds.count("grid"))
     if action.kind == "rotation" and action.axis not in constant:
         return kinds, _measured_loop_samples(metric, action)
     if action.kind == "rotation" and quad.mask is None:
@@ -435,14 +435,14 @@ def best_rational_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
 
 
 def snap_pi4_multiple(value: float, error_estimate: float,
-                      confirm_value: float | None = None) -> Fraction | None:
+                      confirm_value: float) -> Fraction | None:
     """Rational r with value ~ r * pi^4, or None if no tight small snap exists.
 
     The snap is the smallest-denominator rational within 10x the quadrature
     error estimate (floored at a few ulps) of value / pi^4, found by a
     continued-fraction (Stern-Brocot) walk; it is reported only when its
-    denominator stays below 10^6 and, if a second quadrature level is given,
-    only when that level snaps to the same rational.
+    denominator stays below 10^6 and the coarse quadrature level,
+    ``confirm_value``, snaps to the same rational.
     """
     def one(v: float) -> Fraction | None:
         x = v / PI4
@@ -454,11 +454,7 @@ def snap_pi4_multiple(value: float, error_estimate: float,
         return r
 
     snap = one(value)
-    if snap is None:
-        return None
-    if confirm_value is not None and one(confirm_value) != snap:
-        return None
-    return snap
+    return snap if snap is not None and one(confirm_value) == snap else None
 
 
 def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
@@ -567,7 +563,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             f"cycle value overflows: value {value}, error estimate {error} "
             f"(box integral {box_result.value!r} times axis extents {factor!r})")
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(0 if kind == "extent" else quad.nodes * quad.refinement_factor
+    node_counts = tuple(0 if kind == "extent" else quad.nodes * REFINEMENT_FACTOR
                         for kind in kinds)
     prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
@@ -575,7 +571,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     prov["orbit_reduced_axes"] = [metric.coord_names[a] for a in axes["orbit"]]
     if loop_samples > 1:  # the measured count; one sample needs no record
         prov["loop_samples"] = loop_samples
-    prov["refinement_factor"] = quad.refinement_factor
+    prov["refinement_factor"] = REFINEMENT_FACTOR
 
     snapped = snap_pi4_multiple(value, error, coarse) if exact_mode else None
     return CycleResult(value=value, pi4_multiple=snapped, error_estimate=error,

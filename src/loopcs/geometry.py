@@ -196,8 +196,10 @@ def _inverse_guarded(g: np.ndarray) -> np.ndarray:
     :func:`_condition_number` check, which alone decides every refusal; a
     batch whose eigenvalues do not converge (NaN entries) is refused whole.
     A refusal names the batch's largest condition number, inf when any is
-    not finite.
+    not finite.  A batch the exact check passes gets the inverse already
+    computed; g is inverted again only if that first inversion raised.
     """
+    ginv = None
     try:
         ginv = np.linalg.inv(g)
         bound = np.linalg.norm(g, axis=(-2, -1)) * np.linalg.norm(ginv, axis=(-2, -1))
@@ -214,7 +216,7 @@ def _inverse_guarded(g: np.ndarray) -> np.ndarray:
         raise SingularMetricError(
             f"metric condition number {worst:.3e} exceeds {COND_LIMIT:.0e}: "
             "chart-boundary degeneracy")
-    return np.linalg.inv(g)
+    return np.linalg.inv(g) if ginv is None else ginv
 
 
 def _gamma_terms(g, dg):

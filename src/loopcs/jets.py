@@ -12,7 +12,9 @@ of evaluation points, with the derivative slots living on trailing axes
 ``S + (n, n)``).  All operations broadcast over the batch.  The elementary
 functions below also take plain arrays and return plain arrays, with the
 same domain guards, so a component function evaluated on plain coordinates
-gives metric values alone, bit for bit the values of its jets.
+gives metric values alone, bit for bit the values of its jets.  The metrics
+use ``sin``, ``cos`` and ``recip``; ``sqrt`` is kept because the selftest's
+random jet expressions, checked against finite differences, use it.
 
 No rule writes into an operand's arrays, and a result may share them, so a
 jet's arrays are never mutated.  The zero seeds (a variable's Hessian, a
@@ -38,7 +40,6 @@ __all__ = [
     "cos",
     "sqrt",
     "recip",
-    "pow_int",
 ]
 
 
@@ -120,9 +121,6 @@ class Jet2:
     def __rtruediv__(self, other):
         return recip(self) * other
 
-    def __pow__(self, exponent):
-        return pow_int(self, exponent)
-
 
 # One zero float in an immutable buffer: every array over it is read-only.
 _ZERO = bytes(8)
@@ -203,16 +201,3 @@ def recip(a):
     if not isinstance(a, Jet2):
         return inv
     return _chain(a, inv, -inv * inv, 2.0 * inv * inv * inv)
-
-
-def pow_int(a, m: int):
-    """Integer power ``a**m``; negative exponents require a nonzero value."""
-    m = int(m)
-    v = value_of(a)
-    if m < 0 and np.any(v == 0.0):
-        raise ChartDomainError("negative power of zero: point left the chart domain")
-    if not isinstance(a, Jet2):
-        return v**m
-    if m == 0:
-        return jet_constant(np.ones_like(v), a.nvars)
-    return _chain(a, v**m, m * v ** (m - 1), m * (m - 1) * v ** (m - 2))

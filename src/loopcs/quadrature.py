@@ -41,6 +41,9 @@ __all__ = [
 # batches handed to the integrand are identical for every worker count.
 CHUNK = 64
 
+# Node-count multiplier of the fine level of every integral.
+REFINEMENT_FACTOR = 2
+
 # Largest grid one level may build: 2**22 5-D points hold about 168 MB.
 MAX_LEVEL_POINTS = 2**22
 
@@ -84,12 +87,12 @@ class QuadratureError(RuntimeError):
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Node counts of a tensor-product rule of one or two levels.
+    """Node counts of a two-level tensor-product rule.
 
-    nodes: Gauss-Legendre node count on every box axis of the coarse level.
-    refinement_factor: node-count multiplier of the fine level, whose result
-        is the value and whose distance from the coarse one is the error
-        estimate; at 1 the coarse level is the only one and the estimate is 0.
+    nodes: Gauss-Legendre node count on every box axis of the coarse level;
+        the fine level, whose result is the value and whose distance from
+        the coarse one is the error estimate, has ``REFINEMENT_FACTOR``
+        times as many.
     mask: axis indices along which the integrand is constant.
         ``integrate_box`` ignores it; ``cycles.integrate_cycle`` drops those
         axes from the box and multiplies by their exact extents.  None means
@@ -98,23 +101,19 @@ class QuadratureSpec:
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
     Construction raises ValueError for an int field or mask axis not a whole
-    number (a numpy integer is one), or a refinement factor or ``workers``
-    below 1.
+    number (a numpy integer is one), or ``workers`` below 1.
     """
 
     nodes: int = 32
-    refinement_factor: int = 2
     mask: tuple[int, ...] | None = None
     workers: int = 1
 
     def __post_init__(self):
-        for name in ("nodes", "refinement_factor", "workers"):
+        for name in ("nodes", "workers"):
             object.__setattr__(self, name, whole_number(name, getattr(self, name)))
         if self.mask is not None:
             object.__setattr__(self, "mask",
                                tuple(whole_number("mask axis", a) for a in self.mask))
-        if self.refinement_factor < 1:
-            raise ValueError("refinement factor must be >= 1")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
 
@@ -247,8 +246,8 @@ def _single_level(f, box, counts):
 
 @dataclass(frozen=True)
 class BoxResult:
-    """Quadrature result: the finest level's value at ``counts`` and the
-    coarse level's at ``coarse_counts``; with one level they are the same."""
+    """Quadrature result: the fine level's value at ``counts`` and the
+    coarse level's at ``coarse_counts``."""
 
     value: float
     error_estimate: float
@@ -257,10 +256,10 @@ class BoxResult:
     coarse_counts: tuple[int, ...]
 
 
-def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
-    """Refuse, before any grid is built, node counts whose finest level (each
-    count times ``spec.refinement_factor``) would exceed ``MAX_LEVEL_POINTS``."""
-    points = math.prod(c * spec.refinement_factor for c in counts)
+def check_budget(counts: tuple[int, ...]) -> None:
+    """Refuse, before any grid is built, coarse node counts whose fine level
+    (each count times ``REFINEMENT_FACTOR``) would exceed ``MAX_LEVEL_POINTS``."""
+    points = math.prod(c * REFINEMENT_FACTOR for c in counts)
     if points > MAX_LEVEL_POINTS:
         raise ValueError(f"the finest quadrature level would evaluate {points} points, "
                          f"over the budget of {MAX_LEVEL_POINTS}")
@@ -269,24 +268,20 @@ def check_budget(counts: tuple[int, ...], spec: QuadratureSpec) -> None:
 def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     """Tensor-product Gauss-Legendre integral of ``f`` over an open box.
 
-    The coarse level has ``spec.nodes`` nodes on every axis.  With a
-    ``refinement_factor`` above 1 exactly one fine level follows, with that
-    many times more: ``value`` is its result and ``error_estimate`` its
-    distance from the coarse one.  At factor 1 the coarse level is the
-    value and the estimate is 0.  ``f`` is called once per level with the
-    level's whole (m, dim) array of interior points, in row-major tensor
-    order, and returns an (m,) array of values; it must be pure.  A failure
-    of ``f`` is raised as :class:`QuadratureError`.  ``spec.workers`` is not
-    read: an ``f`` that wants batches or a :func:`pool` calls
-    :func:`evaluate` itself.  Raises ValueError (:func:`check_budget`)
-    before building any grid.
+    The coarse level has ``spec.nodes`` nodes on every axis and the fine
+    level ``REFINEMENT_FACTOR`` times as many: ``value`` is the fine result
+    and ``error_estimate`` its distance from the coarse one.  ``f`` is
+    called once per level with the level's whole (m, dim) array of interior
+    points, in row-major tensor order, and returns an (m,) array of values;
+    it must be pure.  A failure of ``f`` is raised as
+    :class:`QuadratureError`.  ``spec.workers`` is not read: an ``f`` that
+    wants batches or a :func:`pool` calls :func:`evaluate` itself.  Raises
+    ValueError (:func:`check_budget`) before building any grid.
     """
     box = [(float(lo), float(hi)) for lo, hi in box]
     coarse_counts = (spec.nodes,) * len(box)
-    check_budget(coarse_counts, spec)
+    check_budget(coarse_counts)
     coarse = _single_level(f, box, coarse_counts)
-    if spec.refinement_factor == 1:
-        return BoxResult(coarse, 0.0, coarse_counts, coarse, coarse_counts)
-    counts = (spec.nodes * spec.refinement_factor,) * len(box)
+    counts = (spec.nodes * REFINEMENT_FACTOR,) * len(box)
     fine = _single_level(f, box, counts)
     return BoxResult(fine, abs(fine - coarse), counts, coarse, coarse_counts)

@@ -105,11 +105,11 @@ def test_over_budget_run_refused_before_any_evaluation(monkeypatch, capsys):
 
 
 def test_budget_charges_exactly_the_finest_level(capsys):
-    # The two gridded sphere axes at 2048 nodes and factor 1 are exactly
-    # 2^22 points, the budget; at 1025 nodes and factor 2 the fine level
-    # is 2050^2 points, over it, although the coarse one is not.
+    # The fine level of the two gridded sphere axes at 1024 nodes is exactly
+    # 2048^2 = 2^22 points, the budget; at 1025 nodes it is 2050^2 points,
+    # over it, although the coarse level is not.
     sphere = ["wcs", "--metric", "round_sphere3", "--action", "trivial"]
-    assert run(sphere + ["--nodes", "2048", "--refine-factor", "1"]) == 0
+    assert run(sphere + ["--nodes", "1024"]) == 0
     assert run(sphere + ["--nodes", "1025"]) == 2
     assert "would evaluate 4202500 points" in capsys.readouterr().err
 
@@ -174,7 +174,6 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     for argv, flags, needle in [(ypq, ["--workers", "0"], "workers"),
                                 (torus, ["--workers", "-3"], "workers"),
                                 (trivial, ["--workers", "0"], "workers"),
-                                (ypq, ["--refine-factor", "0"], "refinement factor"),
                                 (trivial, ["--nodes", "1"], "at least 2"),
                                 (trivial, ["--nodes", "2048"], "budget")]:
         assert run(argv + flags) == 2
@@ -185,18 +184,18 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
 def test_removed_form_settings_exit_2(tmp_path, capsys):
     # The degree is fixed by the dimension, both brackets give the same
     # cycle integral, the loop cap is the constant cycles.LOOP_CAP and a
-    # cycle integral is one or two fixed quadrature levels, so none is a
-    # setting: flags and config keys exit 2.
+    # cycle integral is two fixed quadrature levels, the fine one at twice
+    # the nodes, so none is a setting: flags and config keys exit 2.
     sphere = ["wcs", "--metric", "round_sphere3", "--action", "rotate:phi"]
     sweep = ["sweep", "--sweep-pq", "7:3", "--nodes", "4"]
     for argv in (sphere, sweep):
         for flags in (["--k", "3"], ["--loop-nodes", "64"], ["--tol", "1e-9"],
-                      ["--max-refinements", "2"]):
+                      ["--max-refinements", "2"], ["--refine-factor", "1"]):
             assert run(argv + flags) == 2, argv + flags
     assert run(sphere + ["--variant", "full"]) == 2
     cfg = tmp_path / "run.cfg"
     for entry in ("variant = reduced", "k = 3", "loop_nodes = 64", "tol = 1e-9",
-                  "max_refinements = 2"):
+                  "max_refinements = 2", "refine_factor = 1"):
         cfg.write_text(f"{entry}\n")
         assert run(sphere + ["--config", str(cfg)]) == 2
         assert "unknown config key" in capsys.readouterr().err
@@ -223,8 +222,7 @@ def test_ignored_family_flags_exit_2(monkeypatch, capsys):
     assert calls == []
     # the flags each family reads still reach it
     assert run(["wcs", *family_a, "--ell", "0.7", "--action", "trivial"]) == 0
-    assert run(["sweep", "--sweep-a", "0.6", "--ell", "0.7", "--nodes", "3",
-                "--refine-factor", "1"]) == 0
+    assert run(["sweep", "--sweep-a", "0.6", "--ell", "0.7", "--nodes", "2"]) == 0
 
 
 def test_bad_ypq_a_inputs_exit_2(monkeypatch, capsys):
@@ -279,7 +277,6 @@ def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
     monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
     sweep = ["sweep", "--sweep-pq", "7:3,3:3", "--nodes", "4"]
     for flags, needle in [(["--workers", "0"], "workers"),
-                          (["--refine-factor", "0"], "refinement factor"),
                           (["--nodes", "1"], "at least 2"),
                           (["--action", "rotate:theta"], "non-periodic"),
                           (["--no-mask", "--nodes", "64"], "budget")]:
@@ -301,13 +298,13 @@ def test_sweep_pq_csv(tmp_path):
     assert any("error" in line and "3" in line for line in lines[1:])
     assert any(line.startswith("result,7,3") and ",ok," in line for line in lines[1:])
     # every quadrature flag reaches the sweep: bitwise equal to wcs
-    flags = ["--nodes", "3", "--refine-factor", "1", "--no-mask"]
+    flags = ["--nodes", "2", "--no-mask"]
     assert run(["sweep", "--sweep-pq", "7:3", *flags, "--out", str(out)]) == 0
     rec = tmp_path / "wcs.json"
     assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
                 "--action", "rotate:alpha", *flags, "--out", str(rec)]) == 0
     data = json.loads(rec.read_text())
-    assert data["node_counts"] == [3, 3, 3, 3, 3]
+    assert data["node_counts"] == [4, 4, 4, 4, 4]
     assert _csv_values(out) == [data["value"]]
 
 
@@ -407,9 +404,8 @@ def test_config_store_true_key(tmp_path):
     cfg = tmp_path / "run.cfg"
     out = tmp_path / "res.json"
     argv = ["wcs", "--config", str(cfg), "--metric", "ypq", "--p", "7", "--q", "3",
-            "--action", "rotate:alpha", "--nodes", "3", "--refine-factor", "1",
-            "--out", str(out)]
-    for raw, counts in (("yes", [3, 3, 3, 3, 3]), ("off", [0, 3, 0, 3, 0])):
+            "--action", "rotate:alpha", "--nodes", "2", "--out", str(out)]
+    for raw, counts in (("yes", [4, 4, 4, 4, 4]), ("off", [0, 4, 0, 4, 0])):
         cfg.write_text(f"no_mask = {raw}\n")
         assert run(argv) == 0
         assert json.loads(out.read_text())["node_counts"] == counts

@@ -364,6 +364,26 @@ def test_guard_above_the_margin_takes_the_exact_check(exact_checks):
     assert exact_checks == [g.shape]
 
 
+def test_guard_passed_by_the_exact_check_inverts_once(exact_checks, monkeypatch):
+    # diag(1, 1.5e-12): kappa_2 = 6.7e11 passes, but the Frobenius bound is
+    # the same 6.7e11 > 5e11, so the exact check runs; its pass returns the
+    # inverse the bound was formed from, with no second inversion.
+    g = np.diag([1.0, 1.5e-12])[None]
+    want = np.linalg.inv(g)
+    assert np.linalg.norm(g) * np.linalg.norm(want) > geometry.COND_LIMIT / 2
+    inversions = []
+    real = np.linalg.inv
+
+    def counted(a):
+        inversions.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counted)
+    got = geometry._inverse_guarded(g)
+    assert inversions == [g.shape] and exact_checks == [g.shape]
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.ones((5, 5)), np.zeros((5, 5)),
                                  np.where(np.eye(5) == 1.0, np.nan, 0.0)])
 def test_guard_refuses_singular_and_nan_metrics(bad):

@@ -61,11 +61,8 @@ def test_domain_errors():
         J.sqrt(jet_constant(-1.0, 1))
     with pytest.raises(ChartDomainError):
         J.sqrt(zero)
-    with pytest.raises(ChartDomainError):
-        J.pow_int(zero, -2)
     # Plain arrays meet the same guards.
-    for fn, arg in [(J.recip, [1.0, 0.0]), (J.sqrt, [1.0, -1.0]), (J.sqrt, [0.0]),
-                    (lambda v: J.pow_int(v, -2), [0.0, 2.0])]:
+    for fn, arg in [(J.recip, [1.0, 0.0]), (J.sqrt, [1.0, -1.0]), (J.sqrt, [0.0])]:
         with pytest.raises(ChartDomainError):
             fn(np.array(arg))
 
@@ -75,8 +72,7 @@ def test_plain_arrays_give_the_jet_values():
     # same function on the jet of that array.
     x = np.array([0.3, 1.7, 2.9])
     jet = jet_variable(0, x, 1)
-    for fn in (J.sin, J.cos, J.sqrt, J.recip, lambda v: J.pow_int(v, 3),
-               lambda v: J.pow_int(v, -2), lambda v: J.pow_int(v, 0)):
+    for fn in (J.sin, J.cos, J.sqrt, J.recip):
         plain = fn(x)
         assert not isinstance(plain, Jet2)
         assert np.array_equal(plain, fn(jet).value)
@@ -168,10 +164,10 @@ def test_algebraic_identities():
         assert np.max(np.abs(one.grad)) < 1e-12
         assert np.max(np.abs(one.hess)) < 1e-12
 
-        cube = a**3 - a * a * a
-        assert abs(cube.value) < 1e-12
-        assert np.max(np.abs(cube.grad)) < 1e-12
-        assert np.max(np.abs(cube.hess)) < 1e-12
+        assoc = (a * a) * a - a * (a * a)
+        assert abs(assoc.value) < 1e-12
+        assert np.max(np.abs(assoc.grad)) < 1e-12
+        assert np.max(np.abs(assoc.hess)) < 1e-12
 
         # A plain-number operand acts as the constant jet it stands for.
         c = float(rng.uniform(0.5, 2.0))
@@ -219,8 +215,7 @@ _RULES = {
     "neg": lambda a, b: -a, "mul": lambda a, b: a * b, "mul_number": lambda a, b: a * 3.0,
     "rmul_number": lambda a, b: 3.0 * a, "div": lambda a, b: a / b,
     "div_number": lambda a, b: a / 3.0, "rdiv_number": lambda a, b: 3.0 / a,
-    "pow": lambda a, b: a ** 3, "pow_zero": lambda a, b: J.pow_int(a, 0),
-    "pow_negative": lambda a, b: J.pow_int(a, -2), "sin": lambda a, b: J.sin(a),
+    "sin": lambda a, b: J.sin(a),
     "cos": lambda a, b: J.cos(a), "sqrt": lambda a, b: J.sqrt(a),
     "recip": lambda a, b: J.recip(a),
 }

@@ -83,19 +83,17 @@ def test_bad_rule_arguments():
     with pytest.raises(ValueError):
         gauss_nodes(3, (1.0, 1.0))
     # A bad rule is refused when the spec is built, before any box is seen.
-    for kwargs, needle in [({"refinement_factor": 0}, "refinement factor"),
-                           ({"workers": 0}, "workers"),
+    for kwargs, needle in [({"workers": 0}, "workers"),
                            ({"workers": -3}, "workers"),
                            ({"nodes": (8, 16)}, "nodes"),
                            ({"nodes": 8.0}, "nodes"),
-                           ({"refinement_factor": 2.7}, "refinement_factor"),
                            ({"workers": 2.5}, "workers"),
                            ({"mask": (0.9, 2.2, 4.7)}, "mask axis"),
                            ({"mask": (1, 2.0)}, "mask axis")]:
         with pytest.raises(ValueError, match=needle):
             QuadratureSpec(**{"nodes": 2, **kwargs})
-    # A run is one or two fixed levels: there is no tolerance to set.
-    for gone in ("rel_tol", "max_refinements"):
+    # A run is two fixed levels: there is no tolerance or factor to set.
+    for gone in ("rel_tol", "max_refinements", "refinement_factor"):
         with pytest.raises(TypeError, match=gone):
             QuadratureSpec(**{gone: 1})
     # A numpy integer is a whole number, stored as the int it equals.
@@ -201,8 +199,9 @@ def test_non_finite_value_reports_node():
 
 
 def test_budget_counts_only_levels_that_can_run():
-    # One level at factor 1 and exactly two otherwise, so 300 -> 600 is the
-    # finest level: 600^2 points fit the budget and 2400^2 do not.
+    # Exactly two levels, the fine one at twice the nodes, so the budget is
+    # charged for 2 * nodes per axis: 2048^2 = 2^22 points fit it exactly,
+    # 2050^2 do not, although 1025^2 coarse points would.
     sizes = []
 
     def counting(p):
@@ -211,28 +210,25 @@ def test_budget_counts_only_levels_that_can_run():
 
     integrate_box(counting, [(0.0, 1.0)], QuadratureSpec(nodes=3))
     assert sizes == [3, 6]
-    one = integrate_box(counting, [(0.0, 1.0)], QuadratureSpec(nodes=3, refinement_factor=1))
-    assert sizes == [3, 6, 3]
-    assert one.counts == one.coarse_counts == (3,) and one.error_estimate == 0.0
-    check_budget((300, 300), QuadratureSpec(nodes=300))
-    with pytest.raises(ValueError, match="5760000 points"):
-        check_budget((300, 300), QuadratureSpec(nodes=300, refinement_factor=8))
+    assert quadrature.REFINEMENT_FACTOR == 2
+    check_budget((1024, 1024))
+    with pytest.raises(ValueError, match="4202500 points"):
+        check_budget((1025, 1025))
 
 
 def test_fine_level_is_the_coarse_rule_at_factor_times_nodes():
-    # The value of a two-level run is the one-level run at nodes * factor,
-    # bit for bit, and its estimate is the distance from the coarse level.
+    # The fine level of an n-node run is the coarse level of a 2n-node run,
+    # bit for bit, and the estimate is its distance from the n-node level.
     def f(p):
         return np.exp(np.sin(3 * p[:, 0]) + p[:, 1] ** 2)
 
     box = [(0.0, 1.0), (0.0, 2.0)]
-    two = integrate_box(f, box, QuadratureSpec(nodes=5, refinement_factor=3))
-    fine = integrate_box(f, box, QuadratureSpec(nodes=15, refinement_factor=1))
-    coarse = integrate_box(f, box, QuadratureSpec(nodes=5, refinement_factor=1))
-    assert (two.value, two.counts) == (fine.value, fine.counts) == (fine.value, (15, 15))
-    assert (two.coarse_value, two.coarse_counts) == (coarse.value, (5, 5))
-    assert two.error_estimate == abs(fine.value - coarse.value) > 0.0
-    assert fine.error_estimate == coarse.error_estimate == 0.0
+    run = integrate_box(f, box, QuadratureSpec(nodes=5))
+    doubled = integrate_box(f, box, QuadratureSpec(nodes=10))
+    assert (run.value, run.counts) == (doubled.coarse_value, doubled.coarse_counts)
+    assert run.counts == (10, 10) and run.coarse_counts == (5, 5)
+    assert doubled.counts == (20, 20)
+    assert run.error_estimate == abs(run.value - run.coarse_value) > 0.0
 
 
 def test_convergence_is_geometric_for_smooth_integrands():

@@ -1,7 +1,7 @@
 """tools/trajectory.py reads the committed BENCH files and prints their medians;
 tools/census.py counts the package's settable values and source lines;
-tools/peaks.py prints the peaks and time of the curvature kernels and the
-cold memory growth of the kernels and the bench jobs."""
+tools/peaks.py prints the traced peaks and median times of the curvature
+kernels."""
 import importlib.util
 import json
 import subprocess
@@ -73,11 +73,12 @@ def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
     # density oracle takes a sample count.
     names = [name for line in lines for name in line.replace(",", " ").split()]
     assert [name for name in names if "loop_nodes" in name] == ["pullback_density(loop_nodes=)"]
-    # Every cycle integral is one or two fixed levels: no tolerance, no
-    # refinement rounds, no growth to report.
-    assert int(counts["settable values"]) == 76
-    assert not [name for name in names
-                if any(gone in name for gone in ("rel_tol", "max_refinements", "growth"))]
+    # Every cycle integral is two fixed levels, the fine one at twice the
+    # nodes: no tolerance, no refinement rounds or factor, no growth to
+    # report, and the snap always has a coarse level to confirm it.
+    assert int(counts["settable values"]) == 74
+    gone = ("rel_tol", "max_refinements", "growth", "refinement_factor", "confirm_value")
+    assert not [name for name in names if any(g in name for g in gone)]
 
 
 def test_peaks_measures_both_kernels_at_a_small_batch():
@@ -89,26 +90,6 @@ def test_peaks_measures_both_kernels_at_a_small_batch():
         assert r.pop("points") == 16 * 2
         assert sorted(r) == ["integrand_ms", "integrand_peak_mb", "riemann_ms", "riemann_peak_mb"]
         assert all(x > 0 for x in r.values())
-    # The cold columns: a fresh child's peak RSS grows by the curvature
-    # pass, about 3.5 MiB on perturbed_torus(3)'s full probe batch, of which
-    # about 1.2 MiB is library code paged in and 2.3 MiB heap.
-    cold = peaks.cold_mb("perturbed_torus(3)")
-    assert 0.5 < cold["cold_rss_mb"] < 50
-    assert 0.1 < cold["cold_file_mb"] < 10 and 0.5 < cold["cold_anon_mb"] < 50
-
-
-def test_peaks_splits_the_cold_growth_of_both_bench_jobs():
-    # One integrate_cycle of the bench's headline grows a fresh child by
-    # about 2.9 MiB (1.5 code, 1.3 heap) and of its orbit problem by about
-    # 3.9 MiB (1.5 code, 2.4 heap).
-    peaks = _load("peaks")
-    assert [name for name, _ in peaks.JOBS] == ["headline job", "orbit job"]
-    for name, _ in peaks.JOBS:
-        cold = peaks.cold_mb(name)
-        assert 0.5 < cold["cold_rss_mb"] < 20, (name, cold)
-        assert 0.1 < cold["cold_file_mb"] < 5 and 0.1 < cold["cold_anon_mb"] < 10, (name, cold)
-        # The peak is the end state: the heap keeps what the run freed.
-        assert cold["cold_rss_mb"] <= cold["cold_file_mb"] + cold["cold_anon_mb"] + 0.1, cold
 
 
 # Runs the tool named by argv[1] with a stdout that, once the first line is
