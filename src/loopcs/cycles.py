@@ -171,9 +171,10 @@ class CircleAction:
 # it an orbit axis (see _orbit_axes).
 ORBIT_TOL = 1e-12
 
-# Most orbit points one density batch hands to the curvature, so the most loop
-# samples: each row of a batch is evaluated at ``loop_samples`` orbit points.
-# A fixed constant, not worker-dependent, like ``quadrature.CHUNK``.
+# Most points one curvature or sqrt(det g) call holds, the one batch rule of
+# the cycle layer: a density batch holds MAX_ORBIT_POINTS // loop_samples rows,
+# each evaluated at ``loop_samples`` orbit points, so this is also the most
+# loop samples.  A fixed constant, not worker-dependent.
 MAX_ORBIT_POINTS = 1024
 
 # Most trapezoid samples per orbit along a varying axis: the top of the
@@ -307,7 +308,7 @@ def _orbit_axes(metric: MetricField, action: CircleAction,
     Each probe point is paired with one partner per grid axis, moved along
     that axis to the next probe point's coordinate, and all the densities
     are evaluated together, one loop sample each, in batches of
-    ``quadrature.CHUNK`` rows, so a failed density is a QuadratureError, as
+    ``MAX_ORBIT_POINTS`` rows, so a failed density is a QuadratureError, as
     at a quadrature node.  An axis is an orbit axis when the largest change
     of the ratio over the pairs is at most ``ORBIT_TOL`` times the largest
     ratio (a zero ratio everywhere measures nothing and reduces no axis).
@@ -325,7 +326,8 @@ def _orbit_axes(metric: MetricField, action: CircleAction,
         moved[:, a] = np.roll(pts[:, a], 1)
         batch.append(moved)
     coords = np.concatenate(batch)
-    density = evaluate(partial(_density_batch, metric, action, loop_samples=1), coords)
+    density = evaluate(partial(_density_batch, metric, action, loop_samples=1), coords,
+                       None, MAX_ORBIT_POINTS)
     ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
@@ -472,12 +474,12 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     docstring).  ``integrate_box`` hands over each level whole, and the
     densities and sqrt(det g) are computed by ``evaluate`` in fixed batches
     of rows, a row being one point or, with an orbit axis, one line with all
-    its orbit points.  A density batch holds at most ``MAX_ORBIT_POINTS`` loop
-    orbit points (16 rows at 64 loop samples, 1024 at one), so the
-    curvature's memory stays bounded; a sqrt(det g) batch holds
-    ``quadrature.CHUNK`` lines at their pinned points or, at all their orbit
-    points, as many whole lines as fit in ``MAX_ORBIT_POINTS`` points (at
-    least one), so its memory is bounded too.  Along a varying axis the loop
+    its orbit points.  One rule sizes every batch: at most
+    ``MAX_ORBIT_POINTS`` points, so the memory of each call stays bounded.
+    A density batch holds that many loop orbit points (16 rows at 64 loop
+    samples, 1024 at one); a sqrt(det g) batch holds that many lines at
+    their pinned points or, at all their orbit points, as many whole lines
+    as fit (one line if a line has more points).  Along a varying axis the loop
     samples are measured, at most ``LOOP_CAP``, and recorded as
     ``provenance["loop_samples"]``.  Only the densities go to the one pool of
     ``quad.workers`` processes opened after the plan (sqrt(det g) is cheaper
@@ -545,10 +547,10 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         by_line = points.reshape(-1, per_line, len(box_axes))
         lines = by_line[:, 0, :n_grid]
         ratios = (evaluate(density, lines, executor, rows)
-                  / evaluate(partial(volume, axes["grid"]), lines))
+                  / evaluate(partial(volume, axes["grid"]), lines, None, MAX_ORBIT_POINTS))
         # Whole lines, at most MAX_ORBIT_POINTS points (or one line) a batch.
-        volumes = evaluate(partial(volume, box_axes), by_line,
-                           rows=max(1, MAX_ORBIT_POINTS // per_line))
+        volumes = evaluate(partial(volume, box_axes), by_line, None,
+                           max(1, MAX_ORBIT_POINTS // per_line))
         return (ratios[:, None] * volumes).ravel()
 
     # With no box axis the rule is one point of weight 1: the volume of the

@@ -42,7 +42,6 @@ __all__ = [
     "curvature_endo",
     "curvature_report",
     "validate_curvature",
-    "leading_minors_positive",
 ]
 
 COND_LIMIT = 1e12
@@ -398,12 +397,3 @@ def validate_curvature(metric: MetricField, samples) -> CurvatureReport:
     :func:`metric_jets` call."""
     g, dg, d2g = metric_jets(metric, samples)
     return curvature_report(curvature_pack(g, dg, d2g), dg)
-
-
-def leading_minors_positive(g: np.ndarray) -> bool:
-    """Positive definiteness via leading principal minors."""
-    n = g.shape[-1]
-    for k in range(1, n + 1):
-        if np.any(np.linalg.det(g[..., :k, :k]) <= 0.0):
-            return False
-    return True

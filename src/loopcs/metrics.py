@@ -39,8 +39,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import jets
-from .geometry import (CoordBox, CurvaturePack, MetricField, leading_minors_positive,
-                       metric_values)
+from .geometry import CoordBox, CurvaturePack, MetricField
 from .jets import ChartDomainError
 
 __all__ = [
@@ -371,8 +370,3 @@ def einstein_residual(pack: CurvaturePack, constant: float) -> float:
     num = np.max(np.abs(pack.ricci - constant * pack.g))
     den = max(float(np.max(np.abs(constant * pack.g))), np.finfo(float).tiny)
     return float(num) / den
-
-
-def positive_definite_on(metric: MetricField, samples) -> bool:
-    """Leading-principal-minor positivity of g at every sample point."""
-    return leading_minors_positive(metric_values(metric, np.asarray(samples, dtype=float)))

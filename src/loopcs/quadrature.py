@@ -3,16 +3,15 @@
 Nodes and weights come from Newton iteration on Legendre polynomials and are
 cached per node count.  :func:`integrate_box` hands its integrand each
 level's whole point array in a fixed (row-major tensor) order and sums with
-pairwise summation.  :func:`evaluate` owns batching: it calls a function on
-fixed batches of rows along axis 0 (a row is one point, or a caller's block
-of points such as a whole line), in-process or over a :func:`pool`.  A batch
-holds ``CHUNK`` rows unless the caller asks for another fixed size (the
-cycle layer sizes its density batches by a fixed number of orbit points);
-the size never depends on the worker count, so results are bit-identical
-across repeated runs and across worker counts.  The process-pool machinery
-is imported on a pool's first use, not with this module.  Importing the
-module sets the allocator to keep freed batch arrays in the heap
-(:func:`_keep_heap`).
+pairwise summation.  :func:`evaluate` calls a function on batches of rows
+along axis 0 (a row is one point, or a caller's block of points such as a
+whole line), in-process or over a :func:`pool`.  The caller states the rows
+per batch (the cycle layer sizes every batch by a fixed number of orbit
+points); the size never depends on the worker count, so results are
+bit-identical across repeated runs and across worker counts.  The
+process-pool machinery is imported on a pool's first use, not with this
+module.  Importing the module sets the allocator to keep freed batch arrays
+in the heap (:func:`_keep_heap`).
 """
 from __future__ import annotations
 
@@ -36,10 +35,6 @@ __all__ = [
     "pool",
     "pairwise_sum",
 ]
-
-# Default rows per batch, a fixed constant (not worker-dependent) so that the
-# batches handed to the integrand are identical for every worker count.
-CHUNK = 64
 
 # Node-count multiplier of the fine level of every integral.
 REFINEMENT_FACTOR = 2
@@ -211,10 +206,10 @@ def pool(workers: int):
     return sys.modules[__name__].ProcessPoolExecutor(max_workers=workers)
 
 
-def evaluate(f, points: np.ndarray, pool=None, rows: int = CHUNK) -> np.ndarray:
-    """``f`` at ``points`` in fixed batches of ``rows`` rows along axis 0,
-    mapped over ``pool`` when one is given and there is more than one batch;
-    it never starts a pool.  A row is whatever ``points[i]`` holds, one point
+def evaluate(f, points: np.ndarray, pool, rows: int) -> np.ndarray:
+    """``f`` at ``points`` in batches of ``rows`` rows along axis 0, mapped
+    over ``pool`` when it is not None and there is more than one batch; it
+    never starts a pool.  A row is whatever ``points[i]`` holds, one point
     or a block of them; the batch results are joined along axis 0.  Any
     failure of ``f`` is raised as :class:`QuadratureError`."""
     batches = [points[i: i + rows] for i in range(0, len(points), rows)]

@@ -183,7 +183,7 @@ SUITES = [
 ]
 
 
-def run_all(out=print) -> int:
+def run_all() -> int:
     """Run every suite; print one line each; return 0 iff all pass."""
     failures = []
     for name, fn in SUITES:
@@ -193,11 +193,11 @@ def run_all(out=print) -> int:
         except Exception as exc:
             ok, detail = False, f"exception: {exc}"
         dt = time.perf_counter() - t0
-        out(f"{'PASS' if ok else 'FAIL'}  {name:<24} {dt:7.2f}s  {detail}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name:<24} {dt:7.2f}s  {detail}")
         if not ok:
             failures.append(name)
     if failures:
-        out(f"selftest FAILED: {', '.join(failures)}")
+        print(f"selftest FAILED: {', '.join(failures)}")
         return 1
-    out("selftest passed")
+    print("selftest passed")
     return 0

@@ -587,14 +587,15 @@ def test_orbit_reduction_passes_the_condition_guard(y73):
     assert res.pi4_multiple == Fraction(-432, 6125)
 
 
-@pytest.mark.parametrize("nodes,calls", [(32, 8), (64, 24)])
+@pytest.mark.parametrize("nodes,calls", [(32, 8), (64, 23)])
 def test_volume_batched_by_line(y73, monkeypatch, nodes, calls):
-    # sqrt(det g) follows the density's batch rule: a batch at the orbit
-    # points is whole y-lines with all their theta points, at most
-    # MAX_ORBIT_POINTS points.  One probe call, then per level one call per
-    # 64 lines at the lines and one per MAX_ORBIT_POINTS // per_line lines at
-    # their points: 1 + (1 + 1) + (1 + 4) at 32 nodes (32 lines of 32, 64 of
-    # 64), 1 + (1 + 4) + (2 + 16) at 64 nodes (64 lines of 64, 128 of 128).
+    # sqrt(det g) follows the density's batch rule: at most MAX_ORBIT_POINTS
+    # points a call, a batch at the orbit points being whole y-lines with all
+    # their theta points.  One probe call, then per level one call per
+    # MAX_ORBIT_POINTS lines at the lines and one per
+    # MAX_ORBIT_POINTS // per_line lines at their points: 1 + (1 + 1) + (1 + 4)
+    # at 32 nodes (32 lines of 32, 64 of 64), 1 + (1 + 4) + (1 + 16) at 64
+    # nodes (64 lines of 64, 128 of 128).
     shapes = []
     real = cycles._volume
 
@@ -606,6 +607,24 @@ def test_volume_batched_by_line(y73, monkeypatch, nodes, calls):
     integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
     assert len(shapes) == calls, shapes
     assert max(math.prod(shape[:-1]) for shape in shapes) <= cycles.MAX_ORBIT_POINTS, shapes
+
+
+def test_orbit_probe_is_one_density_call(monkeypatch):
+    # The probe follows the density's batch rule: round_sphere(5)'s 16 probe
+    # points and their partners along its four grid axes are 80 one-sample
+    # rows, one batch of at most MAX_ORBIT_POINTS.
+    seen = []
+    real = cycles._density_batch
+
+    def counted(metric, action, coords, loop_samples):
+        seen.append((coords.shape, loop_samples))
+        return real(metric, action, coords, loop_samples)
+
+    monkeypatch.setattr(cycles, "_density_batch", counted)
+    kinds, samples = cycles._cycle_plan(metrics.round_sphere(5), CircleAction.rotation(axis=4),
+                                        QuadratureSpec(nodes=4))
+    assert (kinds, samples) == (("grid",) * 4 + ("extent",), 1)
+    assert seen == [((80, 5), 1)]
 
 
 def test_orbit_probe_rejects_varying_ratio(y73):

@@ -10,7 +10,6 @@ from loopcs.geometry import (
     SingularMetricError,
     christoffel,
     curvature_endo,
-    leading_minors_positive,
     metric_jets,
     riemann,
     validate_curvature,
@@ -427,9 +426,3 @@ def test_metric_jets_symmetry_is_bit_exact():
     assert np.all(dg[:, 0, 0] == 0.0) and np.all(d2g[:, 0, 0] == 0.0)
     assert np.max(np.abs(dg[:, 1, 1])) > 0.0
 
-
-def test_leading_minors_positive():
-    good = np.array([[2.0, 0.5], [0.5, 1.0]])
-    bad = np.array([[1.0, 2.0], [2.0, 1.0]])
-    assert leading_minors_positive(good)
-    assert not leading_minors_positive(bad)

@@ -79,7 +79,7 @@ def test_metric_positive_definite_on_lattice(p, q):
         assert not params.exact_mode  # 4*121 - 75 = 409 is not a square
     m = ypq_metric(params)
     pts = _quasi_random(m.box, 1000)
-    assert metrics.positive_definite_on(m, pts)
+    assert np.all(np.linalg.eigvalsh(geometry.metric_values(m, pts)) > 0)
 
 
 @pytest.mark.parametrize("p,q", [(7, 3), (11, 5)])
@@ -184,7 +184,7 @@ def test_perturbed_torus_is_curved_and_periodic():
     m = metrics.perturbed_torus(3)
     assert all(m.box.periodic)
     pts = m.box.sample_interior(np.random.default_rng(0), 10)
-    assert metrics.positive_definite_on(m, pts)
+    assert np.all(np.linalg.eigvalsh(geometry.metric_values(m, pts)) > 0)
     pack = geometry.riemann(m, pts)
     assert np.max(np.abs(pack.riemann_down)) > 1e-3
 

@@ -147,16 +147,18 @@ class _Smooth:
 
 
 def test_worker_count_does_not_change_bits(pool_starts, pool_maps):
-    # evaluate is the only chunk path and never starts a pool: it maps its
-    # six chunks over the pool it is handed, and the bits must not change.
-    points = np.random.default_rng(5).uniform(-1.0, 1.0, (5 * quadrature.CHUNK + 3, 2))
+    # evaluate is the only batch path and never starts a pool: it maps the
+    # six batches of the rows its caller states over the pool it is handed,
+    # and the bits must not change.
+    rows = 64
+    points = np.random.default_rng(5).uniform(-1.0, 1.0, (5 * rows + 3, 2))
     with quadrature.pool(1) as none:
-        serial = evaluate(_Smooth(), points, none)
+        serial = evaluate(_Smooth(), points, none, rows)
     assert none is None and pool_starts == []
     with quadrature.pool(2) as p:
-        pooled = evaluate(_Smooth(), points, p)
-        # One chunk is evaluated in-process even with a pool.
-        evaluate(_Smooth(), points[:quadrature.CHUNK], p)
+        pooled = evaluate(_Smooth(), points, p, rows)
+        # One batch is evaluated in-process even with a pool.
+        evaluate(_Smooth(), points[:rows], p, rows)
     assert pool_starts == [2] and pool_maps == [6]
     assert serial.shape == (len(points),)
     assert serial.tobytes() == pooled.tobytes()

@@ -75,9 +75,12 @@ def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
     assert [name for name in names if "loop_nodes" in name] == ["pullback_density(loop_nodes=)"]
     # Every cycle integral is two fixed levels, the fine one at twice the
     # nodes: no tolerance, no refinement rounds or factor, no growth to
-    # report, and the snap always has a coarse level to confirm it.
-    assert int(counts["settable values"]) == 74
-    gone = ("rel_tol", "max_refinements", "growth", "refinement_factor", "confirm_value")
+    # report, and the snap always has a coarse level to confirm it.  Every
+    # caller of quadrature.evaluate states its pool and its rows per batch,
+    # and the selftest always prints.
+    assert int(counts["settable values"]) == 71
+    gone = ("rel_tol", "max_refinements", "growth", "refinement_factor", "confirm_value",
+            "evaluate(", "run_all(")
     assert not [name for name in names if any(g in name for g in gone)]
 
 
