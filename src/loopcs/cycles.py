@@ -62,14 +62,15 @@ from __future__ import annotations
 import math
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .geometry import MetricField, _chart_coords, metric_jets, metric_values, riemann
+from .geometry import (CurvaturePack, MetricField, _chart_coords, metric_jets, metric_values,
+                       riemann)
 from .jets import ChartDomainError
 from .metrics import _check_ell, solve_ypq, ypq_metric, ypq_params_from_a
 from .quadrature import (REFINEMENT_FACTOR, QuadratureError, QuadratureSpec, check_budget,
@@ -231,7 +232,7 @@ def _measured_loop_samples(metric: MetricField, action: CircleAction) -> int:
     vel = action.velocity(metric)
     # 16 probe points times LOOP_CAP samples is exactly MAX_ORBIT_POINTS, so
     # the probe is one curvature call.
-    pack = riemann(metric, _orbit(metric, action, _probe_points(metric), LOOP_CAP))
+    pack = _curvature(metric, _orbit(metric, action, _probe_points(metric), LOOP_CAP))
     values = wcs_integrand(pack, _frame_vectors(metric), vel).reshape(LOOP_CAP, -1)
     # max|R| as max(max R, -min R), NaN included: no n^4 |R| temporary.
     curvature = float(np.maximum(np.max(pack.riemann_up), -np.min(pack.riemann_up)))
@@ -355,6 +356,14 @@ def _orbit(metric: MetricField, action: CircleAction, coords: np.ndarray,
     return orbit.reshape(-1, metric.dim)
 
 
+def _curvature(metric: MetricField, points: np.ndarray) -> CurvaturePack:
+    """What the integrand reads of :func:`riemann` at ``points``: ``g`` and
+    ``riemann_up``, with ``gamma`` and ``riemann_down`` None.  Their n^3 and
+    n^4 arrays are freed on return, before the integrand allocates its own,
+    so a curvature and integrand pass peaks no higher than ``riemann``."""
+    return replace(riemann(metric, points), gamma=None, riemann_down=None)
+
+
 def _trapezoid(values: np.ndarray) -> np.ndarray:
     """The periodic trapezoid rule over the loop samples on axis 0 of
     ``values``.  A running sum over the samples: np.sum pairs them up instead
@@ -369,7 +378,7 @@ def _density_batch(metric: MetricField, action: CircleAction,
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
     all orbit points of the batch evaluated as one flat batch."""
     coords = np.asarray(coords, dtype=float)
-    pack = riemann(metric, _orbit(metric, action, coords, loop_samples))
+    pack = _curvature(metric, _orbit(metric, action, coords, loop_samples))
     values = wcs_integrand(pack, _frame_vectors(metric), action.velocity(metric))
     return _trapezoid(values.reshape((loop_samples,) + coords.shape[:-1]))
 
@@ -444,7 +453,10 @@ def snap_pi4_multiple(value: float, error_estimate: float,
     error estimate (floored at a few ulps) of value / pi^4, found by a
     continued-fraction (Stern-Brocot) walk; it is reported only when its
     denominator stays below 10^6 and the coarse quadrature level,
-    ``confirm_value``, snaps to the same rational.
+    ``confirm_value``, snaps to the same rational.  A snap to 0 is reported
+    only when |value| is at most the error estimate: the window holds 0 for
+    any |value| up to ten estimates, where 0, the smallest denominator,
+    would stand for a value the estimate does not call zero.
     """
     def one(v: float) -> Fraction | None:
         x = v / PI4
@@ -456,6 +468,8 @@ def snap_pi4_multiple(value: float, error_estimate: float,
         return r
 
     snap = one(value)
+    if snap == 0 and not abs(value) <= error_estimate:
+        return None
     return snap if snap is not None and one(confirm_value) == snap else None
 
 

@@ -243,12 +243,15 @@ class CurvaturePack:
     Index layout: ``gamma[a, b, c] = Gamma^a_{bc}``,
     ``riemann_up[j, b, c, a] = R_{jbc}^^a``, ``riemann_down`` its lowering in
     the last slot, and the property ``ricci[b, c] = R_{abc}^^a``.
+    :func:`riemann` and :func:`curvature_pack` fill every field; on the pack
+    the cycle layer hands the integrand, ``gamma`` and ``riemann_down`` are
+    absent, None.
     """
 
     g: np.ndarray
-    gamma: np.ndarray
+    gamma: np.ndarray | None
     riemann_up: np.ndarray
-    riemann_down: np.ndarray
+    riemann_down: np.ndarray | None
 
     @property
     def dim(self) -> int:

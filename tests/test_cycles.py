@@ -1,5 +1,6 @@
 """Circle actions, densities, cycle integrals, and rational snapping."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -473,6 +474,36 @@ def test_curvature_calls_capped_at_1024_orbit_points(monkeypatch):
         assert seen == [16 * 64, 36 * samples, 144 * samples], mask
 
 
+def test_integrand_gets_no_christoffels_or_lowered_riemann(monkeypatch):
+    # The cycle layer hands the integrand g and riemann_up alone, so Gamma
+    # and R_down are freed before it allocates: one density batch of the
+    # 1024 probe points of perturbed_torus(5) then peaks at riemann's own
+    # 12.87e6 B (18.64e6 B with the full pack alive), under the bound
+    # test_riemann_peak_memory puts on riemann alone.
+    m, action = metrics.perturbed_torus(5), CircleAction.rotation(axis=0)
+    probe = cycles._probe_points(m)
+    real, handed = cycles.wcs_integrand, []
+
+    def kept(pack, *args):
+        handed.append(pack)
+        return real(pack, *args)
+
+    monkeypatch.setattr(cycles, "wcs_integrand", kept)
+    cycles._density_batch(m, action, probe, cycles.LOOP_CAP)
+    (pack,) = handed
+    assert pack.gamma is None and pack.riemann_down is None
+    assert pack.g.shape == (1024, 5, 5) and pack.riemann_up.shape == (1024,) + (5,) * 4
+    monkeypatch.setattr(cycles, "wcs_integrand", real)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        cycles._density_batch(m, action, probe, cycles.LOOP_CAP)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14e6
+
+
 def _even_harmonic_torus():
     """The perturbed 5-torus with g_44 = 1 + a sin(2 x0): along the x0
     rotation each loop sample repeats half a loop later, so the two-sample
@@ -776,6 +807,16 @@ def test_snap_pi4_multiple_gates():
     # huge-denominator truth is refused rather than mis-snapped
     ugly = float(Fraction(-32768, 1035125)) * PI4
     assert snap_pi4_multiple(ugly, 1e-13, ugly) is None
+    # 0 only when |value| is within the estimate: an exact zero, a roundoff
+    # zero, not a value whose ten-estimate window merely holds 0
+    assert snap_pi4_multiple(0.0, 0.0, 0.0) == Fraction(0)
+    assert snap_pi4_multiple(1e-13, 1e-12, -1e-13) == Fraction(0)
+    assert snap_pi4_multiple(2e-12, 1e-12, 2e-12) is None
+    # the 2-node headline, -6.860 with estimate 1.422: its window, +-0.146
+    # in units of pi^4 around -0.0704, holds 0 at both levels
+    value, estimate, coarse = (float.fromhex(h) for h in (
+        "-0x1.b70e078a575eap+2", "0x1.6c11b62c6b1d7p+0", "-0x1.5c0999ff3c975p+2"))
+    assert snap_pi4_multiple(value, estimate, coarse) is None
 
 
 def test_non_exact_mode_never_snaps():

@@ -3,14 +3,17 @@
 Hypothesis draws the maps, points, velocities and batch splits, derandomized
 so that every run checks the same examples.
 """
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from loopcs import cycles, metrics
+from loopcs import cycles, jets, metrics
 from loopcs.cycles import CircleAction, pullback_density
-from loopcs.geometry import riemann
+from loopcs.geometry import CoordBox, MetricField, riemann
 from loopcs.wcs import wcs_integrand
 from pullback import SineShift, image, pullback
 
@@ -22,6 +25,42 @@ METRICS = {
 }
 
 drawn = settings(derandomize=True, database=None, max_examples=20, deadline=None)
+
+
+@dataclass(frozen=True)
+class _TrigSquare:
+    """g = L^T L + c I with L[a][b] = u sin(k x_a + p) + w cos(l x_b), one
+    drawn (u, k, p, w, l) per entry: periodic, and definite for c > 0.
+    Each entry reads its own row's and column's coordinates, and the
+    amplitudes are drawn away from 0, so g varies along every axis: a
+    metric of one coordinate has a zero integrand, which checks nothing."""
+
+    entries: tuple
+    c: float
+
+    def __call__(self, xs):
+        n = len(xs)
+        L = [[u * jets.sin(k * xs[a] + p) + w * jets.cos(l * xs[b])
+              for b, (u, k, p, w, l) in enumerate(self.entries[a * n:(a + 1) * n])]
+             for a in range(n)]
+        g = [[0.0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                g[a][b] = g[b][a] = (sum(L[e][a] * L[e][b] for e in range(n))
+                                     + (self.c if a == b else 0.0))
+        return g
+
+
+@st.composite
+def trig_metrics(draw, n=5):
+    """A random metric of :class:`_TrigSquare` on the periodic n-torus box."""
+    amp, freq = st.floats(0.25, 1.0), st.integers(1, 2)
+    entry = st.tuples(amp, freq, st.floats(0.0, 2 * math.pi), amp, freq)
+    entries = draw(st.lists(entry, min_size=n * n, max_size=n * n), label="L")
+    box = CoordBox(((0.0, 2 * math.pi),) * n, (True,) * n)
+    return MetricField(box=box, components=_TrigSquare(tuple(entries),
+                                                       draw(st.floats(0.25, 2.0), label="c")),
+                       coord_names=tuple(f"x{a}" for a in range(n)), name=f"trig_square{n}")
 
 
 def _points(data, metric, shape):
@@ -42,13 +81,14 @@ def _split(data, batch):
 # Property 1: for phi with Jacobian J, the integrand of phi* g at x with the
 # coordinate frame and velocity v equals that of g at phi(x) with the frame
 # J e_1 .. J e_n (the rows of J^T) and velocity J v.  The point is in the
-# chart for both families: phi moves a periodic axis only.
+# chart for both families: phi moves a periodic axis only.  The base metric
+# is a catalog one or a drawn trig_metrics() one.
 @pytest.mark.parametrize("family", ["shear", "sine"])
-@pytest.mark.parametrize("name", ["perturbed_torus5", "ypq73"])
+@pytest.mark.parametrize("name", ["perturbed_torus5", "ypq73", "trig_square5"])
 @drawn
 @given(data=st.data())
 def test_integrand_is_natural(name, family, data):
-    metric = METRICS[name]
+    metric = data.draw(trig_metrics(), label="metric") if name == "trig_square5" else METRICS[name]
     periodic = [a for a in range(metric.dim) if metric.box.periodic[a]]
     i = data.draw(st.sampled_from(periodic), label="i")
     j = (data.draw(st.sampled_from([a for a in range(metric.dim) if a != i]), label="j")
@@ -57,8 +97,7 @@ def test_integrand_is_natural(name, family, data):
     x, v = _points(data, metric, (4,))
     pulled = pullback(metric, phi)
     y, J = image(phi, x)
-    lhs = [wcs_integrand(riemann(pulled, xk[None]), np.eye(metric.dim), vk)[0]
-           for xk, vk in zip(x, v)]
+    lhs = wcs_integrand(riemann(pulled, x), np.eye(metric.dim), v)
     rhs = [wcs_integrand(riemann(metric, yk[None]), Jk.T, Jk @ vk)[0]
            for yk, Jk, vk in zip(y, J, v)]
     # Relative to the largest value drawn: a density may sit near zero.

@@ -91,7 +91,8 @@ def test_peaks_measures_both_kernels_at_a_small_batch():
     for _, build, axis in peaks.CASES:
         r = peaks.row(build(), axis, 2, 1)
         assert r.pop("points") == 16 * 2
-        assert sorted(r) == ["integrand_ms", "integrand_peak_mb", "riemann_ms", "riemann_peak_mb"]
+        assert sorted(r) == ["integrand_ms", "integrand_peak_mb", "pass_ms", "pass_peak_mb",
+                             "riemann_ms", "riemann_peak_mb"]
         assert all(x > 0 for x in r.values())
 
 

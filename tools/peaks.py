@@ -1,13 +1,16 @@
 """Print the traced peak memory and the median time of the two curvature
-kernels.
+kernels and of one pass of both as the cycle layer runs it.
 
 For each of perturbed_torus(3), perturbed_torus(5) and ypq(7,3) the batch is
 the loop-count probe's: the 16 ``cycles._probe_points`` orbits, each at
 ``cycles.LOOP_CAP`` points (1024 points in all), along x0 on the tori and
-alpha on ypq(7,3).  On it the script times ``geometry.riemann`` and
-``wcs.wcs_integrand`` (median of ``REPEATS`` calls) and traces the peak of
-one call of each with ``tracemalloc``, above what was allocated before the
-call, in MB of 1e6 bytes.
+alpha on ypq(7,3).  On it the script times ``geometry.riemann``,
+``wcs.wcs_integrand`` and ``cycles._density_batch`` (median of ``REPEATS``
+calls) and traces the peak of one call of each with ``tracemalloc``, above
+what was allocated before the call, in MB of 1e6 bytes.  The integrand
+columns are taken above a full pack already allocated; the ``pass`` columns
+are one density batch, curvature and integrand together, so they show what
+the cycle layer frees before the integrand runs.
 
 A traced peak counts Python allocations, not the pages the process keeps:
 a change can raise it while it lowers the resident memory.  The resident
@@ -59,13 +62,16 @@ def _median_ms(call, repeats: int) -> float:
 
 
 def row(metric, axis: int, samples: int, repeats: int) -> dict:
-    """The batch size and the peak and median time of both kernels."""
+    """The batch size and the peak and median time of both kernels and of
+    one density batch."""
     action = cycles.CircleAction.rotation(axis)
-    points = cycles._orbit(metric, action, cycles._probe_points(metric), samples)
+    probe = cycles._probe_points(metric)
+    points = cycles._orbit(metric, action, probe, samples)
     pack = geometry.riemann(metric, points)  # warm-up, and the integrand's input
     frame, velocity = cycles._frame_vectors(metric), action.velocity(metric)
     kernels = {"riemann": lambda: geometry.riemann(metric, points),
-               "integrand": lambda: wcs.wcs_integrand(pack, frame, velocity)}
+               "integrand": lambda: wcs.wcs_integrand(pack, frame, velocity),
+               "pass": lambda: cycles._density_batch(metric, action, probe, samples)}
     out = {"points": len(points)}
     for name, call in kernels.items():
         out[f"{name}_ms"] = _median_ms(call, repeats)
@@ -75,7 +81,7 @@ def row(metric, axis: int, samples: int, repeats: int) -> dict:
 
 def main() -> None:
     columns = ("points", "riemann_peak_mb", "riemann_ms", "integrand_peak_mb",
-               "integrand_ms")
+               "integrand_ms", "pass_peak_mb", "pass_ms")
     print(f"{'metric':<20}" + " ".join(f"{c:>17}" for c in columns), flush=True)
     for name, build, axis in CASES:
         r = row(build(), axis, cycles.LOOP_CAP, REPEATS)
