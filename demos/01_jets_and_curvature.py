@@ -62,8 +62,8 @@ for name in ("flat_torus3", "round_sphere5", "perturbed_torus3"):
 
 # --- the Sasaki-Einstein family ------------------------------------------------
 params = metrics.solve_ypq(7, 3)
-print(f"\n(7,3) family parameters: a = {params.a_exact}, ell = {params.ell_exact}, "
-      f"y-interval = ({params.y1_exact}, {params.y2_exact})\n")
+print(f"\n(7,3) family parameters: a = {params.a}, ell = {params.ell}, "
+      f"y-interval = ({params.y1}, {params.y2})\n")
 m = metrics.ypq_metric(params)
 pts = m.box.sample_interior(rng, 100)
 report = geometry.validate_curvature(m, pts)

@@ -35,7 +35,7 @@ for p in range(2, 14):
         res = integrate_cycle(metrics.ypq_metric(params),
                               CircleAction.rotation(axis=4), 3,
                               QuadratureSpec(nodes=24))
-        print(f"({p:2d},{q:2d}) {str(params.a_exact):>12} {str(params.ell_exact):>8} "
+        print(f"({p:2d},{q:2d}) {str(params.a):>12} {str(params.ell):>8} "
           f"{res.value:18.12f} {str(res.pi4_multiple):>16}")
 
 print("\npointwise density as a function of a (fixed interior point, ell = 1)")

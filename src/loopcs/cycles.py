@@ -526,8 +526,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     }
     if params is not None:
         prov["params"] = {
-            "p": params.p, "q": params.q, "a": params.a, "c": 1.0,
-            "ell": params.ell, "y1": params.y1, "y2": params.y2,
+            "p": params.p, "q": params.q, "a": float(params.a), "c": 1.0,
+            "ell": float(params.ell), "y1": float(params.y1), "y2": float(params.y2),
             "exact_mode": params.exact_mode,
         }
     if action.kind == "trivial":

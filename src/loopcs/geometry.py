@@ -78,18 +78,20 @@ class CoordBox:
         highs = np.array([hi - margin * (hi - lo) for lo, hi in self.intervals])
         return lows + (highs - lows) * np.asarray(unit, dtype=float)
 
-    def sample_interior(self, rng: np.random.Generator, count: int, margin: float = 0.05):
-        """Uniform samples keeping a relative margin from every boundary."""
-        return self.from_unit(rng.random((count, self.dim)), margin)
+    def sample_interior(self, rng: np.random.Generator, count: int):
+        """Uniform samples keeping a 5% relative margin from every boundary."""
+        return self.from_unit(rng.random((count, self.dim)))
 
 
 @dataclass(frozen=True)
 class MetricField:
     """A chart domain plus Jet2-valued metric component functions.
 
-    ``components`` is a picklable callable taking the list of coordinate jets
-    and returning the n x n (nested-list) matrix of Jet2 entries; entries may
-    also be plain numbers for constant components.  :func:`metric_jets` reads
+    ``components`` is any picklable callable, such as a ``functools.partial``
+    of a module-level function, taking the list of coordinate jets and
+    returning the n x n (nested-list) matrix of Jet2 entries; entries may
+    also be plain numbers for constant components.  A closure works at one
+    worker but fails to pickle at ``--workers`` >= 2.  :func:`metric_jets` reads
     only the upper triangle and mirrors it, so g_{ab} == g_{ba} holds exactly.
     Cycle integrals measure its constant axes (``cycles._constant_axes``).
     """

@@ -24,10 +24,12 @@ parameters are determined by
     a       = 3 y1^2 - 2 y1^3,
     ell     = q / (3 q^2 - 2 p^2 + p n),
 
-rational whenever 4 p^2 - 3 q^2 is a perfect square (exact mode, computed in
-arbitrary-precision rational arithmetic).  Reference metrics (flat tori,
-round spheres, products, a perturbed torus) back the vanishing and
-validation tests.
+rational whenever 4 p^2 - 3 q^2 is a perfect square (exact mode: the values
+are kept as Fractions, computed in arbitrary-precision rational arithmetic,
+and converted to floats only where the metric field is built).  Reference
+metrics (flat tori, round spheres, products, a perturbed torus) back the
+vanishing and validation tests.  Each metric's components are a
+``functools.partial`` of a module-level function, so a metric pickles.
 """
 from __future__ import annotations
 
@@ -35,6 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -69,24 +72,20 @@ EINSTEIN_CONSTANT_DIM5 = 4.0
 class YpqParams:
     """Parameters of one member of the Sasaki-Einstein family (c = 1).
 
-    In exact mode, when 4 p^2 - 3 q^2 is a perfect square n^2, the rational
-    values of a, ell, y1, y2 are kept alongside their float mirrors.
+    In exact mode, when 4 p^2 - 3 q^2 is a perfect square n^2, a, ell, y1
+    and y2 are Fractions; otherwise they are floats.
     """
 
     p: int | None
     q: int | None
-    a: float
-    ell: float
-    y1: float
-    y2: float
-    a_exact: Fraction | None = None
-    ell_exact: Fraction | None = None
-    y1_exact: Fraction | None = None
-    y2_exact: Fraction | None = None
+    a: Fraction | float
+    ell: Fraction | float
+    y1: Fraction | float
+    y2: Fraction | float
 
     @property
     def exact_mode(self) -> bool:
-        return self.a_exact is not None
+        return isinstance(self.a, Fraction)
 
     @property
     def n(self) -> int | None:
@@ -122,7 +121,7 @@ def solve_ypq(p: int, q: int) -> YpqParams:
 
     Requires 0 < q < p with gcd(p, q) = 1.  The closed forms are evaluated
     once, on the square root n as a Fraction in exact mode (so every value
-    is rational) and as a float otherwise.  The cubic-root identities are
+    is a Fraction) and as a float otherwise.  The cubic-root identities are
     re-verified, exactly in exact mode and numerically in both.
     """
     p, q = int(p), int(q)
@@ -140,9 +139,7 @@ def solve_ypq(p: int, q: int) -> YpqParams:
     ell = q / (3 * q * q - 2 * p * p + p * root)
     if exact and 3 * y2 * y2 - 2 * y2**3 != a:
         raise ValueError("rational cubic-root consistency failed")
-    rational = dict(a_exact=a, ell_exact=ell, y1_exact=y1, y2_exact=y2) if exact else {}
-    params = YpqParams(p=p, q=q, a=float(a), ell=float(ell), y1=float(y1), y2=float(y2),
-                       **rational)
+    params = YpqParams(p=p, q=q, a=a, ell=ell, y1=y1, y2=y2)
 
     if not 0.0 < params.a <= 1.0:
         raise ValueError(f"parameter a={params.a} outside (0, 1]")
@@ -175,43 +172,37 @@ def ypq_params_from_a(a: float, ell: float = 1.0) -> YpqParams:
     return YpqParams(p=None, q=None, a=a, ell=float(ell), y1=y1, y2=y2)
 
 
-@dataclass(frozen=True)
-class _YpqComponents:
-    """Metric component builder for the dim-5 Sasaki-Einstein family."""
-
-    a: float
-
-    def __call__(self, xs):
-        _, theta, _, y, _ = xs
-        a = self.a
-        sin_t = jets.sin(theta)
-        cos_t = jets.cos(theta)
-        one_minus_y = 1.0 - y
-        a_minus_y2 = a - y * y
-        w = 2.0 * a_minus_y2 * jets.recip(one_minus_y)
-        qf = (a - 3.0 * y * y + 2.0 * y * y * y) * jets.recip(a_minus_y2)
-        wq = w * qf
-        if np.any(jets.value_of(one_minus_y) <= 0.0) or np.any(jets.value_of(wq) <= 0.0) \
-                or np.any(jets.value_of(sin_t) == 0.0):
-            raise ChartDomainError(
-                "Sasaki-Einstein chart degenerate at evaluation point "
-                "(sin theta = 0, w q <= 0, or 1 - y <= 0)")
-        u = one_minus_y * (1.0 / 6.0)
-        big_a = (a - 2.0 * y + y * y) * jets.recip(6.0 * a_minus_y2)
-        q9 = qf * (1.0 / 9.0)
-        w_a = w * big_a
-        fiber = q9 + w_a * big_a          # q/9 + w A^2
-        g_pp = u * sin_t * sin_t + fiber * cos_t * cos_t
-        g_pf = -(fiber * cos_t)           # phi-psi cross term
-        g_pa = -(w_a * cos_t)             # phi-alpha cross term
-        zero = 0.0
-        return [
-            [g_pp, zero, g_pf, zero, g_pa],
-            [zero, u, zero, zero, zero],
-            [g_pf, zero, fiber, zero, w_a],
-            [zero, zero, zero, jets.recip(wq), zero],
-            [g_pa, zero, w_a, zero, w],
-        ]
+def _ypq_components(a: float, xs):
+    """Metric components of the dim-5 Sasaki-Einstein family."""
+    _, theta, _, y, _ = xs
+    sin_t = jets.sin(theta)
+    cos_t = jets.cos(theta)
+    one_minus_y = 1.0 - y
+    a_minus_y2 = a - y * y
+    w = 2.0 * a_minus_y2 * jets.recip(one_minus_y)
+    qf = (a - 3.0 * y * y + 2.0 * y * y * y) * jets.recip(a_minus_y2)
+    wq = w * qf
+    if np.any(jets.value_of(one_minus_y) <= 0.0) or np.any(jets.value_of(wq) <= 0.0) \
+            or np.any(jets.value_of(sin_t) == 0.0):
+        raise ChartDomainError(
+            "Sasaki-Einstein chart degenerate at evaluation point "
+            "(sin theta = 0, w q <= 0, or 1 - y <= 0)")
+    u = one_minus_y * (1.0 / 6.0)
+    big_a = (a - 2.0 * y + y * y) * jets.recip(6.0 * a_minus_y2)
+    q9 = qf * (1.0 / 9.0)
+    w_a = w * big_a
+    fiber = q9 + w_a * big_a          # q/9 + w A^2
+    g_pp = u * sin_t * sin_t + fiber * cos_t * cos_t
+    g_pf = -(fiber * cos_t)           # phi-psi cross term
+    g_pa = -(w_a * cos_t)             # phi-alpha cross term
+    zero = 0.0
+    return [
+        [g_pp, zero, g_pf, zero, g_pa],
+        [zero, u, zero, zero, zero],
+        [g_pf, zero, fiber, zero, w_a],
+        [zero, zero, zero, jets.recip(wq), zero],
+        [g_pa, zero, w_a, zero, w],
+    ]
 
 
 def ypq_metric(params: YpqParams) -> MetricField:
@@ -222,13 +213,13 @@ def ypq_metric(params: YpqParams) -> MetricField:
     """
     box = CoordBox(
         intervals=((0.0, TWO_PI), (0.0, math.pi), (0.0, TWO_PI),
-                   (params.y1, params.y2), (0.0, TWO_PI * params.ell)),
+                   (float(params.y1), float(params.y2)), (0.0, TWO_PI * float(params.ell))),
         periodic=(True, False, True, False, True),
     )
     label = f"ypq({params.p},{params.q})" if params.p else f"ypq(a={params.a:g})"
     return MetricField(
         box=box,
-        components=_YpqComponents(a=params.a),
+        components=partial(_ypq_components, float(params.a)),
         coord_names=YPQ_COORDS,
         form_order=(0, 1, 3, 2, 4),
         name=label,
@@ -236,13 +227,9 @@ def ypq_metric(params: YpqParams) -> MetricField:
     )
 
 
-@dataclass(frozen=True)
-class _ConstantDiagonal:
-    diag: tuple[float, ...]
-
-    def __call__(self, xs):
-        n = len(self.diag)
-        return [[self.diag[a] if a == b else 0.0 for b in range(n)] for a in range(n)]
+def _constant_diagonal(diag: tuple[float, ...], xs):
+    n = len(diag)
+    return [[diag[a] if a == b else 0.0 for b in range(n)] for a in range(n)]
 
 
 def flat_torus(n: int) -> MetricField:
@@ -250,27 +237,22 @@ def flat_torus(n: int) -> MetricField:
     if n < 1:
         raise ValueError("dimension must be positive")
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
-    return MetricField(box=box, components=_ConstantDiagonal((1.0,) * n),
+    return MetricField(box=box, components=partial(_constant_diagonal, (1.0,) * n),
                        coord_names=tuple(f"x{i}" for i in range(n)),
                        name=f"flat_torus{n}")
 
 
-@dataclass(frozen=True)
-class _SphereComponents:
+def _sphere_components(radius: float, xs):
     """Round sphere in hyperspherical coordinates (theta_1 .. theta_{n-1}, phi)."""
-
-    radius: float
-
-    def __call__(self, xs):
-        n = len(xs)
-        diag = []
-        factor = self.radius * self.radius
-        for i in range(n):
-            diag.append(factor)
-            if i < n - 1:
-                s = jets.sin(xs[i])
-                factor = factor * s * s
-        return [[diag[a] if a == b else 0.0 for b in range(n)] for a in range(n)]
+    n = len(xs)
+    diag = []
+    factor = radius * radius
+    for i in range(n):
+        diag.append(factor)
+        if i < n - 1:
+            s = jets.sin(xs[i])
+            factor = factor * s * s
+    return [[diag[a] if a == b else 0.0 for b in range(n)] for a in range(n)]
 
 
 def round_sphere(n: int, radius: float = 1.0) -> MetricField:
@@ -283,28 +265,22 @@ def round_sphere(n: int, radius: float = 1.0) -> MetricField:
     periodic = (False,) * (n - 1) + (True,)
     names = tuple(f"theta{i+1}" for i in range(n - 1)) + ("phi",)
     return MetricField(box=CoordBox(intervals, periodic),
-                       components=_SphereComponents(radius=radius),
+                       components=partial(_sphere_components, radius),
                        coord_names=names, name=f"round_sphere{n}(r={radius:g})")
 
 
-@dataclass(frozen=True)
-class _ProductComponents:
-    left: object
-    right: object
-    split: int
-
-    def __call__(self, xs):
-        rows_l = self.left(xs[: self.split])
-        rows_r = self.right(xs[self.split:])
-        n = len(xs)
-        out = [[0.0] * n for _ in range(n)]
-        for a in range(self.split):
-            for b in range(self.split):
-                out[a][b] = rows_l[a][b]
-        for a in range(self.split, n):
-            for b in range(self.split, n):
-                out[a][b] = rows_r[a - self.split][b - self.split]
-        return out
+def _product_components(left, right, split: int, xs):
+    rows_l = left(xs[:split])
+    rows_r = right(xs[split:])
+    n = len(xs)
+    out = [[0.0] * n for _ in range(n)]
+    for a in range(split):
+        for b in range(split):
+            out[a][b] = rows_l[a][b]
+    for a in range(split, n):
+        for b in range(split, n):
+            out[a][b] = rows_r[a - split][b - split]
+    return out
 
 
 def product(m1: MetricField, m2: MetricField) -> MetricField:
@@ -313,23 +289,19 @@ def product(m1: MetricField, m2: MetricField) -> MetricField:
                    periodic=m1.box.periodic + m2.box.periodic)
     names = tuple(f"l_{s}" for s in m1.coord_names) + tuple(f"r_{s}" for s in m2.coord_names)
     return MetricField(box=box,
-                       components=_ProductComponents(m1.components, m2.components, m1.dim),
+                       components=partial(_product_components, m1.components, m2.components,
+                                          m1.dim),
                        coord_names=names, name=f"product({m1.name},{m2.name})")
 
 
-@dataclass(frozen=True)
-class _PerturbedTorusComponents:
+def _perturbed_torus_components(amplitudes: tuple[float, ...], xs):
     """Diagonal metric 1 + amplitude * trig(next coordinate): smooth, periodic."""
-
-    amplitudes: tuple[float, ...]
-
-    def __call__(self, xs):
-        n = len(xs)
-        rows = [[0.0] * n for _ in range(n)]
-        for i in range(n):
-            bump = jets.sin(xs[(i + 1) % n]) if i % 2 == 0 else jets.cos(xs[(i + 1) % n])
-            rows[i][i] = 1.0 + self.amplitudes[i] * bump
-        return rows
+    n = len(xs)
+    rows = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        bump = jets.sin(xs[(i + 1) % n]) if i % 2 == 0 else jets.cos(xs[(i + 1) % n])
+        rows[i][i] = 1.0 + amplitudes[i] * bump
+    return rows
 
 
 def perturbed_torus(n: int, seed: int = 7) -> MetricField:
@@ -341,7 +313,7 @@ def perturbed_torus(n: int, seed: int = 7) -> MetricField:
     rng = random.Random(seed)
     amps = tuple(0.35 * (0.5 + 0.5 * rng.random()) for _ in range(n))
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
-    return MetricField(box=box, components=_PerturbedTorusComponents(amps),
+    return MetricField(box=box, components=partial(_perturbed_torus_components, amps),
                        coord_names=tuple(f"x{i}" for i in range(n)),
                        name=f"perturbed_torus{n}")
 

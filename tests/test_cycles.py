@@ -43,9 +43,9 @@ def closed_form_value(p, q):
     """
     params = metrics.solve_ypq(p, q)
     assert params.exact_mode
-    return (-Fraction(256, 135) * params.ell_exact**2
-            * (1 - params.a_exact) ** 2
-            * (G(params.y2_exact) - G(params.y1_exact)))
+    return (-Fraction(256, 135) * params.ell**2
+            * (1 - params.a) ** 2
+            * (G(params.y2) - G(params.y1)))
 
 
 def test_trivial_action_density_and_integral_zero(y73, monkeypatch):
@@ -224,7 +224,7 @@ def test_density_matches_closed_form(params):
     # The error is scaled by the largest |f| of the sample: f changes sign at
     # y = 0, where the pointwise relative error measures cancellation only.
     m = metrics.ypq_metric(params)
-    pts = m.box.sample_interior(np.random.default_rng(5), 50, margin=0.1)
+    pts = m.box.from_unit(np.random.default_rng(5).random((50, m.dim)), margin=0.1)
     want = _closed_form_density(params, pts[:, 1], pts[:, 3])
     bound = 1e-13 * np.max(np.abs(want))
     action = CircleAction.rotation(axis=4)
@@ -512,7 +512,7 @@ def _even_harmonic_torus():
 
     def components(xs):
         rows = base.components(xs)
-        rows[4][4] = 1.0 + base.components.amplitudes[4] * jets.sin(2 * xs[0])
+        rows[4][4] = 1.0 + base.components.args[0][4] * jets.sin(2 * xs[0])
         return rows
 
     return MetricField(box=base.box, components=components,

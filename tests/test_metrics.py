@@ -1,5 +1,6 @@
 """Parameter solver and metric catalog."""
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -17,18 +18,29 @@ def cubic_residual_exact(a: Fraction, y: Fraction) -> Fraction:
 def test_solve_73_exact_values():
     p = solve_ypq(7, 3)
     assert p.exact_mode and p.n == 13  # 4*49 - 3*9 = 169 = 13^2
-    assert p.y1_exact == Fraction(-2, 7)
-    assert p.y2_exact == Fraction(5, 14)
-    assert p.a_exact == Fraction(100, 343)
-    assert p.ell_exact == Fraction(3, 20)
+    assert p.y1 == Fraction(-2, 7)
+    assert p.y2 == Fraction(5, 14)
+    assert p.a == Fraction(100, 343)
+    assert p.ell == Fraction(3, 20)
     # exact-arithmetic cubic residual is identically zero at both roots
-    assert cubic_residual_exact(p.a_exact, p.y1_exact) == 0
-    assert cubic_residual_exact(p.a_exact, p.y2_exact) == 0
+    assert cubic_residual_exact(p.a, p.y1) == 0
+    assert cubic_residual_exact(p.a, p.y2) == 0
+    # The values are stated once, as Fractions; their floats are the
+    # correctly rounded doubles every record carries.
+    assert [float(v).hex() for v in (p.a, p.ell, p.y1, p.y2)] == [
+        "0x1.2a8ad278e8dcfp-2", "0x1.3333333333333p-3",
+        "-0x1.2492492492492p-2", "0x1.6db6db6db6db7p-2"]
+    # No Fraction reaches numpy: the box and the components hold floats.
+    m = ypq_metric(p)
+    assert all(type(v) is float for interval in m.box.intervals for v in interval)
+    g = geometry.metric_values(m, m.box.sample_interior(np.random.default_rng(1), 4))
+    assert g.dtype == np.float64
 
 
 def test_solve_21_not_exact():
     p = solve_ypq(2, 1)
     assert not p.exact_mode and p.n is None
+    assert all(type(v) is float for v in (p.a, p.ell, p.y1, p.y2))
     assert abs(p.cubic_residual(p.y1)) < 1e-12
     assert abs(p.cubic_residual(p.y2)) < 1e-12
     assert p.y1 < 0.0 < p.y2 < 1.0
@@ -52,9 +64,9 @@ def test_exact_pairs_scan():
                 continue
             params = solve_ypq(p, q)
             assert params.exact_mode
-            assert params.y1_exact < 0 < params.y2_exact < 1
-            assert cubic_residual_exact(params.a_exact, params.y1_exact) == 0
-            assert params.ell_exact > 0
+            assert params.y1 < 0 < params.y2 < 1
+            assert cubic_residual_exact(params.a, params.y1) == 0
+            assert params.ell > 0
             found.append((p, q))
     assert (7, 3) in found
     assert len(found) >= 2  # a second exact pair exists below p = 50
@@ -102,6 +114,7 @@ def test_from_a_roots_match_numpy_oracle():
         assert params.y1 == pytest.approx(roots[0], abs=1e-12)
         assert params.y2 == pytest.approx(roots[1], abs=1e-12)
         assert params.p is None and not params.exact_mode
+        assert all(type(v) is float for v in (params.a, params.ell, params.y1, params.y2))
 
 
 def test_from_a_rejects_degenerate_values():
@@ -127,17 +140,33 @@ def test_boundary_degeneracy_raises():
         geometry.metric_jets(m, at_root)
 
 
-@pytest.mark.parametrize("name", ["flat_torus2", "flat_torus3", "flat_torus5",
-                                  "round_sphere2", "round_sphere3", "round_sphere5",
-                                  "perturbed_torus3", "s2xs3", "ypq73", "ypq_a06"])
+CATALOG = ("flat_torus2", "flat_torus3", "flat_torus5", "round_sphere2", "round_sphere3",
+           "round_sphere5", "perturbed_torus3", "s2xs3")
+
+
+def _build(name):
+    if name == "ypq73":
+        return ypq_metric(solve_ypq(7, 3))
+    if name == "ypq_a06":
+        return ypq_metric(ypq_params_from_a(0.6))
+    return metrics.catalog(name)
+
+
+@pytest.mark.parametrize("name", CATALOG + ("ypq73", "ypq_a06"))
+def test_metric_pickles(name):
+    # Pool workers receive the metric pickled; the copy's jets keep their bits.
+    m = _build(name)
+    copy = pickle.loads(pickle.dumps(m))
+    pts = m.box.sample_interior(np.random.default_rng(11), 6)
+    for got, want in zip(geometry.metric_jets(copy, pts), geometry.metric_jets(m, pts)):
+        assert np.array_equal(got, want)
+    assert copy.name == m.name and copy.box == m.box and copy.params == m.params
+
+
+@pytest.mark.parametrize("name", CATALOG + ("ypq73", "ypq_a06"))
 def test_metric_values_equal_jet_values(name):
     # The components on plain coordinates give the jets' g bit for bit.
-    if name == "ypq73":
-        m = ypq_metric(solve_ypq(7, 3))
-    elif name == "ypq_a06":
-        m = ypq_metric(ypq_params_from_a(0.6))
-    else:
-        m = metrics.catalog(name)
+    m = _build(name)
     pts = m.box.sample_interior(np.random.default_rng(5), 40)
     g, _, _ = geometry.metric_jets(m, pts)
     assert np.array_equal(geometry.metric_values(m, pts), g)
@@ -176,8 +205,10 @@ def test_product_metric_blocks():
 
 
 def test_catalog_unknown_name():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as exc:
         metrics.catalog("klein_bottle")
+    # The choices are CATALOG, so the tests above cover every catalog metric.
+    assert str(exc.value).endswith(f"choices: {sorted(CATALOG)}")
 
 
 def test_perturbed_torus_is_curved_and_periodic():
@@ -192,10 +223,10 @@ def test_perturbed_torus_is_curved_and_periodic():
 def test_perturbed_torus_amplitudes_pinned():
     # Drawn with random.Random(seed), not numpy.random: these values are the
     # fixture's record, and every draw stays in [0.175, 0.35).
-    amps = metrics.perturbed_torus(3, seed=7).components.amplitudes
+    amps = metrics.perturbed_torus(3, seed=7).components.args[0]
     assert amps == (0.23167073384580342, 0.20139860543678784, 0.2889135327819744)
-    assert metrics.perturbed_torus(3).components.amplitudes == amps
+    assert metrics.perturbed_torus(3).components.args[0] == amps
     for n in (1, 3, 5, 7):
         for seed in (0, 7, 2024):
-            amps = metrics.perturbed_torus(n, seed=seed).components.amplitudes
+            amps = metrics.perturbed_torus(n, seed=seed).components.args[0]
             assert len(amps) == n and all(0.175 <= a < 0.35 for a in amps), (n, seed)
