@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="fiber period parameter when using --a (default 1)")
         if with_action:
             p.add_argument("--action", default=None,
-                           help="trivial | rotate:AXIS[:SPEED] | iterate:AXIS:N")
+                           help="trivial | rotate:AXIS[:SPEED] | iterate:AXIS:N; "
+                                "SPEED 0 or N 0 is the trivial action")
             p.add_argument("--s-scale", type=float, default=1.0,
                            help="regularization parameter scaling (exactly linear)")
             p.add_argument("--nodes", type=int, default=32,

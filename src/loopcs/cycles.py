@@ -10,8 +10,11 @@ the coordinate box,
 
 where o is the metric's declared form order and f(m) is the loop integral
 over t in [0, 2 pi) of the pointwise integrand with velocity da/dt and the
-frame of pushed-forward coordinate vectors.  The loop integral is always the
-periodic trapezoid rule, spectrally accurate for smooth periodic integrands.
+frame of pushed-forward coordinate vectors.  An action enters only through
+that velocity, read once per call; a zero velocity (the trivial action, or a
+rotation at speed 0) is the constant loop, whose integral is 0 with nothing
+evaluated.  The loop integral is always the periodic trapezoid rule,
+spectrally accurate for smooth periodic integrands.
 Along an axis on which every metric component is measured constant (a
 Killing axis) the loop integrand is t-independent, so one sample is exact:
 2 pi times the pointwise value.  Along any other axis the count is measured
@@ -101,16 +104,12 @@ class CircleAction:
     ``rotation(axis, speed)`` shifts the given coordinate by speed * t modulo
     its period; the default speed is period / (2 pi), one fiber traversal per
     loop.  ``iterate(base, n)`` is a(n t, m), i.e. an n-fold speed-up; n = 0
-    gives the trivial action.
+    gives the trivial action.  The cycle layer reads only its :meth:`velocity`.
     """
 
     axis: int | None = None
     speed: float | None = None
     n_fold: int = 1
-
-    @property
-    def kind(self) -> str:
-        return "trivial" if self.axis is None else "rotation"
 
     @staticmethod
     def trivial() -> "CircleAction":
@@ -126,23 +125,26 @@ class CircleAction:
         n = whole_number("iterate count", n)
         if n < 0:
             raise ValueError("iterate count must be >= 0")
-        if n == 0 or base.kind == "trivial":
+        if n == 0 or base.axis is None:
             return CircleAction.trivial()
         return CircleAction(axis=base.axis, speed=base.speed, n_fold=base.n_fold * n)
 
     def describe(self) -> str:
-        if self.kind == "trivial":
+        if self.axis is None:
             return "trivial"
         tag = f"rotate(axis={self.axis}, speed={'auto' if self.speed is None else self.speed})"
         return tag if self.n_fold == 1 else f"iterate({tag}, n={self.n_fold})"
 
-    def resolved_speed(self, metric: MetricField) -> float:
-        """Total coordinate speed, including the iterate factor; the orbit must
-        close on a periodic axis (one along a non-periodic axis exits the chart)
-        with a finite, whole winding number, nonzero unless the speed is 0."""
-        if self.kind != "rotation":
-            return 0.0
-        if self.axis is None or not 0 <= self.axis < metric.dim:
+    def velocity(self, metric: MetricField) -> np.ndarray:
+        """The constant coordinate velocity da/dt: zero for the trivial action,
+        else the total speed, iterate factor included, on the rotation axis.
+        The orbit must close on a periodic axis (one along a non-periodic axis
+        exits the chart) with a finite, whole winding number, nonzero unless
+        the speed is 0; a zero velocity is the trivial action's."""
+        v = np.zeros(metric.dim)
+        if self.axis is None:
+            return v
+        if not 0 <= self.axis < metric.dim:
             raise ValueError(f"rotation axis {self.axis} invalid for dim {metric.dim}")
         if not metric.box.periodic[self.axis]:
             raise ValueError(
@@ -159,12 +161,7 @@ class CircleAction:
             raise ValueError(
                 f"speed {speed} does not close the orbit: winding {winding} "
                 "is not an integer")
-        return speed
-
-    def velocity(self, metric: MetricField) -> np.ndarray:
-        v = np.zeros(metric.dim)
-        if self.kind == "rotation":
-            v[self.axis] = self.resolved_speed(metric)
+        v[self.axis] = speed
         return v
 
 
@@ -210,7 +207,7 @@ def _constant_axes(metric: MetricField) -> tuple[int, ...]:
     return tuple(a for a in range(metric.dim) if not np.any(dg[..., a]))
 
 
-def _measured_loop_samples(metric: MetricField, action: CircleAction) -> int:
+def _measured_loop_samples(metric: MetricField, velocity: np.ndarray) -> int:
     """Trapezoid samples per orbit for a rotation along a varying axis,
     measured once per run at the 16 :func:`_probe_points`.
 
@@ -229,14 +226,13 @@ def _measured_loop_samples(metric: MetricField, action: CircleAction) -> int:
     samples are roundoff and their sum is of the size of the differences.
     The floor of 2 keeps one sample meaning a constant axis.
     """
-    vel = action.velocity(metric)
     # 16 probe points times LOOP_CAP samples is exactly MAX_ORBIT_POINTS, so
     # the probe is one curvature call.
-    pack = _curvature(metric, _orbit(metric, action, _probe_points(metric), LOOP_CAP))
-    values = wcs_integrand(pack, _frame_vectors(metric), vel).reshape(LOOP_CAP, -1)
+    pack = _curvature(metric, _orbit(metric, velocity, _probe_points(metric), LOOP_CAP))
+    values = wcs_integrand(pack, _frame_vectors(metric), velocity).reshape(LOOP_CAP, -1)
     # max|R| as max(max R, -min R), NaN included: no n^4 |R| temporary.
     curvature = float(np.maximum(np.max(pack.riemann_up), -np.min(pack.riemann_up)))
-    tol = LOOP_TOL * curvature ** ((metric.dim + 1) // 2) * float(np.max(np.abs(vel)))
+    tol = LOOP_TOL * curvature ** ((metric.dim + 1) // 2) * float(np.max(np.abs(velocity)))
     reference = _trapezoid(values)
     samples = LOOP_CAP
     for n in (32, 16, 8, 4, 2):
@@ -247,23 +243,23 @@ def _measured_loop_samples(metric: MetricField, action: CircleAction) -> int:
     return samples
 
 
-def _cycle_plan(metric: MetricField, action: CircleAction,
+def _cycle_plan(metric: MetricField, velocity: np.ndarray,
                 quad: QuadratureSpec) -> tuple[tuple[str, ...], int]:
     """Refuse bad input and plan each axis, once per call: the kinds and the
     loop samples; each axis that is not ``extent`` takes ``quad.nodes`` nodes.
 
-    ``mask=None`` masks the measured constant axes; a rotation that does not
-    close, an explicit mask axis that is not constant, ``quad.nodes`` below
-    2 with any unmasked axis and a grid over :func:`check_budget` raise.
-    The kinds are ``extent`` (masked), ``loop`` (the unmasked rotation axis)
-    and ``grid``.  After every refusal, the trivial action and a rotation
-    along a constant axis take one loop sample, and any other rotation the
-    count :func:`_measured_loop_samples` measures; with ``mask=None`` a
-    rotation along a constant axis lets :func:`_orbit_axes` make ``grid``
-    axes ``orbit`` axes, which stay in the box.
+    ``mask=None`` masks the measured constant axes; an explicit mask axis
+    that is not constant, ``quad.nodes`` below 2 with any unmasked axis and
+    a grid over :func:`check_budget` raise.  The kinds are ``extent``
+    (masked), ``loop`` (the unmasked rotation axis) and ``grid``.  After
+    every refusal, a zero velocity and a rotation along a constant axis
+    take one loop sample, and any other rotation the count
+    :func:`_measured_loop_samples` measures; with ``mask=None`` a rotation
+    along a constant axis lets :func:`_orbit_axes` make ``grid`` axes
+    ``orbit`` axes, which stay in the box.
     """
     constant = _constant_axes(metric)
-    action.resolved_speed(metric)
+    moving = np.flatnonzero(velocity)
     mask = tuple(sorted(set(constant if quad.mask is None else quad.mask)))
     for a in mask:
         if not 0 <= a < metric.dim:
@@ -272,16 +268,16 @@ def _cycle_plan(metric: MetricField, action: CircleAction,
             raise ValueError(
                 f"axis {metric.coord_names[a]} declared constant but the metric "
                 "varies along it")
-    kinds = tuple("extent" if a in mask else "loop" if a == action.axis else "grid"
+    kinds = tuple("extent" if a in mask else "loop" if a in moving else "grid"
                   for a in range(metric.dim))
     if quad.nodes < 2 and any(kind != "extent" for kind in kinds):
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
     check_budget((quad.nodes,) * kinds.count("grid"))
-    if action.kind == "rotation" and action.axis not in constant:
-        return kinds, _measured_loop_samples(metric, action)
-    if action.kind == "rotation" and quad.mask is None:
+    if any(a not in constant for a in moving):
+        return kinds, _measured_loop_samples(metric, velocity)
+    if moving.size and quad.mask is None:
         # Every orbit axis measured comes from a rotation along a constant axis.
-        kinds = _orbit_axes(metric, action, kinds)
+        kinds = _orbit_axes(metric, velocity, kinds)
     return kinds, 1
 
 
@@ -301,7 +297,7 @@ def _pinned(fn, pinned: np.ndarray, axes: tuple[int, ...], points: np.ndarray) -
     return fn(coords)
 
 
-def _orbit_axes(metric: MetricField, action: CircleAction,
+def _orbit_axes(metric: MetricField, velocity: np.ndarray,
                 kinds: tuple[str, ...]) -> tuple[str, ...]:
     """``kinds`` with each ``grid`` axis along which f / sqrt(det g) is
     measured constant made an ``orbit`` axis.
@@ -327,7 +323,7 @@ def _orbit_axes(metric: MetricField, action: CircleAction,
         moved[:, a] = np.roll(pts[:, a], 1)
         batch.append(moved)
     coords = np.concatenate(batch)
-    density = evaluate(partial(_density_batch, metric, action, loop_samples=1), coords,
+    density = evaluate(partial(_density_batch, metric, velocity, loop_samples=1), coords,
                        None, MAX_ORBIT_POINTS)
     ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -342,17 +338,17 @@ def _frame_vectors(metric: MetricField) -> np.ndarray:
     return np.eye(metric.dim)[list(order)]
 
 
-def _orbit(metric: MetricField, action: CircleAction, coords: np.ndarray,
+def _orbit(metric: MetricField, velocity: np.ndarray, coords: np.ndarray,
            loop_samples: int) -> np.ndarray:
     """The ``loop_samples`` trapezoid points of the orbit through each point
     of ``coords`` (any ``(..., dim)`` batch), sample-major: one
     ``(loop_samples * rows, dim)`` array, ``rows`` the batch's point count."""
-    axis = action.axis
+    moving = np.flatnonzero(velocity)
     ts = np.linspace(0.0, 2.0 * math.pi, loop_samples, endpoint=False)
     orbit = np.repeat(coords.reshape(1, -1, metric.dim), loop_samples, axis=0)
-    lo, hi = metric.box.intervals[axis]
-    speed = action.resolved_speed(metric)
-    orbit[..., axis] = lo + np.mod(orbit[..., axis] + speed * ts[:, None] - lo, hi - lo)
+    lo, hi = np.array(metric.box.intervals)[moving].T
+    orbit[..., moving] = lo + np.mod(
+        orbit[..., moving] + velocity[moving] * ts[:, None, None] - lo, hi - lo)
     return orbit.reshape(-1, metric.dim)
 
 
@@ -372,14 +368,14 @@ def _trapezoid(values: np.ndarray) -> np.ndarray:
     return (2.0 * math.pi / len(values)) * np.cumsum(values, axis=0)[-1]
 
 
-def _density_batch(metric: MetricField, action: CircleAction,
+def _density_batch(metric: MetricField, velocity: np.ndarray,
                    coords: np.ndarray, loop_samples: int) -> np.ndarray:
     """Density f(m) of the pulled-back form at a batch of chart points: the
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
     all orbit points of the batch evaluated as one flat batch."""
     coords = np.asarray(coords, dtype=float)
-    pack = _curvature(metric, _orbit(metric, action, coords, loop_samples))
-    values = wcs_integrand(pack, _frame_vectors(metric), action.velocity(metric))
+    pack = _curvature(metric, _orbit(metric, velocity, coords, loop_samples))
+    values = wcs_integrand(pack, _frame_vectors(metric), velocity)
     return _trapezoid(values.reshape((loop_samples,) + coords.shape[:-1]))
 
 
@@ -387,7 +383,7 @@ def pullback_density(metric: MetricField, action: CircleAction, points,
                      loop_nodes: int = 64) -> float | np.ndarray:
     """Density f(m) of the pulled-back form at a ``(dim,)`` chart point (a
     float) or a ``(..., dim)`` batch (an array of the batch shape, bit for bit
-    its points' densities one at a time); zeros for the trivial action.  The
+    its points' densities one at a time); zeros for a zero velocity.  The
     checks run once per call, then batches of at most ``MAX_ORBIT_POINTS``
     orbit points, as in :func:`integrate_cycle`, keep the memory bounded.
     Along a varying axis the loop takes exactly ``loop_nodes`` samples (1 to
@@ -399,14 +395,14 @@ def pullback_density(metric: MetricField, action: CircleAction, points,
     coords = _chart_coords(metric, points)
     if not 1 <= loop_nodes <= MAX_ORBIT_POINTS:
         raise ValueError(f"loop_nodes must be 1 to {MAX_ORBIT_POINTS}, got {loop_nodes}")
-    action.resolved_speed(metric)
-    samples = 1 if action.axis in _constant_axes(metric) else loop_nodes
-    if action.kind == "trivial":
+    velocity = action.velocity(metric)
+    if not velocity.any():
         values = np.zeros(coords.shape[:-1])
     else:
+        samples = 1 if set(np.flatnonzero(velocity)) <= set(_constant_axes(metric)) else loop_nodes
         flat = coords.reshape(-1, metric.dim)
         rows = MAX_ORBIT_POINTS // samples
-        values = np.concatenate([_density_batch(metric, action, flat[i:i + rows], samples)
+        values = np.concatenate([_density_batch(metric, velocity, flat[i:i + rows], samples)
                                  for i in range(0, len(flat), rows)])
         values = values.reshape(coords.shape[:-1])
     return float(values) if values.ndim == 0 else values
@@ -478,8 +474,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                     s_scale: float = 1.0) -> CycleResult:
     """Integrate the pulled-back form density over the coordinate box.
 
-    Plan, integrate, record.  :func:`_cycle_plan` refuses bad input, for the
-    trivial action too, and decides every axis: axes in the mask (default:
+    Plan, integrate, record.  :func:`_cycle_plan` refuses bad input, for a
+    zero velocity too, and decides every axis: axes in the mask (default:
     the measured constant axes) contribute their exact extents, and so does
     an unmasked rotation axis, along which the loop average is constant; the
     remaining axes carry a tensor-product Gauss-Legendre rule with a refined
@@ -507,7 +503,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     if not math.isfinite(s_scale):
         raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
-    kinds, loop_samples = _cycle_plan(metric, action, quad)
+    velocity = action.velocity(metric)
+    kinds, loop_samples = _cycle_plan(metric, velocity, quad)
 
     params = metric.params
     exact_mode = bool(getattr(params, "exact_mode", False))
@@ -518,7 +515,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         "variant": "reduced",
         "s_scale": s_scale,
         "orientation": "^".join(metric.coord_names[i] for i in metric.orientation()),
-        "orbit_speed": None if action.kind == "trivial" else action.resolved_speed(metric),
+        "orbit_speed": None if action.axis is None else float(velocity[action.axis]),
         "speed_convention": "axis period / (2 pi) per unit loop parameter",
         "loop_integral": "periodic trapezoid rule, one sample on verified constant axes",
         "normalization": "2/(2k-1)! signed sum over S(2k-1), plain endomorphism products",
@@ -530,7 +527,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             "ell": float(params.ell), "y1": float(params.y1), "y2": float(params.y2),
             "exact_mode": params.exact_mode,
         }
-    if action.kind == "trivial":
+    if not velocity.any():
         prov["node_counts"] = (0,) * metric.dim
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
@@ -545,7 +542,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
     box_axes = axes["grid"] + axes["orbit"]
     box = [metric.box.intervals[a] for a in box_axes]
-    density = partial(_pinned, partial(_density_batch, metric, action,
+    density = partial(_pinned, partial(_density_batch, metric, velocity,
                                        loop_samples=loop_samples), pinned, axes["grid"])
     volume = partial(_pinned, partial(_volume, metric), pinned)
     rows = MAX_ORBIT_POINTS // loop_samples

@@ -68,11 +68,11 @@ _keep_heap()
 
 
 def whole_number(name: str, value) -> int:
-    """``value`` as the int it equals (a numpy integer does); else ValueError."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    """``value`` as the int it equals (a numpy integer, not a bool); else ValueError."""
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 class QuadratureError(RuntimeError):

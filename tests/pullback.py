@@ -1,4 +1,5 @@
-"""Pullback of a metric by a map of its chart, for the naturality tests.
+"""Pullback of a metric by a map of its chart, for the naturality and the
+time-change tests.
 
 For a map phi with Jacobian J = d phi / dx, the pulled-back metric is
 (phi* g)(x) = J(x)^T g(phi(x)) J(x).  :func:`pullback` wraps a metric's
@@ -8,6 +9,7 @@ while J is given in closed form.  A map must keep the chart in the chart.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -40,6 +42,43 @@ class SineShift:
         n = len(xs)
         J = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
         J[self.i][self.j] = J[self.i][self.j] + self.eps * jets.cos(xs[self.j])
+        return J
+
+
+@dataclass(frozen=True)
+class TimeChange:
+    """phi: x_a -> x_a + eps1 P sin(x_a / P) + eps2 P sin(2 x_a / P), with
+    P = period / (2 pi) and every other coordinate fixed.
+
+    On an axis a of the given period that starts at 0 it maps each circle
+    of the axis onto itself, ends fixed, with derivative
+    h = 1 + eps1 cos(x_a / P) + 2 eps2 cos(2 x_a / P), positive for
+    |eps1| + 2 |eps2| < 1.  Conjugating the rotation along a by phi changes
+    its time, not its orbits: the mean of h over a period is 1, and that of
+    h^2 is 1 + eps1^2 / 2 + 2 eps2^2.
+    """
+
+    axis: int
+    period: float
+    eps1: float
+    eps2: float
+
+    def __call__(self, xs: list) -> list:
+        P = self.period / (2.0 * math.pi)
+        x = xs[self.axis]
+        ys = list(xs)
+        ys[self.axis] = x + self.eps1 * P * jets.sin(x / P) + self.eps2 * P * jets.sin(2.0 * x / P)
+        return ys
+
+    def jacobian(self, xs: list) -> list:
+        """J[a][b] = d phi_a / d x_b as a nested list, 0.0 and 1.0 where
+        constant."""
+        P = self.period / (2.0 * math.pi)
+        x = xs[self.axis]
+        n = len(xs)
+        J = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
+        J[self.axis][self.axis] = (1.0 + self.eps1 * jets.cos(x / P)
+                                   + 2.0 * self.eps2 * jets.cos(2.0 * x / P))
         return J
 
 

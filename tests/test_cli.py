@@ -135,6 +135,36 @@ def test_wcs_trivial_action_zero(tmp_path):
     assert json.loads(out.read_text())["value"] == 0
 
 
+def test_wcs_zero_speed_is_the_trivial_action(monkeypatch, capsys):
+    # A rotation at speed 0 is the constant loop: no density is evaluated and
+    # the record is the trivial action's, apart from the action's name and
+    # its speed.  The plan's refusals still hold for it.
+    from loopcs import cycles
+
+    calls = []
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--nodes", "4"]
+    torus = ["wcs", "--metric", "perturbed_torus3", "--no-mask", "--nodes", "4"]
+    for argv, axis, index in ((ypq, "alpha", 4), (torus, "x0", 0)):
+        records = []
+        for action in (f"rotate:{axis}:0", f"iterate:{axis}:0"):
+            capsys.readouterr()
+            assert run(argv + ["--action", action]) == 0
+            records.append(json.loads(capsys.readouterr().out))
+        zero, trivial = records
+        assert zero["provenance"].pop("action") == f"rotate(axis={index}, speed=0.0)"
+        assert trivial["provenance"].pop("action") == "trivial"
+        assert zero["provenance"].pop("orbit_speed") == 0
+        assert trivial["provenance"].pop("orbit_speed") is None
+        del zero["wall_time"], trivial["wall_time"]
+        assert zero == trivial
+        assert zero["value"] == 0 and zero["pi4_multiple"] == {"num": 0, "den": 1}
+        assert not any(zero["node_counts"])
+    assert calls == []
+    for action in ("rotate:theta:0", "rotate:alpha:nan", "rotate:alpha:0.1"):
+        assert run(ypq + ["--action", action]) == 2, action
+
+
 def test_wcs_sphere_k2_vanishes(tmp_path):
     out = tmp_path / "res.json"
     assert run(["wcs", "--metric", "round_sphere3", "--action", "rotate:phi",

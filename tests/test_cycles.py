@@ -100,17 +100,21 @@ def test_iterate_density_scales_exactly(y73):
     f3 = pullback_density(y73, CircleAction.iterate(base, 3), m0)
     assert abs(f2 - 2 * f1) / abs(2 * f1) < 1e-14
     assert abs(f3 - 3 * f1) / abs(3 * f1) < 1e-14
-    assert CircleAction.iterate(base, 0).kind == "trivial"
+    assert CircleAction.iterate(base, 0) == CircleAction.trivial()
 
 
 def test_whole_number_action_inputs_refused_not_truncated():
     # An axis or iterate count that is not a whole number is refused by
-    # name, not truncated (2.9 once gave n = 2); a numpy integer is one.
+    # name, not truncated (2.9 once gave n = 2); a numpy integer is one, a
+    # bool is not (False was once axis 0).
     base = CircleAction.rotation(axis=4)
     for make, needle in [(lambda: CircleAction.rotation(axis=2.9), "axis"),
                          (lambda: CircleAction.rotation(axis=4.0), "axis"),
                          (lambda: CircleAction.iterate(base, 2.9), "iterate count"),
-                         (lambda: CircleAction.iterate(base, 2.0), "iterate count")]:
+                         (lambda: CircleAction.iterate(base, 2.0), "iterate count"),
+                         (lambda: CircleAction.rotation(axis=False), "axis"),
+                         (lambda: CircleAction.rotation(axis=np.True_), "axis"),
+                         (lambda: CircleAction.iterate(base, True), "iterate count")]:
         with pytest.raises(ValueError, match=f"{needle} must be a whole number"):
             make()
     rotation = CircleAction.rotation(axis=np.int64(4))
@@ -125,7 +129,7 @@ def test_killing_shortcut_matches_trapezoid_loop(y73):
     action = CircleAction.rotation(axis=4)
     m0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
     fast = pullback_density(y73, action, m0)
-    slow = float(cycles._density_batch(y73, action, m0, 16))
+    slow = float(cycles._density_batch(y73, action.velocity(y73), m0, 16))
     assert abs(fast - slow) / abs(fast) < 1e-12
 
 
@@ -170,11 +174,11 @@ def test_non_closing_speed_rejected(y73):
         integrate_cycle(y73, CircleAction.rotation(axis=4, speed=0.1), 3,
                         QuadratureSpec(nodes=4))
     # A nonzero speed whose winding rounds to zero turns closes no orbit;
-    # speed 0 stands still and integrates to 0.
+    # speed 0 stands still, a zero velocity.
     for speed in (1e-10, -1e-12):
         with pytest.raises(ValueError, match="winding"):
-            CircleAction.rotation(axis=4, speed=speed).resolved_speed(y73)
-    assert CircleAction.rotation(axis=4, speed=0.0).resolved_speed(y73) == 0.0
+            CircleAction.rotation(axis=4, speed=speed).velocity(y73)
+    assert not CircleAction.rotation(axis=4, speed=0.0).velocity(y73).any()
 
 
 def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
@@ -229,7 +233,7 @@ def test_density_matches_closed_form(params):
     bound = 1e-13 * np.max(np.abs(want))
     action = CircleAction.rotation(axis=4)
     fast = np.array([pullback_density(m, action, x) for x in pts])
-    slow = cycles._density_batch(m, action, pts, 16)
+    slow = cycles._density_batch(m, action.velocity(m), pts, 16)
     for got in (fast, slow):
         assert np.max(np.abs(got - want)) <= bound
     frame = np.eye(5)[list(m.orientation())]
@@ -249,7 +253,8 @@ def test_end_node_roundoff_floor(p, q):
     pts = np.tile([0.5 * (lo + hi) for lo, hi in m.box.intervals], (len(ys), 1))
     pts[:, 3] = ys
     want = _closed_form_density(params, pts[:, 1], ys)
-    err = np.abs(cycles._density_batch(m, CircleAction.rotation(axis=4), pts, 1) - want)
+    err = np.abs(cycles._density_batch(m, CircleAction.rotation(axis=4).velocity(m), pts, 1)
+                 - want)
     assert np.max(err) / np.max(np.abs(want)) <= 2e-11
     assert np.argmax(err) in (0, len(ys) - 1)
 
@@ -480,7 +485,8 @@ def test_integrand_gets_no_christoffels_or_lowered_riemann(monkeypatch):
     # 1024 probe points of perturbed_torus(5) then peaks at riemann's own
     # 12.87e6 B (18.64e6 B with the full pack alive), under the bound
     # test_riemann_peak_memory puts on riemann alone.
-    m, action = metrics.perturbed_torus(5), CircleAction.rotation(axis=0)
+    m = metrics.perturbed_torus(5)
+    velocity = CircleAction.rotation(axis=0).velocity(m)
     probe = cycles._probe_points(m)
     real, handed = cycles.wcs_integrand, []
 
@@ -489,7 +495,7 @@ def test_integrand_gets_no_christoffels_or_lowered_riemann(monkeypatch):
         return real(pack, *args)
 
     monkeypatch.setattr(cycles, "wcs_integrand", kept)
-    cycles._density_batch(m, action, probe, cycles.LOOP_CAP)
+    cycles._density_batch(m, velocity, probe, cycles.LOOP_CAP)
     (pack,) = handed
     assert pack.gamma is None and pack.riemann_down is None
     assert pack.g.shape == (1024, 5, 5) and pack.riemann_up.shape == (1024,) + (5,) * 4
@@ -497,7 +503,7 @@ def test_integrand_gets_no_christoffels_or_lowered_riemann(monkeypatch):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        cycles._density_batch(m, action, probe, cycles.LOOP_CAP)
+        cycles._density_batch(m, velocity, probe, cycles.LOOP_CAP)
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
@@ -519,14 +525,14 @@ def _even_harmonic_torus():
                        coord_names=base.coord_names, name="even_harmonic_torus5")
 
 
-def _probe_densities(metric, action, samples):
+def _probe_densities(metric, velocity, samples):
     """The loop rule at the 16 probe points and the curvature scale
     max|R|^k max|v| over their orbits at ``samples`` samples."""
     pts = cycles._probe_points(metric)
-    pack = riemann(metric, cycles._orbit(metric, action, pts, samples))
-    vel = action.velocity(metric)
-    scale = np.max(np.abs(pack.riemann_up)) ** ((metric.dim + 1) // 2) * np.max(np.abs(vel))
-    return pts, cycles._density_batch(metric, action, pts, samples), scale
+    pack = riemann(metric, cycles._orbit(metric, velocity, pts, samples))
+    scale = (np.max(np.abs(pack.riemann_up)) ** ((metric.dim + 1) // 2)
+             * np.max(np.abs(velocity)))
+    return pts, cycles._density_batch(metric, velocity, pts, samples), scale
 
 
 def test_orbit_problem_takes_two_loop_samples():
@@ -549,22 +555,24 @@ def test_measured_loop_samples_agree_with_the_cap(case):
     res = integrate_cycle(m, action, 3, QuadratureSpec(nodes=2, mask=()))
     n = res.provenance["loop_samples"]
     assert 2 < n < 64
-    pts, cap, scale = _probe_densities(m, action, 64)
+    velocity = action.velocity(m)
+    pts, cap, scale = _probe_densities(m, velocity, 64)
     tol = cycles.LOOP_TOL * scale
-    assert np.max(np.abs(cycles._density_batch(m, action, pts, n) - cap)) <= tol
-    assert np.max(np.abs(cycles._density_batch(m, action, pts, n // 2) - cap)) > tol
+    assert np.max(np.abs(cycles._density_batch(m, velocity, pts, n) - cap)) <= tol
+    assert np.max(np.abs(cycles._density_batch(m, velocity, pts, n // 2) - cap)) > tol
 
 
 def test_even_harmonic_orbit_does_not_stop_at_two_samples():
     # A ladder of T_n against T_{n/2} is fooled here: T_2 equals T_1 to
     # roundoff, yet T_2 is far from the cap's rule.  Against the cap the
     # count stays above 2.
-    m, action = _even_harmonic_torus(), CircleAction.rotation(axis=0)
-    pts, cap, scale = _probe_densities(m, action, 64)
-    one, two = (cycles._density_batch(m, action, pts, n) for n in (1, 2))
+    m = _even_harmonic_torus()
+    velocity = CircleAction.rotation(axis=0).velocity(m)
+    pts, cap, scale = _probe_densities(m, velocity, 64)
+    one, two = (cycles._density_batch(m, velocity, pts, n) for n in (1, 2))
     assert np.max(np.abs(two - one)) <= cycles.LOOP_TOL * scale
     assert np.max(np.abs(two - cap)) > 1e6 * cycles.LOOP_TOL * scale
-    assert cycles._measured_loop_samples(m, action) > 2
+    assert cycles._measured_loop_samples(m, velocity) > 2
 
 
 def test_density_does_not_depend_on_its_batch():
@@ -573,17 +581,48 @@ def test_density_does_not_depend_on_its_batch():
     m = metrics.perturbed_torus(3)
     action = CircleAction.rotation(axis=0)
     pts = m.box.from_unit(np.random.default_rng(3).uniform(size=(5, 3)), margin=0.1)
-    batch = cycles._density_batch(m, action, pts, loop_samples=64)
-    alone = [cycles._density_batch(m, action, pts[i:i + 1], loop_samples=64)[0]
+    velocity = action.velocity(m)
+    batch = cycles._density_batch(m, velocity, pts, loop_samples=64)
+    alone = [cycles._density_batch(m, velocity, pts[i:i + 1], loop_samples=64)[0]
              for i in range(len(pts))]
     assert batch.tolist() == alone
     assert pullback_density(m, action, pts[0]) == batch[0]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_action_is_read_once_per_call(y73, workers, tmp_path, pool_maps, monkeypatch):
+    # integrate_cycle and pullback_density each read the action once, as its
+    # velocity: not again in the plan, the probes, the density batches or a
+    # pool worker.  Each call is logged to a file, where a forked worker's
+    # call would show too; the torus run maps its batches over the pool.
+    log = tmp_path / "velocity_calls"
+    real = CircleAction.velocity
+
+    def counted(self, metric):
+        with open(log, "a", encoding="utf-8") as fh:
+            fh.write("call\n")
+        return real(self, metric)
+
+    monkeypatch.setattr(CircleAction, "velocity", counted)
+    torus = metrics.perturbed_torus(3)
+    cases = [(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=4, workers=workers)),
+             (torus, CircleAction.rotation(axis=0), 2,
+              QuadratureSpec(nodes=24, mask=(), workers=workers))]
+    for metric, action, k, quad in cases:
+        for run in (lambda: integrate_cycle(metric, action, k, quad),
+                    lambda: pullback_density(metric, action, metric.box.sample_interior(
+                        np.random.default_rng(0), 3))):
+            log.unlink(missing_ok=True)
+            run()
+            assert log.read_text(encoding="utf-8") == "call\n"
+    assert any(n > 1 for n in pool_maps) == (workers == 2)
+
+
 @pytest.mark.parametrize("case", ["perturbed_torus5", "7-3"])
 def test_batched_density_equals_pointwise(y73, case, monkeypatch):
     # A batch of points gives the densities of its points one at a time, bit
-    # for bit, in the batch's shape, and measures the constant axes once.
+    # for bit, in the batch's shape, and measures the constant axes once; a
+    # zero velocity needs no loop plan and measures none.
     if case == "7-3":
         m, action = y73, CircleAction.rotation(axis=4)
     else:
@@ -605,7 +644,7 @@ def test_batched_density_equals_pointwise(y73, case, monkeypatch):
     assert all(isinstance(f, float) for row in alone for f in row)
     measured.clear()
     zeros = pullback_density(m, CircleAction.trivial(), pts)
-    assert len(measured) == 1
+    assert not measured
     assert zeros.shape == (2, 3) and not np.any(zeros)
 
 
@@ -647,12 +686,13 @@ def test_orbit_probe_is_one_density_call(monkeypatch):
     seen = []
     real = cycles._density_batch
 
-    def counted(metric, action, coords, loop_samples):
+    def counted(metric, velocity, coords, loop_samples):
         seen.append((coords.shape, loop_samples))
-        return real(metric, action, coords, loop_samples)
+        return real(metric, velocity, coords, loop_samples)
 
     monkeypatch.setattr(cycles, "_density_batch", counted)
-    kinds, samples = cycles._cycle_plan(metrics.round_sphere(5), CircleAction.rotation(axis=4),
+    s5 = metrics.round_sphere(5)
+    kinds, samples = cycles._cycle_plan(s5, CircleAction.rotation(axis=4).velocity(s5),
                                         QuadratureSpec(nodes=4))
     assert (kinds, samples) == (("grid",) * 4 + ("extent",), 1)
     assert seen == [((80, 5), 1)]
@@ -718,9 +758,9 @@ def test_undeclared_constant_axis_is_masked(monkeypatch):
     samples = []
     real = cycles._density_batch
 
-    def counted(metric, action, coords, loop_samples):
+    def counted(metric, velocity, coords, loop_samples):
         samples.append(loop_samples)
-        return real(metric, action, coords, loop_samples)
+        return real(metric, velocity, coords, loop_samples)
 
     monkeypatch.setattr(cycles, "_density_batch", counted)
     action = CircleAction.rotation(axis=2)

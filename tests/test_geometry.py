@@ -178,8 +178,8 @@ def test_condition_number_matches_svd():
 
 def probe_batch(metric):
     """The 1024 orbit points of the loop-count probe: 16 points x 64 samples."""
-    return cycles._orbit(metric, CircleAction.rotation(0), cycles._probe_points(metric),
-                         cycles.LOOP_CAP)
+    return cycles._orbit(metric, CircleAction.rotation(0).velocity(metric),
+                         cycles._probe_points(metric), cycles.LOOP_CAP)
 
 
 # A riemann pass holds at most two n^4 arrays beside the n^3 ones of the jets

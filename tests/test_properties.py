@@ -113,10 +113,11 @@ def test_integrand_is_natural(name, family, data):
 @drawn
 @given(data=st.data())
 def test_density_does_not_depend_on_its_batch(name, axis, samples, data):
-    metric, action = METRICS[name], CircleAction.rotation(axis)
+    metric = METRICS[name]
+    velocity = CircleAction.rotation(axis).velocity(metric)
     batch, _ = _points(data, metric, (data.draw(st.integers(1, 64), label="size"),))
-    whole = cycles._density_batch(metric, action, batch, samples)
-    pieces = [cycles._density_batch(metric, action, p, samples) for p in _split(data, batch)]
+    whole = cycles._density_batch(metric, velocity, batch, samples)
+    pieces = [cycles._density_batch(metric, velocity, p, samples) for p in _split(data, batch)]
     assert np.array_equal(whole, np.concatenate(pieces))
 
 

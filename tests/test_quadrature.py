@@ -82,14 +82,19 @@ def test_bad_rule_arguments():
         gauss_nodes(0, (0.0, 1.0))
     with pytest.raises(ValueError):
         gauss_nodes(3, (1.0, 1.0))
-    # A bad rule is refused when the spec is built, before any box is seen.
+    # A bad rule is refused when the spec is built, before any box is seen;
+    # a bool is no count (True was once 1 node).
     for kwargs, needle in [({"workers": 0}, "workers"),
                            ({"workers": -3}, "workers"),
                            ({"nodes": (8, 16)}, "nodes"),
                            ({"nodes": 8.0}, "nodes"),
                            ({"workers": 2.5}, "workers"),
                            ({"mask": (0.9, 2.2, 4.7)}, "mask axis"),
-                           ({"mask": (1, 2.0)}, "mask axis")]:
+                           ({"mask": (1, 2.0)}, "mask axis"),
+                           ({"nodes": True}, "nodes"),
+                           ({"workers": True}, "workers"),
+                           ({"nodes": np.True_}, "nodes"),
+                           ({"mask": (False, 2)}, "mask axis")]:
         with pytest.raises(ValueError, match=needle):
             QuadratureSpec(**{"nodes": 2, **kwargs})
     # A run is two fixed levels: there is no tolerance or factor to set.

@@ -64,14 +64,14 @@ def _median_ms(call, repeats: int) -> float:
 def row(metric, axis: int, samples: int, repeats: int) -> dict:
     """The batch size and the peak and median time of both kernels and of
     one density batch."""
-    action = cycles.CircleAction.rotation(axis)
+    velocity = cycles.CircleAction.rotation(axis).velocity(metric)
     probe = cycles._probe_points(metric)
-    points = cycles._orbit(metric, action, probe, samples)
+    points = cycles._orbit(metric, velocity, probe, samples)
     pack = geometry.riemann(metric, points)  # warm-up, and the integrand's input
-    frame, velocity = cycles._frame_vectors(metric), action.velocity(metric)
+    frame = cycles._frame_vectors(metric)
     kernels = {"riemann": lambda: geometry.riemann(metric, points),
                "integrand": lambda: wcs.wcs_integrand(pack, frame, velocity),
-               "pass": lambda: cycles._density_batch(metric, action, probe, samples)}
+               "pass": lambda: cycles._density_batch(metric, velocity, probe, samples)}
     out = {"points": len(points)}
     for name, call in kernels.items():
         out[f"{name}_ms"] = _median_ms(call, repeats)
