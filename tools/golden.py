@@ -34,6 +34,8 @@ _YPQ73 = ["--metric", "ypq", "--p", "7", "--q", "3"]
 # File name -> CLI arguments.
 CLI_RUNS = {
     "ypq73_rotate_alpha_n8.json": ["wcs", *_YPQ73, "--action", "rotate:alpha", "--nodes", "8"],
+    "ypq73_rotate_alpha_n12.json": ["wcs", *_YPQ73, "--action", "rotate:alpha",
+                                    "--nodes", "12"],
     "ypq73_rotate_alpha_n32.json": ["wcs", *_YPQ73, "--action", "rotate:alpha",
                                     "--nodes", "32"],
     "ypq73_rotate_alpha_n64.json": ["wcs", *_YPQ73, "--action", "rotate:alpha",
