@@ -19,7 +19,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 __version__ = "0.1.0"
 
-from .jets import ChartDomainError, Jet2, jet_constant, jet_variable
+from .jets import ChartDomainError, Jet2, jet_variable
 from .geometry import (
     CoordBox,
     CurvaturePack,
@@ -55,7 +55,6 @@ __all__ = [
     "__version__",
     "ChartDomainError",
     "Jet2",
-    "jet_constant",
     "jet_variable",
     "CoordBox",
     "CurvaturePack",

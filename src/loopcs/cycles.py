@@ -244,19 +244,20 @@ def _measured_loop_samples(metric: MetricField, velocity: np.ndarray) -> int:
 
 
 def _cycle_plan(metric: MetricField, velocity: np.ndarray,
-                quad: QuadratureSpec) -> tuple[tuple[str, ...], int]:
-    """Refuse bad input and plan each axis, once per call: the kinds and the
-    loop samples; each axis that is not ``extent`` takes ``quad.nodes`` nodes.
+                quad: QuadratureSpec) -> tuple[dict[str, tuple[int, ...]], int]:
+    """Refuse bad input and plan each axis, once per call: the axis groups
+    and the loop samples; each axis that is not ``extent`` takes
+    ``quad.nodes`` nodes.
 
     ``mask=None`` masks the measured constant axes; an explicit mask axis
     that is not constant, ``quad.nodes`` below 2 with any unmasked axis and
-    a grid over :func:`check_budget` raise.  The kinds are ``extent``
-    (masked), ``loop`` (the unmasked rotation axis) and ``grid``.  After
-    every refusal, a zero velocity and a rotation along a constant axis
-    take one loop sample, and any other rotation the count
-    :func:`_measured_loop_samples` measures; with ``mask=None`` a rotation
-    along a constant axis lets :func:`_orbit_axes` make ``grid`` axes
-    ``orbit`` axes, which stay in the box.
+    a grid over :func:`check_budget` raise.  The groups map ``extent``
+    (masked), ``loop`` (the unmasked rotation axis), ``grid`` and ``orbit``
+    to their axes in chart order.  After every refusal, a zero velocity and
+    a rotation along a constant axis take one loop sample, and any other
+    rotation the count :func:`_measured_loop_samples` measures; with
+    ``mask=None`` a rotation along a constant axis moves the grid axes that
+    :func:`_orbit_axes` returns to ``orbit``, which stay in the box.
     """
     constant = _constant_axes(metric)
     moving = np.flatnonzero(velocity)
@@ -268,17 +269,19 @@ def _cycle_plan(metric: MetricField, velocity: np.ndarray,
             raise ValueError(
                 f"axis {metric.coord_names[a]} declared constant but the metric "
                 "varies along it")
-    kinds = tuple("extent" if a in mask else "loop" if a in moving else "grid"
-                  for a in range(metric.dim))
-    if quad.nodes < 2 and any(kind != "extent" for kind in kinds):
+    loop = tuple(int(a) for a in moving if a not in mask)
+    grid = tuple(a for a in range(metric.dim) if a not in mask and a not in loop)
+    if quad.nodes < 2 and len(mask) < metric.dim:
         raise ValueError("unmasked axes need at least 2 quadrature nodes")
-    check_budget((quad.nodes,) * kinds.count("grid"))
+    check_budget((quad.nodes,) * len(grid))
+    axes = {"extent": mask, "loop": loop, "grid": grid, "orbit": ()}
     if any(a not in constant for a in moving):
-        return kinds, _measured_loop_samples(metric, velocity)
+        return axes, _measured_loop_samples(metric, velocity)
     if moving.size and quad.mask is None:
         # Every orbit axis measured comes from a rotation along a constant axis.
-        kinds = _orbit_axes(metric, velocity, kinds)
-    return kinds, 1
+        orbit = _orbit_axes(metric, velocity, grid)
+        axes.update(grid=tuple(a for a in grid if a not in orbit), orbit=orbit)
+    return axes, 1
 
 
 def _volume(metric: MetricField, coords: np.ndarray) -> np.ndarray:
@@ -298,24 +301,23 @@ def _pinned(fn, pinned: np.ndarray, axes: tuple[int, ...], points: np.ndarray) -
 
 
 def _orbit_axes(metric: MetricField, velocity: np.ndarray,
-                kinds: tuple[str, ...]) -> tuple[str, ...]:
-    """``kinds`` with each ``grid`` axis along which f / sqrt(det g) is
-    measured constant made an ``orbit`` axis.
+                grid: tuple[int, ...]) -> tuple[int, ...]:
+    """The axes of ``grid`` along which f / sqrt(det g) is measured constant.
 
     Each probe point is paired with one partner per grid axis, moved along
     that axis to the next probe point's coordinate, and all the densities
-    are evaluated together, one loop sample each, in batches of
-    ``MAX_ORBIT_POINTS`` rows, so a failed density is a QuadratureError, as
-    at a quadrature node.  An axis is an orbit axis when the largest change
-    of the ratio over the pairs is at most ``ORBIT_TOL`` times the largest
-    ratio (a zero ratio everywhere measures nothing and reduces no axis).
+    and sqrt(det g) values are evaluated together, one loop sample each, in
+    batches of ``MAX_ORBIT_POINTS`` points, so a failed density is a
+    QuadratureError, as at a quadrature node.  An axis is an orbit axis
+    when the largest change of the ratio over the pairs is at most
+    ``ORBIT_TOL`` times the largest ratio (a zero ratio everywhere measures
+    nothing and reduces no axis).
     This is a tolerance, unlike the exact zero of :func:`_constant_axes`,
     because the ratio is computed from rounded curvature: along a symmetry
     orbit it changes by ~1e-14, not by 0.
     """
-    grid = [a for a, kind in enumerate(kinds) if kind == "grid"]
     if not grid:
-        return kinds
+        return ()
     pts = _probe_points(metric)
     batch = [pts]
     for a in grid:
@@ -325,11 +327,11 @@ def _orbit_axes(metric: MetricField, velocity: np.ndarray,
     coords = np.concatenate(batch)
     density = evaluate(partial(_density_batch, metric, velocity, loop_samples=1), coords,
                        None, MAX_ORBIT_POINTS)
-    ratio = (density / _volume(metric, coords)).reshape(len(batch), len(pts))
+    volume = evaluate(partial(_volume, metric), coords, None, MAX_ORBIT_POINTS)
+    ratio = (density / volume).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
-    orbit = {a for a, s in zip(grid, spread) if s <= ORBIT_TOL}
-    return tuple("orbit" if a in orbit else kind for a, kind in enumerate(kinds))
+    return tuple(a for a, s in zip(grid, spread) if s <= ORBIT_TOL)
 
 
 def _frame_vectors(metric: MetricField) -> np.ndarray:
@@ -482,15 +484,13 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     pass for the error estimate.  An orbit axis keeps its rule but takes the
     density from the pinned orbit point of its line (see the module
     docstring).  ``integrate_box`` hands over each level whole, and the
-    densities and sqrt(det g) are computed by ``evaluate`` in fixed batches
-    of rows, a row being one point or, with an orbit axis, one line with all
-    its orbit points.  One rule sizes every batch: at most
-    ``MAX_ORBIT_POINTS`` points, so the memory of each call stays bounded.
-    A density batch holds that many loop orbit points (16 rows at 64 loop
-    samples, 1024 at one); a sqrt(det g) batch holds that many lines at
-    their pinned points or, at all their orbit points, as many whole lines
-    as fit (one line if a line has more points).  Along a varying axis the loop
-    samples are measured, at most ``LOOP_CAP``, and recorded as
+    densities and sqrt(det g) are computed by ``evaluate`` in fixed batches.
+    One rule sizes every batch: at most ``MAX_ORBIT_POINTS`` points, so the
+    memory of each call stays bounded.  A density batch holds that many loop
+    orbit points (16 rows at 64 loop samples, 1024 at one); a sqrt(det g)
+    batch holds that many points, the lines' pinned points or the level's
+    flat points, whole lines or not.  Along a varying axis the loop samples
+    are measured, at most ``LOOP_CAP``, and recorded as
     ``provenance["loop_samples"]``.  Only the densities go to the one pool of
     ``quad.workers`` processes opened after the plan (sqrt(det g) is cheaper
     to compute than to ship).  The result scales exactly linearly in a
@@ -504,7 +504,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         raise ValueError(f"s_scale must be finite, got {s_scale}")
     quad = quad or QuadratureSpec()
     velocity = action.velocity(metric)
-    kinds, loop_samples = _cycle_plan(metric, velocity, quad)
+    axes, loop_samples = _cycle_plan(metric, velocity, quad)
 
     params = metric.params
     exact_mode = bool(getattr(params, "exact_mode", False))
@@ -532,8 +532,6 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
                            wall_time=time.perf_counter() - start, provenance=prov)
-    axes = {kind: tuple(a for a in range(metric.dim) if kinds[a] == kind)
-            for kind in ("extent", "loop", "grid", "orbit")}
     # Extent and loop axes are pinned at the box midpoint and weighted by
     # their extents.  Orbit axes come last in the box; at each level the
     # density is evaluated once per line of the grid axes, at the pinned
@@ -555,14 +553,11 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         # points are consecutive and the lines are already in order.
         per_line = int(np.count_nonzero(
             np.all(points[:, :n_grid] == points[0, :n_grid], axis=1)))
-        by_line = points.reshape(-1, per_line, len(box_axes))
-        lines = by_line[:, 0, :n_grid]
+        lines = points[::per_line, :n_grid]
         ratios = (evaluate(density, lines, executor, rows)
                   / evaluate(partial(volume, axes["grid"]), lines, None, MAX_ORBIT_POINTS))
-        # Whole lines, at most MAX_ORBIT_POINTS points (or one line) a batch.
-        volumes = evaluate(partial(volume, box_axes), by_line, None,
-                           max(1, MAX_ORBIT_POINTS // per_line))
-        return (ratios[:, None] * volumes).ravel()
+        volumes = evaluate(partial(volume, box_axes), points, None, MAX_ORBIT_POINTS)
+        return np.repeat(ratios, per_line) * volumes
 
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.
@@ -576,8 +571,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             f"cycle value overflows: value {value}, error estimate {error} "
             f"(box integral {box_result.value!r} times axis extents {factor!r})")
     coarse = s_scale * (factor * box_result.coarse_value)
-    node_counts = tuple(0 if kind == "extent" else quad.nodes * REFINEMENT_FACTOR
-                        for kind in kinds)
+    node_counts = tuple(0 if a in axes["extent"] else quad.nodes * REFINEMENT_FACTOR
+                        for a in range(metric.dim))
     prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
     prov["loop_averaged_axes"] = [metric.coord_names[a] for a in axes["loop"]]
@@ -613,27 +608,37 @@ def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
     or ``{"a": a}`` for the direct parameter with fiber period ``ell``.  A
     member's own failure (bad parameters, a chart or quadrature error) is an
     error row; any other ValueError, ``ell`` included, refuses a shared
-    setting and propagates before any row.  When at least two ``a`` rows
-    give nonzero values, the result carries the fitted log-log slope of
-    |value| against (1 - a).
+    setting and propagates before any row.  So every member's metric is
+    built and its orbit under ``action`` checked before the first integral:
+    the alpha period differs between members, and a speed that closes one
+    orbit need not close the next.  When at least two ``a`` rows give
+    nonzero values, the result carries the fitted log-log slope of |value|
+    against (1 - a).
     """
     labels = list(labels)
     if any("a" in label for label in labels):
         _check_ell(ell)
-    rows: list[SweepRow] = []
-    xs, ys = [], []
+    members = []  # (label, metric, None) or (label, None, the member's error)
     for label in labels:
         try:
             params = (ypq_params_from_a(label["a"], ell=ell) if "a" in label
                       else solve_ypq(label["p"], label["q"]))
         except ValueError as exc:
-            rows.append(SweepRow(label=label, result=None, error=str(exc)))
+            members.append((label, None, str(exc)))
             continue
-        try:
-            res = integrate_cycle(ypq_metric(params), action, 3, quad=quad,
-                                  s_scale=s_scale)
-        except (ChartDomainError, QuadratureError) as exc:
-            rows.append(SweepRow(label=label, result=None, error=str(exc)))
+        metric = ypq_metric(params)
+        action.velocity(metric)
+        members.append((label, metric, None))
+    rows: list[SweepRow] = []
+    xs, ys = [], []
+    for label, metric, error in members:
+        if error is None:
+            try:
+                res = integrate_cycle(metric, action, 3, quad=quad, s_scale=s_scale)
+            except (ChartDomainError, QuadratureError) as exc:
+                error = str(exc)
+        if error is not None:
+            rows.append(SweepRow(label=label, result=None, error=error))
             continue
         rows.append(SweepRow(label=label, result=res))
         if "a" in label and res.value != 0.0:

@@ -17,10 +17,11 @@ use ``sin``, ``cos`` and ``recip``; ``sqrt`` is kept because the selftest's
 random jet expressions, checked against finite differences, use it.
 
 No rule writes into an operand's arrays, and a result may share them, so a
-jet's arrays are never mutated.  The zero seeds (a variable's Hessian, a
-constant's gradient and Hessian) rely on this: they are read-only
-zero-stride views of one float, not fresh (..., n, n) arrays per variable.
-A variable's gradient stays a real array; as a view it slowed small calls.
+jet's arrays are never mutated.  A variable's zero Hessian seed relies on
+this: it is a read-only zero-stride view of one float, not a fresh
+(..., n, n) array per variable.  A variable's gradient stays a real array;
+as a view it slowed small calls.  There is no constant jet: a plain number
+or array operand is a constant, and changes only the value.
 
 Hessians are symmetric by construction: every rule below produces the (i, j)
 and (j, i) entries from the same pair of products added in commuted order,
@@ -34,7 +35,6 @@ __all__ = [
     "ChartDomainError",
     "Jet2",
     "jet_variable",
-    "jet_constant",
     "value_of",
     "sin",
     "cos",
@@ -147,13 +147,6 @@ def jet_variable(index: int, value, n: int) -> Jet2:
     grad = np.zeros(v.shape + (n,))
     grad[..., index] = 1.0
     return Jet2(v, grad, _zeros(v.shape + (n, n)))
-
-
-def jet_constant(value, n: int) -> Jet2:
-    """Jet of a constant: zero gradient and Hessian, read-only views of one
-    float."""
-    v = _as_value(value)
-    return Jet2(v, _zeros(v.shape + (n,)), _zeros(v.shape + (n, n)))
 
 
 def value_of(x) -> np.ndarray:

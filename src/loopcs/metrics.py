@@ -87,11 +87,6 @@ class YpqParams:
     def exact_mode(self) -> bool:
         return isinstance(self.a, Fraction)
 
-    @property
-    def n(self) -> int | None:
-        """The integer sqrt(4 p^2 - 3 q^2) in exact mode, else None."""
-        return math.isqrt(4 * self.p**2 - 3 * self.q**2) if self.exact_mode else None
-
     def cubic_residual(self, y) -> float:
         """a - 3 y^2 + 2 y^3 at y (zero at y1, y2 by construction)."""
         return self.a - 3.0 * y * y + 2.0 * y**3

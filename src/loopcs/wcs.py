@@ -72,7 +72,7 @@ def _bracket(rup, gammadot, variant: str) -> np.ndarray:
     return t
 
 
-def symbol_endo(pack, X, gammadot, variant: str = "full") -> np.ndarray:
+def symbol_endo(pack, X, gammadot, variant: str) -> np.ndarray:
     """Subprincipal-symbol endomorphism of the connection-difference form.
 
     ``full`` returns 1/2 (-2 R_{cdb}^^a - R_{bdc}^^a + R_{cbd}^^a) X^c gd^d;

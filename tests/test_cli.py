@@ -319,6 +319,32 @@ def _csv_values(path):
     return [float(line.split(",")[4]) for line in path.read_text().splitlines()[1:]]
 
 
+def test_sweep_refuses_an_orbit_that_closes_on_one_member_only(monkeypatch, capsys):
+    # Speed 0.15 closes the alpha orbit of (7,3) (ell = 3/20) but not that
+    # of (5,3): the sweep exits 2 before its first integral, not after the
+    # (7,3) row.
+    from loopcs import cycles
+
+    calls = []
+    monkeypatch.setattr(cycles, "integrate_cycle", lambda *args, **kwargs: calls.append(args))
+    assert run(["sweep", "--sweep-pq", "7:3,5:3", "--action", "rotate:alpha:0.15",
+                "--nodes", "4"]) == 2
+    assert "is not an integer" in capsys.readouterr().err
+    assert calls == []
+
+
+def test_sweep_a_rows_take_an_explicit_closing_speed(tmp_path):
+    # At ell = 1 the alpha period is 2 pi, so speed 1 is the default
+    # rotation, winding once: the same values and fitted exponent.
+    out = tmp_path / "sweep.csv"
+    values = []
+    for action in ("rotate:alpha:1", "rotate:alpha"):
+        assert run(["sweep", "--sweep-a", "0.4,0.6", "--action", action, "--nodes", "4",
+                    "--out", str(out)]) == 0
+        values.append(_csv_values(out))
+    assert values[0] == values[1] and len(values[0]) == 3
+
+
 def test_sweep_pq_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert run(["sweep", "--sweep-pq", "7:3,3:3", "--nodes", "6",

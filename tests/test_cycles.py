@@ -294,8 +294,16 @@ def test_refinement_within_error_estimate(y73):
 def test_error_estimate_bounds_the_error_up_to_16_nodes(y73, nodes):
     # Where the two-level estimate bounds the true error on the headline
     # today: by 9.4x at 12 nodes up to 1.3e8x at 6, and the 16-node error is
-    # exactly 0.  At 24 and 32 nodes it holds only by 1.11x and 1.02x, and at
-    # 48 and 64 it fails (ROADMAP item 2), so those rows are left out.
+    # exactly 0.  At 24 and 32 nodes it holds only by 1.11x and 1.02x (the
+    # next test), and at 48 and 64 it fails (ROADMAP item 2).
+    res = integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
+    assert res.error_estimate >= abs(res.value - float(closed_form_value(7, 3)) * PI4)
+
+
+@pytest.mark.parametrize("nodes", [24, 32])
+def test_error_estimate_bounds_the_error_at_24_and_32_nodes(y73, nodes):
+    # The narrow rows: the estimate exceeds the true error by only 1.11x at
+    # 24 nodes and 1.02x at 32.  At 48 it reads 0.90x (ROADMAP item 2).
     res = integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
     assert res.error_estimate >= abs(res.value - float(closed_form_value(7, 3)) * PI4)
 
@@ -657,26 +665,44 @@ def test_orbit_reduction_passes_the_condition_guard(y73):
     assert res.pi4_multiple == Fraction(-432, 6125)
 
 
-@pytest.mark.parametrize("nodes,calls", [(32, 8), (64, 23)])
-def test_volume_batched_by_line(y73, monkeypatch, nodes, calls):
-    # sqrt(det g) follows the density's batch rule: at most MAX_ORBIT_POINTS
-    # points a call, a batch at the orbit points being whole y-lines with all
-    # their theta points.  One probe call, then per level one call per
-    # MAX_ORBIT_POINTS lines at the lines and one per
-    # MAX_ORBIT_POINTS // per_line lines at their points: 1 + (1 + 1) + (1 + 4)
-    # at 32 nodes (32 lines of 32, 64 of 64), 1 + (1 + 4) + (1 + 16) at 64
-    # nodes (64 lines of 64, 128 of 128).
-    shapes = []
+def _volume_points(monkeypatch) -> list[int]:
+    """The point count of every later cycles._volume call, in call order."""
+    counts = []
     real = cycles._volume
 
     def counted(metric, coords):
-        shapes.append(coords.shape)
+        counts.append(math.prod(coords.shape[:-1]))
         return real(metric, coords)
 
     monkeypatch.setattr(cycles, "_volume", counted)
+    return counts
+
+
+@pytest.mark.parametrize("nodes,calls", [(32, 8), (64, 23)])
+def test_volume_batched_by_points(y73, monkeypatch, nodes, calls):
+    # sqrt(det g) follows the density's batch rule: at most MAX_ORBIT_POINTS
+    # points a call, whether at the lines' pinned points or at the level's
+    # flat points.  One probe call, then per level one call per
+    # MAX_ORBIT_POINTS lines and one per MAX_ORBIT_POINTS points:
+    # 1 + (1 + 1) + (1 + 4) at 32 nodes (32 lines of 32, 64 of 64),
+    # 1 + (1 + 4) + (1 + 16) at 64 nodes (64 lines of 64, 128 of 128).
+    counts = _volume_points(monkeypatch)
     integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
-    assert len(shapes) == calls, shapes
-    assert max(math.prod(shape[:-1]) for shape in shapes) <= cycles.MAX_ORBIT_POINTS, shapes
+    assert len(counts) == calls, counts
+    assert max(counts) <= cycles.MAX_ORBIT_POINTS, counts
+
+
+def test_volume_batches_split_lines_at_the_cap(y73, monkeypatch):
+    # At 12 nodes the lines hold 12 and 24 points.  Under a cap of 16 a
+    # batch ends inside a line, and no call holds a whole 24-point line,
+    # yet every bit of the result stays.
+    action = CircleAction.rotation(axis=4)
+    want = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=12))
+    monkeypatch.setattr(cycles, "MAX_ORBIT_POINTS", 16)
+    counts = _volume_points(monkeypatch)
+    got = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=12))
+    assert max(counts) == 16, counts
+    assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
 
 def test_orbit_probe_is_one_density_call(monkeypatch):
@@ -692,9 +718,10 @@ def test_orbit_probe_is_one_density_call(monkeypatch):
 
     monkeypatch.setattr(cycles, "_density_batch", counted)
     s5 = metrics.round_sphere(5)
-    kinds, samples = cycles._cycle_plan(s5, CircleAction.rotation(axis=4).velocity(s5),
-                                        QuadratureSpec(nodes=4))
-    assert (kinds, samples) == (("grid",) * 4 + ("extent",), 1)
+    axes, samples = cycles._cycle_plan(s5, CircleAction.rotation(axis=4).velocity(s5),
+                                       QuadratureSpec(nodes=4))
+    assert axes == {"extent": (4,), "loop": (), "grid": (0, 1, 2, 3), "orbit": ()}
+    assert samples == 1
     assert seen == [((80, 5), 1)]
 
 

@@ -17,7 +17,7 @@ def cubic_residual_exact(a: Fraction, y: Fraction) -> Fraction:
 
 def test_solve_73_exact_values():
     p = solve_ypq(7, 3)
-    assert p.exact_mode and p.n == 13  # 4*49 - 3*9 = 169 = 13^2
+    assert p.exact_mode  # 4*49 - 3*9 = 169 = 13^2
     assert p.y1 == Fraction(-2, 7)
     assert p.y2 == Fraction(5, 14)
     assert p.a == Fraction(100, 343)
@@ -39,7 +39,7 @@ def test_solve_73_exact_values():
 
 def test_solve_21_not_exact():
     p = solve_ypq(2, 1)
-    assert not p.exact_mode and p.n is None
+    assert not p.exact_mode
     assert all(type(v) is float for v in (p.a, p.ell, p.y1, p.y2))
     assert abs(p.cubic_residual(p.y1)) < 1e-12
     assert abs(p.cubic_residual(p.y2)) < 1e-12

@@ -128,7 +128,7 @@ def test_dimension_mismatch_rejected(y73_pack):
         with pytest.raises(ValueError):
             wcs_integrand(y73_pack, np.eye(5), velocity)
         with pytest.raises(ValueError):
-            symbol_endo(y73_pack, np.eye(5)[0], velocity)
+            symbol_endo(y73_pack, np.eye(5)[0], velocity, "full")
 
 
 def test_non_finite_curvature_reaches_the_symbol(y73_pack):
