@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__, geometry, metrics, selftest
 from .cycles import MAX_ORBIT_POINTS, CircleAction, integrate_cycle, ypq_sweep
 from .jets import ChartDomainError
-from .quadrature import QuadratureError, QuadratureSpec
+from .quadrature import MAX_WORKERS, QuadratureError, QuadratureSpec
 from .records import format_float, result_to_json, sweep_to_csv
 
 __all__ = ["main", "build_parser"]
@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="disable the constant-axes shortcut and the "
                                 "orbit-axis reduction")
             p.add_argument("--workers", type=int, default=1,
-                           help="processes of the one density pool per cycle (default 1)")
+                           help="processes of the one density pool per cycle "
+                                f"(1 to {MAX_WORKERS}, default 1)")
         p.add_argument("--out", help="output file path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="curvature identity residuals")

@@ -39,13 +39,13 @@ cohomogeneity one under SU(2) x U(1) x U(1), whose SU(2) orbits sweep
 theta; a rotation along psi or alpha commutes with SU(2), so for it the
 ratio depends on y alone (one along phi does not, and is not reduced).
 Other rotations are not probed: none measured has reduced an axis.
-At each quadrature level the density is then evaluated once per distinct
-line of the remaining grid axes, with the orbit coordinate pinned at the box
-midpoint (theta = pi/2, away from the ill-conditioned poles), and carried
-along the orbit by sqrt(det g) computed from metric values alone.  The
-orbit axis keeps its Gauss-Legendre rule and node count, so the error
-estimate still compares two levels, and is listed under
-``orbit_reduced_axes`` in the provenance.
+At each quadrature level the ratio is then evaluated once per distinct line
+of the remaining grid axes, from one curvature pass with the orbit
+coordinate pinned at the box midpoint (theta = pi/2, away from the
+ill-conditioned poles), and carried along the orbit by sqrt(det g) computed
+from metric values alone.  The orbit axis keeps its Gauss-Legendre rule and
+node count, so the error estimate still compares two levels, and is listed
+under ``orbit_reduced_axes`` in the provenance.
 An explicit mask, ``()`` included, never reduces an axis: that path is the
 oracle for this one.
 
@@ -305,11 +305,11 @@ def _orbit_axes(metric: MetricField, velocity: np.ndarray,
     """The axes of ``grid`` along which f / sqrt(det g) is measured constant.
 
     Each probe point is paired with one partner per grid axis, moved along
-    that axis to the next probe point's coordinate, and all the densities
-    and sqrt(det g) values are evaluated together, one loop sample each, in
-    batches of ``MAX_ORBIT_POINTS`` points, so a failed density is a
-    QuadratureError, as at a quadrature node.  An axis is an orbit axis
-    when the largest change of the ratio over the pairs is at most
+    that axis to the next probe point's coordinate, and the ratios at all of
+    them are evaluated together by :func:`_ratio_batch` in batches of
+    ``MAX_ORBIT_POINTS`` rows, so a failed density is a QuadratureError, as
+    at a quadrature node.  An axis is an orbit axis when the largest change
+    of the ratio over the pairs is at most
     ``ORBIT_TOL`` times the largest ratio (a zero ratio everywhere measures
     nothing and reduces no axis).
     This is a tolerance, unlike the exact zero of :func:`_constant_axes`,
@@ -325,10 +325,8 @@ def _orbit_axes(metric: MetricField, velocity: np.ndarray,
         moved[:, a] = np.roll(pts[:, a], 1)
         batch.append(moved)
     coords = np.concatenate(batch)
-    density = evaluate(partial(_density_batch, metric, velocity, loop_samples=1), coords,
-                       None, MAX_ORBIT_POINTS)
-    volume = evaluate(partial(_volume, metric), coords, None, MAX_ORBIT_POINTS)
-    ratio = (density / volume).reshape(len(batch), len(pts))
+    ratio = evaluate(partial(_ratio_batch, metric, velocity), coords, None,
+                     MAX_ORBIT_POINTS).reshape(len(batch), len(pts))
     with np.errstate(divide="ignore", invalid="ignore"):
         spread = np.max(np.abs(ratio[1:] - ratio[0]), axis=1) / np.max(np.abs(ratio[0]))
     return tuple(a for a, s in zip(grid, spread) if s <= ORBIT_TOL)
@@ -370,15 +368,32 @@ def _trapezoid(values: np.ndarray) -> np.ndarray:
     return (2.0 * math.pi / len(values)) * np.cumsum(values, axis=0)[-1]
 
 
+def _loop_pass(metric: MetricField, velocity: np.ndarray, coords: np.ndarray,
+               loop_samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """The density of :func:`_density_batch` and the metric g its one
+    curvature pass read at the orbit points, ``(loop_samples * rows, n, n)``."""
+    coords = np.asarray(coords, dtype=float)
+    pack = _curvature(metric, _orbit(metric, velocity, coords, loop_samples))
+    values = wcs_integrand(pack, _frame_vectors(metric), velocity)
+    return _trapezoid(values.reshape((loop_samples,) + coords.shape[:-1])), pack.g
+
+
 def _density_batch(metric: MetricField, velocity: np.ndarray,
                    coords: np.ndarray, loop_samples: int) -> np.ndarray:
     """Density f(m) of the pulled-back form at a batch of chart points: the
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
     all orbit points of the batch evaluated as one flat batch."""
-    coords = np.asarray(coords, dtype=float)
-    pack = _curvature(metric, _orbit(metric, velocity, coords, loop_samples))
-    values = wcs_integrand(pack, _frame_vectors(metric), velocity)
-    return _trapezoid(values.reshape((loop_samples,) + coords.shape[:-1]))
+    return _loop_pass(metric, velocity, coords, loop_samples)[0]
+
+
+def _ratio_batch(metric: MetricField, velocity: np.ndarray, coords: np.ndarray) -> np.ndarray:
+    """f / sqrt(det g) at a ``(rows, dim)`` batch of chart points for a
+    rotation along a constant axis (one loop sample), g from the density's
+    own pass: the one orbit point is the point up to rounding of the
+    rotation coordinate, which g does not read, so this g is
+    :func:`_volume`'s at the point, bit for bit."""
+    density, g = _loop_pass(metric, velocity, coords, 1)
+    return density / np.sqrt(np.linalg.det(g))
 
 
 def pullback_density(metric: MetricField, action: CircleAction, points,
@@ -484,18 +499,18 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     pass for the error estimate.  An orbit axis keeps its rule but takes the
     density from the pinned orbit point of its line (see the module
     docstring).  ``integrate_box`` hands over each level whole, and the
-    densities and sqrt(det g) are computed by ``evaluate`` in fixed batches.
-    One rule sizes every batch: at most ``MAX_ORBIT_POINTS`` points, so the
-    memory of each call stays bounded.  A density batch holds that many loop
-    orbit points (16 rows at 64 loop samples, 1024 at one); a sqrt(det g)
-    batch holds that many points, the lines' pinned points or the level's
-    flat points, whole lines or not.  Along a varying axis the loop samples
-    are measured, at most ``LOOP_CAP``, and recorded as
-    ``provenance["loop_samples"]``.  Only the densities go to the one pool of
-    ``quad.workers`` processes opened after the plan (sqrt(det g) is cheaper
-    to compute than to ship).  The result scales exactly linearly in a
-    finite ``s_scale``, which is applied as a final factor; a value or
-    estimate that overflows raises QuadratureError.
+    densities (or line ratios) and sqrt(det g) are computed by ``evaluate``
+    in fixed batches.  One rule sizes every batch: at most
+    ``MAX_ORBIT_POINTS`` points, so the memory of each call stays bounded.
+    A density or ratio batch holds that many loop orbit points (16 rows at
+    64 loop samples, 1024 at one); a sqrt(det g) batch that many of the
+    level's flat points, whole lines or not.  Along a varying axis the loop
+    samples are measured, at most ``LOOP_CAP``, and recorded as
+    ``provenance["loop_samples"]``.  Only the density and ratio batches go
+    to the one pool of ``quad.workers`` processes opened after the plan
+    (sqrt(det g) is cheaper to compute than to ship).  The result scales
+    exactly linearly in a finite ``s_scale``, which is applied as a final
+    factor; a value or estimate that overflows raises QuadratureError.
     """
     start = time.perf_counter()
     if metric.dim != 2 * k - 1:
@@ -534,7 +549,7 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
                            wall_time=time.perf_counter() - start, provenance=prov)
     # Extent and loop axes are pinned at the box midpoint and weighted by
     # their extents.  Orbit axes come last in the box; at each level the
-    # density is evaluated once per line of the grid axes, at the pinned
+    # ratio is evaluated once per line of the grid axes, at the pinned
     # orbit point, and sqrt(det g) carries it to every point of the line.
     factor = math.prod(metric.box.extent(a) for a in axes["extent"] + axes["loop"])
     pinned = np.array([0.5 * (lo + hi) for lo, hi in metric.box.intervals])
@@ -542,7 +557,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     box = [metric.box.intervals[a] for a in box_axes]
     density = partial(_pinned, partial(_density_batch, metric, velocity,
                                        loop_samples=loop_samples), pinned, axes["grid"])
-    volume = partial(_pinned, partial(_volume, metric), pinned)
+    ratio = partial(_pinned, partial(_ratio_batch, metric, velocity), pinned, axes["grid"])
+    volume = partial(_pinned, partial(_volume, metric), pinned, box_axes)
     rows = MAX_ORBIT_POINTS // loop_samples
     n_grid = len(axes["grid"])
 
@@ -553,11 +569,8 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
         # points are consecutive and the lines are already in order.
         per_line = int(np.count_nonzero(
             np.all(points[:, :n_grid] == points[0, :n_grid], axis=1)))
-        lines = points[::per_line, :n_grid]
-        ratios = (evaluate(density, lines, executor, rows)
-                  / evaluate(partial(volume, axes["grid"]), lines, None, MAX_ORBIT_POINTS))
-        volumes = evaluate(partial(volume, box_axes), points, None, MAX_ORBIT_POINTS)
-        return np.repeat(ratios, per_line) * volumes
+        ratios = evaluate(ratio, points[::per_line, :n_grid], executor, rows)
+        return np.repeat(ratios, per_line) * evaluate(volume, points, None, MAX_ORBIT_POINTS)
 
     # With no box axis the rule is one point of weight 1: the volume of the
     # rest times one density evaluation.

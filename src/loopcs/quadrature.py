@@ -42,6 +42,11 @@ REFINEMENT_FACTOR = 2
 # Largest grid one level may build: 2**22 5-D points hold about 168 MB.
 MAX_LEVEL_POINTS = 2**22
 
+# Most processes one pool may hold.  A pool forks all of its workers at its
+# first map, so the count is bounded up front, and by a constant, not the
+# host's CPU count: a command is accepted or refused alike on every host.
+MAX_WORKERS = 64
+
 _NEWTON_TOL = 1e-15
 
 
@@ -96,7 +101,8 @@ class QuadratureSpec:
     workers: processes of the one :func:`pool` each ``integrate_cycle``
         call opens for its density batches; ``integrate_box`` ignores it too.
     Construction raises ValueError for an int field or mask axis not a whole
-    number (a numpy integer is one), or ``workers`` below 1.
+    number (a numpy integer is one), or ``workers`` below 1 or above
+    ``MAX_WORKERS``.
     """
 
     nodes: int = 32
@@ -109,8 +115,8 @@ class QuadratureSpec:
         if self.mask is not None:
             object.__setattr__(self, "mask",
                                tuple(whole_number("mask axis", a) for a in self.mask))
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must be 1 to {MAX_WORKERS}, got {self.workers}")
 
 
 def _legendre_pair(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

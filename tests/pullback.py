@@ -1,5 +1,5 @@
-"""Pullback of a metric by a map of its chart, for the naturality and the
-time-change tests.
+"""Pullback of a metric by a map of its chart, for the naturality, the
+time-change and the y-shear tests.
 
 For a map phi with Jacobian J = d phi / dx, the pulled-back metric is
 (phi* g)(x) = J(x)^T g(phi(x)) J(x).  :func:`pullback` wraps a metric's
@@ -79,6 +79,59 @@ class TimeChange:
         J = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
         J[self.axis][self.axis] = (1.0 + self.eps1 * jets.cos(x / P)
                                    + 2.0 * self.eps2 * jets.cos(2.0 * x / P))
+        return J
+
+
+@dataclass(frozen=True)
+class YShear:
+    """phi: x_y -> x_y + eps b(x_y) sin(2 pi x_a / L), every other
+    coordinate fixed, with b = c u^4, u = (x_y - y1)(y2 - x_y), on an axis y
+    of interval (y1, y2) and a periodic axis a of period L.
+
+    J_yy = 1 + eps b' sin(2 pi x_a / L) and J_ya = eps b (2 pi / L)
+    cos(2 pi x_a / L).  The constant c = 1 / (4 max|(u^4)'|) gives
+    |eps b'| <= |eps| / 4, so for |eps| < 4 each slice of fixed x_a is mapped
+    onto itself, increasing, with y1 and y2 fixed: phi is a diffeomorphism of
+    the chart, joined to the identity through eps.  With h = (y2 - y1) / 2,
+    |(u^4)'| = 8 |s| (h^2 - s^2)^3 at s = x_y - (y1 + y2) / 2 peaks at
+    s^2 = h^2 / 7, at 1728 h^7 / (343 sqrt 7).
+    """
+
+    y: int
+    a: int
+    period: float
+    interval: tuple[float, float]
+    eps: float
+
+    @property
+    def c(self) -> float:
+        h = 0.5 * (self.interval[1] - self.interval[0])
+        return 343.0 * math.sqrt(7.0) / (4.0 * 1728.0 * h**7)
+
+    def _u(self, y):
+        y1, y2 = self.interval
+        return (y - y1) * (y2 - y)
+
+    def __call__(self, xs: list) -> list:
+        u = self._u(xs[self.y])
+        u2 = u * u
+        ys = list(xs)
+        ys[self.y] = xs[self.y] + self.eps * self.c * u2 * u2 * jets.sin(
+            (2.0 * math.pi / self.period) * xs[self.a])
+        return ys
+
+    def jacobian(self, xs: list) -> list:
+        """J[a][b] = d phi_a / d x_b as a nested list, 0.0 and 1.0 where
+        constant."""
+        y1, y2 = self.interval
+        k = 2.0 * math.pi / self.period
+        u = self._u(xs[self.y])
+        u3 = u * u * u
+        n = len(xs)
+        J = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
+        J[self.y][self.y] = 1.0 + self.eps * self.c * 4.0 * u3 * (
+            y1 + y2 - 2.0 * xs[self.y]) * jets.sin(k * xs[self.a])
+        J[self.y][self.a] = self.eps * self.c * k * u3 * u * jets.cos(k * xs[self.a])
         return J
 
 

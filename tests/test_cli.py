@@ -92,7 +92,7 @@ def test_over_budget_run_refused_before_any_evaluation(monkeypatch, capsys):
 
     calls = []
     monkeypatch.setattr(quadrature, "MAX_LEVEL_POINTS", 1000)
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     # alpha, the rotation axis, is not gridded: 8^4 points at the refined level
     assert run(["wcs", "--metric", "ypq", "--p", "7", "--q", "3",
                 "--action", "rotate:alpha", "--no-mask", "--nodes", "4"]) == 2
@@ -142,7 +142,7 @@ def test_wcs_zero_speed_is_the_trivial_action(monkeypatch, capsys):
     from loopcs import cycles
 
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--nodes", "4"]
     torus = ["wcs", "--metric", "perturbed_torus3", "--no-mask", "--nodes", "4"]
     for argv, axis, index in ((ypq, "alpha", 4), (torus, "x0", 0)):
@@ -197,7 +197,7 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
     from loopcs import cycles
 
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     ypq = ["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha"]
     trivial = ["wcs", "--metric", "round_sphere3", "--action", "trivial"]
     torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
@@ -209,6 +209,22 @@ def test_wcs_bad_rule_flags_exit_2(monkeypatch, capsys):
         assert run(argv + flags) == 2
         assert needle in capsys.readouterr().err
     assert calls == []
+
+
+def test_workers_over_the_cap_exit_2_before_any_pool(monkeypatch, capsys):
+    # A pool forks all its workers at its first map, so a count over the cap
+    # is refused before any pool is built; this test starts no process.
+    from loopcs import quadrature
+
+    def no_pool(*args, **kwargs):
+        pytest.fail("a pool was constructed")
+
+    monkeypatch.setattr(quadrature, "ProcessPoolExecutor", no_pool)
+    over = ["--workers", str(quadrature.MAX_WORKERS + 1)]
+    torus = ["wcs", "--metric", "perturbed_torus3", "--action", "rotate:x0", "--no-mask"]
+    for argv in (torus + over, ["sweep", "--sweep-pq", "7:3", "--nodes", "4"] + over):
+        assert run(argv) == 2, argv
+        assert f"workers must be 1 to {quadrature.MAX_WORKERS}," in capsys.readouterr().err, argv
 
 
 def test_removed_form_settings_exit_2(tmp_path, capsys):
@@ -235,7 +251,7 @@ def test_ignored_family_flags_exit_2(monkeypatch, capsys):
     from loopcs import cycles
 
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     ypq = ["--metric", "ypq", "--p", "7", "--q", "3"]
     sphere = ["--metric", "round_sphere3"]
     family_a = ["--metric", "ypq-a", "--a", "0.6"]
@@ -261,7 +277,7 @@ def test_bad_ypq_a_inputs_exit_2(monkeypatch, capsys):
     from loopcs import cycles
 
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     wcs = ["wcs", "--metric", "ypq-a", "--action", "rotate:alpha", "--nodes", "4"]
     sweep = ["sweep", "--nodes", "4", "--sweep-a"]
     for argv, needle in [(wcs + ["--a", "1.5"], "degenerate"),
@@ -304,7 +320,7 @@ def test_sweep_refused_settings_exit_2(monkeypatch, capsys):
     from loopcs import cycles
 
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     sweep = ["sweep", "--sweep-pq", "7:3,3:3", "--nodes", "4"]
     for flags, needle in [(["--workers", "0"], "workers"),
                           (["--nodes", "1"], "at least 2"),

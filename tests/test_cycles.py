@@ -194,7 +194,7 @@ def test_orbit_exits_non_periodic_axis(y73, monkeypatch):
     cases = [(y73, CircleAction.rotation(axis=1, speed=0.25), 3),
              (open_x0, CircleAction.rotation(axis=0, speed=1.0), 2)]
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     # A refused input, not a chart exit met during evaluation.
     for metric, action, k in cases:
         with pytest.raises(ValueError, match="non-periodic") as exc:
@@ -678,18 +678,18 @@ def _volume_points(monkeypatch) -> list[int]:
     return counts
 
 
-@pytest.mark.parametrize("nodes,calls", [(32, 8), (64, 23)])
+@pytest.mark.parametrize("nodes,calls", [(32, 5), (64, 20)])
 def test_volume_batched_by_points(y73, monkeypatch, nodes, calls):
-    # sqrt(det g) follows the density's batch rule: at most MAX_ORBIT_POINTS
-    # points a call, whether at the lines' pinned points or at the level's
-    # flat points.  One probe call, then per level one call per
-    # MAX_ORBIT_POINTS lines and one per MAX_ORBIT_POINTS points:
-    # 1 + (1 + 1) + (1 + 4) at 32 nodes (32 lines of 32, 64 of 64),
-    # 1 + (1 + 4) + (1 + 16) at 64 nodes (64 lines of 64, 128 of 128).
+    # sqrt(det g) from metric values follows the density's batch rule: at
+    # most MAX_ORBIT_POINTS of the level's flat points a call.  The probe and
+    # the lines' pinned points take theirs from the density's own pass, so
+    # each level makes one call per MAX_ORBIT_POINTS points: 1 + 4 at 32
+    # nodes (32 lines of 32, 64 of 64), 4 + 16 at 64 (64 of 64, 128 of 128).
     counts = _volume_points(monkeypatch)
     integrate_cycle(y73, CircleAction.rotation(axis=4), 3, QuadratureSpec(nodes=nodes))
     assert len(counts) == calls, counts
     assert max(counts) <= cycles.MAX_ORBIT_POINTS, counts
+    assert sum(counts) == nodes**2 + (2 * nodes)**2  # the levels' points alone
 
 
 def test_volume_batches_split_lines_at_the_cap(y73, monkeypatch):
@@ -705,24 +705,40 @@ def test_volume_batches_split_lines_at_the_cap(y73, monkeypatch):
     assert (got.value, got.error_estimate) == (want.value, want.error_estimate)
 
 
+def test_reduced_path_worker_count_does_not_change_bits(y73, monkeypatch, pool_maps):
+    # Under a cap of 16 rows the 12 coarse y-lines of the reduced alpha
+    # rotation are one batch, evaluated in-process, and the 24 fine ones two,
+    # mapped over the pool with their ratios; every bit stays.
+    action = CircleAction.rotation(axis=4)
+    monkeypatch.setattr(cycles, "MAX_ORBIT_POINTS", 16)
+    one = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=12, workers=1))
+    two = integrate_cycle(y73, action, 3, QuadratureSpec(nodes=12, workers=2))
+    assert two.provenance["orbit_reduced_axes"] == ["theta"]
+    assert pool_maps == [2]
+    assert (one.value, one.error_estimate) == (two.value, two.error_estimate)
+
+
 def test_orbit_probe_is_one_density_call(monkeypatch):
     # The probe follows the density's batch rule: round_sphere(5)'s 16 probe
     # points and their partners along its four grid axes are 80 one-sample
-    # rows, one batch of at most MAX_ORBIT_POINTS.
+    # rows, one ratio batch of at most MAX_ORBIT_POINTS, whose sqrt(det g)
+    # comes from its own curvature pass: no metric values are read.
     seen = []
-    real = cycles._density_batch
+    real = cycles._ratio_batch
 
-    def counted(metric, velocity, coords, loop_samples):
-        seen.append((coords.shape, loop_samples))
-        return real(metric, velocity, coords, loop_samples)
+    def counted(metric, velocity, coords):
+        seen.append(coords.shape)
+        return real(metric, velocity, coords)
 
-    monkeypatch.setattr(cycles, "_density_batch", counted)
+    monkeypatch.setattr(cycles, "_ratio_batch", counted)
+    monkeypatch.setattr(cycles, "_density_batch", lambda *args: pytest.fail("density"))
+    monkeypatch.setattr(cycles, "metric_values", lambda *args: pytest.fail("metric values"))
     s5 = metrics.round_sphere(5)
     axes, samples = cycles._cycle_plan(s5, CircleAction.rotation(axis=4).velocity(s5),
                                        QuadratureSpec(nodes=4))
     assert axes == {"extent": (4,), "loop": (), "grid": (0, 1, 2, 3), "orbit": ()}
     assert samples == 1
-    assert seen == [((80, 5), 1)]
+    assert seen == [(80, 5)]
 
 
 def test_orbit_probe_rejects_varying_ratio(y73):
@@ -839,7 +855,7 @@ def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypa
     # curvature batch.  An integral's loop cap is the constant LOOP_CAP, so
     # integrate_cycle takes no loop_nodes at all.
     calls = []
-    monkeypatch.setattr(cycles, "_density_batch", lambda *args: calls.append(args))
+    monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     torus = metrics.perturbed_torus(3)
     cases = [(y73, CircleAction.rotation(axis=4), 3),
              (torus, CircleAction.rotation(axis=0), 2),

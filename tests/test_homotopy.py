@@ -1,5 +1,5 @@
 """The value moves under a time change of the action (README, "Known
-discrepancy").
+discrepancy"), and stays under a y-shear of the metric.
 
 Conjugating a rotation along a Killing axis by a time change of that axis,
 phi: x_a -> x_a + eps1 P sin(x_a / P) + eps2 P sin(2 x_a / P), gives an action
@@ -9,15 +9,23 @@ on the conjugated cycle is the constant-speed value times the mean of h^2,
 1 + eps1^2 / 2 + 2 eps2^2, not the value itself.  This pins today's law: a
 change to the integrand that makes the value an invariant of the action's
 class replaces this test by an invariance test.
+
+A y-shear phi: y -> y + eps b(y) sin(2 pi alpha / L), L the alpha period and
+b vanishing to fourth order at both ends of the y-interval, is a
+diffeomorphism of the chart joined to the identity through eps.  Pulling
+the metric back by it moves the cycle within its homotopy class with no time
+change, so the integral of the closed form stays while the density moves
+pointwise: the integrated closedness oracle.
 """
 import math
 
+import numpy as np
 import pytest
 
 from loopcs import metrics
-from loopcs.cycles import CircleAction, integrate_cycle
+from loopcs.cycles import CircleAction, integrate_cycle, pullback_density
 from loopcs.quadrature import QuadratureSpec
-from pullback import TimeChange, pullback
+from pullback import TimeChange, YShear, pullback
 
 # The exact (7,3) values of the constant-speed rotations, in units of pi^4.
 EXACT = {"psi": 384 / 1225, "alpha": -432 / 6125}
@@ -36,3 +44,20 @@ def test_time_change_multiplies_the_value_by_the_mean_square_speed(axis, eps1, e
     # The pulled-back metric varies along the rotation axis, so the loop count
     # is measured, not the one sample of a Killing axis.
     assert res.provenance["loop_samples"] == loop_samples
+
+
+@pytest.mark.parametrize("p,q,axis,eps", [
+    (7, 3, "alpha", 0.5), (7, 3, "alpha", 2.0), (7, 3, "psi", 0.5), (7, 3, "psi", 2.0),
+    (5, 3, "alpha", 0.5)])
+def test_y_shear_keeps_the_value_and_moves_the_density(p, q, axis, eps):
+    params = metrics.solve_ypq(p, q)
+    m = metrics.ypq_metric(params)
+    y, alpha = m.coord_names.index("y"), m.coord_names.index("alpha")
+    pulled = pullback(m, YShear(y, alpha, m.box.extent(alpha), m.box.intervals[y], eps))
+    action = CircleAction.rotation(axis=m.coord_names.index(axis))
+    want = integrate_cycle(m, action, 3, QuadratureSpec(nodes=8)).value
+    got = integrate_cycle(pulled, action, 3, QuadratureSpec(nodes=8)).value
+    assert abs(got - want) <= 1e-9 * abs(want)
+    point = np.array([1.3, 1.1, 2.1, 0.5 * sum(m.box.intervals[y]), 0.6 * math.pi * params.ell])
+    before = pullback_density(m, action, point)
+    assert abs(pullback_density(pulled, action, point) - before) >= 0.01 * abs(before)

@@ -97,6 +97,10 @@ def test_bad_rule_arguments():
                            ({"mask": (False, 2)}, "mask axis")]:
         with pytest.raises(ValueError, match=needle):
             QuadratureSpec(**{"nodes": 2, **kwargs})
+    # A pool forks all its workers at once, so their count has a fixed cap.
+    assert QuadratureSpec(workers=quadrature.MAX_WORKERS).workers == quadrature.MAX_WORKERS
+    with pytest.raises(ValueError, match=f"workers must be 1 to {quadrature.MAX_WORKERS},"):
+        QuadratureSpec(workers=quadrature.MAX_WORKERS + 1)
     # A run is two fixed levels: there is no tolerance or factor to set.
     for gone in ("rel_tol", "max_refinements", "refinement_factor"):
         with pytest.raises(TypeError, match=gone):
