@@ -63,6 +63,7 @@ Conventions recorded in every result's provenance:
 from __future__ import annotations
 
 import math
+import numbers
 import random
 import time
 from dataclasses import dataclass, replace
@@ -117,6 +118,8 @@ class CircleAction:
 
     @staticmethod
     def rotation(axis: int, speed: float | None = None) -> "CircleAction":
+        if speed is not None and (isinstance(speed, bool) or not isinstance(speed, numbers.Real)):
+            raise ValueError(f"speed must be a real number, got {speed!r}")
         return CircleAction(axis=whole_number("axis", axis),
                             speed=None if speed is None else float(speed))
 
@@ -228,8 +231,7 @@ def _measured_loop_samples(metric: MetricField, velocity: np.ndarray) -> int:
     """
     # 16 probe points times LOOP_CAP samples is exactly MAX_ORBIT_POINTS, so
     # the probe is one curvature call.
-    pack = _curvature(metric, _orbit(metric, velocity, _probe_points(metric), LOOP_CAP))
-    values = wcs_integrand(pack, _frame_vectors(metric), velocity).reshape(LOOP_CAP, -1)
+    values, pack = _loop_pass(metric, velocity, _probe_points(metric), LOOP_CAP)
     # max|R| as max(max R, -min R), NaN included: no n^4 |R| temporary.
     curvature = float(np.maximum(np.max(pack.riemann_up), -np.min(pack.riemann_up)))
     tol = LOOP_TOL * curvature ** ((metric.dim + 1) // 2) * float(np.max(np.abs(velocity)))
@@ -352,14 +354,6 @@ def _orbit(metric: MetricField, velocity: np.ndarray, coords: np.ndarray,
     return orbit.reshape(-1, metric.dim)
 
 
-def _curvature(metric: MetricField, points: np.ndarray) -> CurvaturePack:
-    """What the integrand reads of :func:`riemann` at ``points``: ``g`` and
-    ``riemann_up``, with ``gamma`` and ``riemann_down`` None.  Their n^3 and
-    n^4 arrays are freed on return, before the integrand allocates its own,
-    so a curvature and integrand pass peaks no higher than ``riemann``."""
-    return replace(riemann(metric, points), gamma=None, riemann_down=None)
-
-
 def _trapezoid(values: np.ndarray) -> np.ndarray:
     """The periodic trapezoid rule over the loop samples on axis 0 of
     ``values``.  A running sum over the samples: np.sum pairs them up instead
@@ -369,13 +363,18 @@ def _trapezoid(values: np.ndarray) -> np.ndarray:
 
 
 def _loop_pass(metric: MetricField, velocity: np.ndarray, coords: np.ndarray,
-               loop_samples: int) -> tuple[np.ndarray, np.ndarray]:
-    """The density of :func:`_density_batch` and the metric g its one
-    curvature pass read at the orbit points, ``(loop_samples * rows, n, n)``."""
+               loop_samples: int) -> tuple[np.ndarray, CurvaturePack]:
+    """The integrand at the ``loop_samples`` orbit points of each point of
+    ``coords`` (any ``(..., dim)`` batch), shape ``(loop_samples,) + batch``,
+    from one :func:`riemann` call, and the pack it read, with ``gamma`` and
+    ``riemann_down`` None: their n^3 and n^4 arrays are freed before the
+    integrand allocates its own, so a curvature and integrand pass peaks no
+    higher than ``riemann``."""
     coords = np.asarray(coords, dtype=float)
-    pack = _curvature(metric, _orbit(metric, velocity, coords, loop_samples))
+    pack = replace(riemann(metric, _orbit(metric, velocity, coords, loop_samples)),
+                   gamma=None, riemann_down=None)
     values = wcs_integrand(pack, _frame_vectors(metric), velocity)
-    return _trapezoid(values.reshape((loop_samples,) + coords.shape[:-1])), pack.g
+    return values.reshape((loop_samples,) + coords.shape[:-1]), pack
 
 
 def _density_batch(metric: MetricField, velocity: np.ndarray,
@@ -383,7 +382,7 @@ def _density_batch(metric: MetricField, velocity: np.ndarray,
     """Density f(m) of the pulled-back form at a batch of chart points: the
     periodic trapezoid rule with the :func:`_cycle_plan` count of samples,
     all orbit points of the batch evaluated as one flat batch."""
-    return _loop_pass(metric, velocity, coords, loop_samples)[0]
+    return _trapezoid(_loop_pass(metric, velocity, coords, loop_samples)[0])
 
 
 def _ratio_batch(metric: MetricField, velocity: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -392,24 +391,25 @@ def _ratio_batch(metric: MetricField, velocity: np.ndarray, coords: np.ndarray) 
     own pass: the one orbit point is the point up to rounding of the
     rotation coordinate, which g does not read, so this g is
     :func:`_volume`'s at the point, bit for bit."""
-    density, g = _loop_pass(metric, velocity, coords, 1)
-    return density / np.sqrt(np.linalg.det(g))
+    values, pack = _loop_pass(metric, velocity, coords, 1)
+    return _trapezoid(values) / np.sqrt(np.linalg.det(pack.g))
 
 
 def pullback_density(metric: MetricField, action: CircleAction, points,
                      loop_nodes: int = 64) -> float | np.ndarray:
     """Density f(m) of the pulled-back form at a ``(dim,)`` chart point (a
     float) or a ``(..., dim)`` batch (an array of the batch shape, bit for bit
-    its points' densities one at a time); zeros for a zero velocity.  The
-    checks run once per call, then batches of at most ``MAX_ORBIT_POINTS``
-    orbit points, as in :func:`integrate_cycle`, keep the memory bounded.
-    Along a varying axis the loop takes exactly ``loop_nodes`` samples (1 to
-    ``MAX_ORBIT_POINTS``), as the oracle of :func:`_measured_loop_samples`:
-    the measured count's tolerance is absolute in the curvature scale, so
-    where ``perturbed_torus(5)`` under the x0 rotation has density -3.05e-7
-    its 16 samples give the 64-sample density only to 5.0e-12 relative,
-    while 64 and 128 samples agree to 1.7e-15."""
+    its points' densities one at a time, empty for an empty batch); zeros for a
+    zero velocity.  After every refusal the densities go through
+    :func:`evaluate` in :func:`integrate_cycle`'s batches, so a failure inside
+    one is a QuadratureError.  Along a varying axis the loop takes exactly
+    ``loop_nodes`` samples (a whole number, 1 to ``MAX_ORBIT_POINTS``), as the
+    oracle of :func:`_measured_loop_samples`: the measured count's tolerance is
+    absolute in the curvature scale, so where ``perturbed_torus(5)`` under the
+    x0 rotation has density -3.05e-7 its 16 samples give the 64-sample density
+    only to 5.0e-12 relative, while 64 and 128 samples agree to 1.7e-15."""
     coords = _chart_coords(metric, points)
+    loop_nodes = whole_number("loop_nodes", loop_nodes)
     if not 1 <= loop_nodes <= MAX_ORBIT_POINTS:
         raise ValueError(f"loop_nodes must be 1 to {MAX_ORBIT_POINTS}, got {loop_nodes}")
     velocity = action.velocity(metric)
@@ -417,11 +417,9 @@ def pullback_density(metric: MetricField, action: CircleAction, points,
         values = np.zeros(coords.shape[:-1])
     else:
         samples = 1 if set(np.flatnonzero(velocity)) <= set(_constant_axes(metric)) else loop_nodes
-        flat = coords.reshape(-1, metric.dim)
-        rows = MAX_ORBIT_POINTS // samples
-        values = np.concatenate([_density_batch(metric, velocity, flat[i:i + rows], samples)
-                                 for i in range(0, len(flat), rows)])
-        values = values.reshape(coords.shape[:-1])
+        values = evaluate(partial(_density_batch, metric, velocity, loop_samples=samples),
+                          coords.reshape(-1, metric.dim), None,
+                          MAX_ORBIT_POINTS // samples).reshape(coords.shape[:-1])
     return float(values) if values.ndim == 0 else values
 
 

@@ -1,5 +1,5 @@
 """Pullback of a metric by a map of its chart, for the naturality, the
-time-change and the y-shear tests.
+time-change, the y-shear and the reflection tests.
 
 For a map phi with Jacobian J = d phi / dx, the pulled-back metric is
 (phi* g)(x) = J(x)^T g(phi(x)) J(x).  :func:`pullback` wraps a metric's
@@ -132,6 +132,31 @@ class YShear:
         J[self.y][self.y] = 1.0 + self.eps * self.c * 4.0 * u3 * (
             y1 + y2 - 2.0 * xs[self.y]) * jets.sin(k * xs[self.a])
         J[self.y][self.a] = self.eps * self.c * k * u3 * u * jets.cos(k * xs[self.a])
+        return J
+
+
+@dataclass(frozen=True)
+class Reflection:
+    """phi: x_a -> period - x_a, every other coordinate fixed.
+
+    On a periodic axis a of the given period that starts at 0 it maps each
+    circle of the axis onto itself, reversing it; J is the identity except
+    -1.0 at (a, a), so det J = -1.
+    """
+
+    axis: int
+    period: float
+
+    def __call__(self, xs: list) -> list:
+        ys = list(xs)
+        ys[self.axis] = self.period - xs[self.axis]
+        return ys
+
+    def jacobian(self, xs: list) -> list:
+        """J[a][b] = d phi_a / d x_b as a nested list of constants."""
+        n = len(xs)
+        J = [[1.0 if a == b else 0.0 for b in range(n)] for a in range(n)]
+        J[self.axis][self.axis] = -1.0
         return J
 
 

@@ -123,6 +123,18 @@ def test_whole_number_action_inputs_refused_not_truncated():
     assert type(twice.n_fold) is int and twice.n_fold == 2
 
 
+def test_speed_must_be_a_real_number():
+    # A bool speed was once taken as 1.0 or 0.0, and a string was parsed by
+    # float(); ints, floats and numpy numbers stay speeds, as floats.
+    for speed in (True, False, np.True_, "0.3", b"1", 1j, [0.3]):
+        with pytest.raises(ValueError, match="speed must be a real number"):
+            CircleAction.rotation(axis=4, speed=speed)
+    for speed, want in [(None, None), (2, 2.0), (0.3, 0.3), (np.float32(0.5), 0.5),
+                        (np.int64(3), 3.0), (Fraction(1, 4), 0.25)]:
+        action = CircleAction.rotation(axis=4, speed=speed)
+        assert action.speed == want and (want is None or type(action.speed) is float)
+
+
 def test_killing_shortcut_matches_trapezoid_loop(y73):
     # The alpha axis is Killing, so the loop integrand is constant and a
     # 16-sample trapezoid must agree with the one-sample 2 pi shortcut.
@@ -656,6 +668,20 @@ def test_batched_density_equals_pointwise(y73, case, monkeypatch):
     assert zeros.shape == (2, 3) and not np.any(zeros)
 
 
+@pytest.mark.parametrize("case", ["7-3", "perturbed_torus3"])
+@pytest.mark.parametrize("batch", [(0,), (0, 2)])
+def test_empty_batch_gives_an_empty_density(y73, case, batch):
+    # An empty batch has empty densities of its shape, on the one-sample
+    # Killing path and the looped one alike, as a zero velocity does.
+    if case == "7-3":
+        m, action = y73, CircleAction.rotation(axis=4)
+    else:
+        m, action = metrics.perturbed_torus(3), CircleAction.rotation(axis=0)
+    for act in (action, CircleAction.trivial()):
+        values = pullback_density(m, act, np.zeros(batch + (m.dim,)), loop_nodes=16)
+        assert isinstance(values, np.ndarray) and values.shape == batch
+
+
 def test_orbit_reduction_passes_the_condition_guard(y73):
     # At 64 -> 128 nodes the theta poles trip the 1e12 guard on the full
     # grid; the reduced path evaluates the density at theta = pi/2 only.
@@ -846,14 +872,15 @@ def test_wrong_dimension_rejected():
         integrate_cycle(m, CircleAction.rotation(axis=2), 3)
 
 
-@pytest.mark.parametrize("loop_nodes", [0, -3, 1025])
+@pytest.mark.parametrize("loop_nodes", [0, -3, 1025, 2.5, True])
 def test_bad_loop_nodes_rejected_before_any_evaluation(y73, loop_nodes, monkeypatch):
     # Both loop plans of the density: the Killing fiber axis of (7,3) (one
     # sample) and an axis of the perturbed torus, which varies along it
     # (loop_nodes samples); the trivial action, whose value needs no loop, is
     # refused alike.  Over MAX_ORBIT_POINTS one row would not fit in a
-    # curvature batch.  An integral's loop cap is the constant LOOP_CAP, so
-    # integrate_cycle takes no loop_nodes at all.
+    # curvature batch; a count that is not a whole number (2.5, True) is
+    # refused by name, not left to fail inside a batch.  An integral's loop
+    # cap is the constant LOOP_CAP, so integrate_cycle takes no loop_nodes.
     calls = []
     monkeypatch.setattr(cycles, "riemann", lambda *args: calls.append(args))
     torus = metrics.perturbed_torus(3)

@@ -16,6 +16,12 @@ diffeomorphism of the chart joined to the identity through eps.  Pulling
 the metric back by it moves the cycle within its homotopy class with no time
 change, so the integral of the closed form stays while the density moves
 pointwise: the integrated closedness oracle.
+
+A reflection phi: x_a -> P - x_a of a Killing axis of period P rests on
+naturality alone.  It reverses the orientation and negates every metric
+component with one index on a, so a rotation along a, whose velocity the
+reflection also negates, keeps its value, and a rotation along another
+Killing axis negates it; the sign flips are exact, so both keep their bits.
 """
 import math
 
@@ -24,8 +30,9 @@ import pytest
 
 from loopcs import metrics
 from loopcs.cycles import CircleAction, integrate_cycle, pullback_density
+from loopcs.geometry import metric_values
 from loopcs.quadrature import QuadratureSpec
-from pullback import TimeChange, YShear, pullback
+from pullback import Reflection, TimeChange, YShear, pullback
 
 # The exact (7,3) values of the constant-speed rotations, in units of pi^4.
 EXACT = {"psi": 384 / 1225, "alpha": -432 / 6125}
@@ -61,3 +68,27 @@ def test_y_shear_keeps_the_value_and_moves_the_density(p, q, axis, eps):
     point = np.array([1.3, 1.1, 2.1, 0.5 * sum(m.box.intervals[y]), 0.6 * math.pi * params.ell])
     before = pullback_density(m, action, point)
     assert abs(pullback_density(pulled, action, point) - before) >= 0.01 * abs(before)
+
+
+@pytest.mark.parametrize("nodes", [8, 16])
+@pytest.mark.parametrize("reflected", ["alpha", "psi"])
+@pytest.mark.parametrize("p,q", [(7, 3), (5, 3)])
+def test_reflection_keeps_or_negates_the_bits(p, q, reflected, nodes):
+    params = metrics.solve_ypq(p, q)
+    m = metrics.ypq_metric(params)
+    a = m.coord_names.index(reflected)
+    pulled = pullback(m, Reflection(a, m.box.extent(a)))
+    quad = QuadratureSpec(nodes=nodes)
+    for axis in ("alpha", "psi"):
+        action = CircleAction.rotation(axis=m.coord_names.index(axis))
+        want = integrate_cycle(m, action, 3, quad)
+        got = integrate_cycle(pulled, action, 3, quad)
+        assert got.value == (want.value if axis == reflected else -want.value)
+        assert got.error_estimate == want.error_estimate
+        assert got.provenance["orbit_reduced_axes"] == ["theta"]
+    # The pullback is not the metric: the psi-alpha component changes sign.
+    psi, y, alpha = (m.coord_names.index(name) for name in ("psi", "y", "alpha"))
+    point = np.array([1.3, 1.1, 2.1, 0.5 * sum(m.box.intervals[y]), 0.6 * math.pi * params.ell])
+    before = metric_values(m, point)[psi, alpha]
+    after = metric_values(pulled, point)[psi, alpha]
+    assert before != 0.0 and after == -before
