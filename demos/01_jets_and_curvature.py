@@ -31,7 +31,7 @@ audit("jet of x^2 y at (1, 2)",
 
 # --- sphere Christoffel symbols against the textbook values ------------------
 s2 = metrics.round_sphere(2)
-gam = geometry.christoffel(s2, np.array([np.pi / 3, 1.0]))
+gam = geometry.riemann(s2, np.array([np.pi / 3, 1.0])).gamma
 audit("S^2 Christoffels at theta = pi/3",
       abs(gam[0, 1, 1] + np.sqrt(3) / 4) < 1e-14
       and abs(gam[1, 0, 1] - 1 / np.sqrt(3)) < 1e-14,

@@ -25,7 +25,6 @@ from .geometry import (
     CurvaturePack,
     MetricField,
     SingularMetricError,
-    christoffel,
     curvature_endo,
     riemann,
     validate_curvature,
@@ -60,7 +59,6 @@ __all__ = [
     "CurvaturePack",
     "MetricField",
     "SingularMetricError",
-    "christoffel",
     "curvature_endo",
     "riemann",
     "validate_curvature",

@@ -74,14 +74,15 @@ def build_parser() -> argparse.ArgumentParser:
                                 "SPEED 0 or N 0 is the trivial action")
             p.add_argument("--s-scale", type=float, default=1.0,
                            help="regularization parameter scaling (exactly linear)")
-            p.add_argument("--nodes", type=int, default=32,
-                           help="Gauss-Legendre nodes per unmasked axis")
+            p.add_argument("--nodes", type=int, default=QuadratureSpec.nodes,
+                           help="Gauss-Legendre nodes per unmasked axis "
+                                f"(default {QuadratureSpec.nodes})")
             p.add_argument("--no-mask", action="store_true",
                            help="disable the constant-axes shortcut and the "
                                 "orbit-axis reduction")
-            p.add_argument("--workers", type=int, default=1,
+            p.add_argument("--workers", type=int, default=QuadratureSpec.workers,
                            help="processes of the one density pool per cycle "
-                                f"(1 to {MAX_WORKERS}, default 1)")
+                                f"(1 to {MAX_WORKERS}, default {QuadratureSpec.workers})")
         p.add_argument("--out", help="output file path (default stdout)")
 
     p_verify = sub.add_parser("verify", help="curvature identity residuals")
@@ -237,9 +238,9 @@ def cmd_verify(args) -> int:
     ok = report.passed
     if isinstance(metric.params, metrics.YpqParams):
         res = metrics.einstein_residual(pack, metrics.EINSTEIN_CONSTANT_DIM5)
-        flag = "pass" if res <= 1e-8 else "FAIL"
-        lines.append(f"  {'einstein_ric_4g':<22} {res:12.3e}  {flag}")
-        ok = ok and res <= 1e-8
+        passed = res <= metrics.EINSTEIN_TOL
+        lines.append(f"  {'einstein_ric_4g':<22} {res:12.3e}  {'pass' if passed else 'FAIL'}")
+        ok = ok and passed
     lines.append("verification " + ("passed" if ok else "FAILED"))
     _write("\n".join(lines), args.out)
     return EXIT_OK if ok else EXIT_NUMERIC

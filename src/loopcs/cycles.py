@@ -396,7 +396,7 @@ def _ratio_batch(metric: MetricField, velocity: np.ndarray, coords: np.ndarray) 
 
 
 def pullback_density(metric: MetricField, action: CircleAction, points,
-                     loop_nodes: int = 64) -> float | np.ndarray:
+                     loop_nodes: int = LOOP_CAP) -> float | np.ndarray:
     """Density f(m) of the pulled-back form at a ``(dim,)`` chart point (a
     float) or a ``(..., dim)`` batch (an array of the batch shape, bit for bit
     its points' densities one at a time, empty for an empty batch); zeros for a
@@ -541,7 +541,6 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
             "exact_mode": params.exact_mode,
         }
     if not velocity.any():
-        prov["node_counts"] = (0,) * metric.dim
         return CycleResult(value=0.0, pi4_multiple=Fraction(0),
                            error_estimate=0.0, node_counts=(0,) * metric.dim,
                            wall_time=time.perf_counter() - start, provenance=prov)
@@ -584,7 +583,6 @@ def integrate_cycle(metric: MetricField, action: CircleAction, k: int,
     coarse = s_scale * (factor * box_result.coarse_value)
     node_counts = tuple(0 if a in axes["extent"] else quad.nodes * REFINEMENT_FACTOR
                         for a in range(metric.dim))
-    prov["node_counts"] = node_counts
     prov["masked_axes"] = [metric.coord_names[a] for a in axes["extent"]]
     prov["loop_averaged_axes"] = [metric.coord_names[a] for a in axes["loop"]]
     prov["orbit_reduced_axes"] = [metric.coord_names[a] for a in axes["orbit"]]
@@ -608,7 +606,15 @@ class SweepRow:
 @dataclass(frozen=True)
 class SweepResult:
     rows: list[SweepRow]
-    fitted_exponent: float | None = None
+
+    @property
+    def fitted_exponent(self) -> float | None:
+        """The log-log slope of |value| against (1 - a) over the ``a`` rows
+        with a nonzero value, in row order; None below two such rows."""
+        fit = [(math.log1p(-row.label["a"]), math.log(abs(row.result.value)))
+               for row in self.rows
+               if "a" in row.label and row.result is not None and row.result.value != 0.0]
+        return float(np.polyfit(*np.array(fit).T, 1)[0]) if len(fit) >= 2 else None
 
 
 def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
@@ -623,8 +629,8 @@ def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
     built and its orbit under ``action`` checked before the first integral:
     the alpha period differs between members, and a speed that closes one
     orbit need not close the next.  When at least two ``a`` rows give
-    nonzero values, the result carries the fitted log-log slope of |value|
-    against (1 - a).
+    nonzero values, the result's ``fitted_exponent`` is the log-log slope of
+    |value| against (1 - a).
     """
     labels = list(labels)
     if any("a" in label for label in labels):
@@ -641,7 +647,6 @@ def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
         action.velocity(metric)
         members.append((label, metric, None))
     rows: list[SweepRow] = []
-    xs, ys = [], []
     for label, metric, error in members:
         if error is None:
             try:
@@ -652,14 +657,7 @@ def ypq_sweep(labels, action: CircleAction, quad: QuadratureSpec | None = None,
             rows.append(SweepRow(label=label, result=None, error=error))
             continue
         rows.append(SweepRow(label=label, result=res))
-        if "a" in label and res.value != 0.0:
-            xs.append(math.log1p(-label["a"]))
-            ys.append(math.log(abs(res.value)))
-    exponent = None
-    if len(xs) >= 2:
-        slope, _ = np.polyfit(np.array(xs), np.array(ys), 1)
-        exponent = float(slope)
-    return SweepResult(rows=rows, fitted_exponent=exponent)
+    return SweepResult(rows=rows)
 
 
 def a_sweep(a_grid, quad: QuadratureSpec | None = None, ell: float = 1.0) -> SweepResult:

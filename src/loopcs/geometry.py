@@ -36,7 +36,6 @@ __all__ = [
     "CurvatureReport",
     "metric_jets",
     "metric_values",
-    "christoffel",
     "curvature_pack",
     "riemann",
     "curvature_endo",
@@ -114,10 +113,14 @@ class MetricField:
 def _chart_coords(metric: MetricField, coords) -> np.ndarray:
     """``coords`` as a float array, refused if a point leaves the open chart.
 
+    The last axis must hold the chart's ``dim`` coordinates (ValueError).
     Non-periodic axes carry genuine chart boundaries; periodic coordinates
     may sit anywhere (orbit wrapping lands on interval endpoints).
     """
     coords = np.asarray(coords, dtype=float)
+    if coords.shape[-1:] != (metric.dim,):
+        raise ValueError(f"points of shape {coords.shape} do not end in the "
+                         f"{metric.dim} coordinates of {metric.name or 'the chart'}")
     for i, (lo, hi) in enumerate(metric.box.intervals):
         if metric.box.periodic[i]:
             continue
@@ -229,13 +232,6 @@ def _gamma_terms(g, dg):
     n = g.shape[-1]
     gamma = 0.5 * (ginv @ s.reshape(s.shape[:-2] + (n * n,))).reshape(s.shape)
     return ginv, s, gamma
-
-
-def christoffel(metric: MetricField, x) -> np.ndarray:
-    """Levi-Civita connection coefficients Gamma^a_{bc} at ``x``."""
-    g, dg, _ = metric_jets(metric, x)
-    _, _, gamma = _gamma_terms(g, dg)
-    return gamma
 
 
 @dataclass(frozen=True)

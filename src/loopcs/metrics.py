@@ -44,6 +44,7 @@ import numpy as np
 from . import jets
 from .geometry import CoordBox, CurvaturePack, MetricField
 from .jets import ChartDomainError
+from .quadrature import whole_number
 
 __all__ = [
     "YpqParams",
@@ -57,6 +58,7 @@ __all__ = [
     "catalog",
     "einstein_residual",
     "EINSTEIN_CONSTANT_DIM5",
+    "EINSTEIN_TOL",
     "YPQ_COORDS",
 ]
 
@@ -64,8 +66,10 @@ TWO_PI = 2.0 * math.pi
 # Chart coordinates of the five-dimensional family, in chart order.
 YPQ_COORDS = ("phi", "theta", "psi", "y", "alpha")
 
-# Einstein constant of the dim-5 family: Ric = 4 g (dimension minus one).
+# Einstein constant of the dim-5 family: Ric = 4 g (dimension minus one), and
+# the largest relative residual of it (einstein_residual) that passes.
 EINSTEIN_CONSTANT_DIM5 = 4.0
+EINSTEIN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -114,12 +118,13 @@ def _check_ell(ell: float) -> None:
 def solve_ypq(p: int, q: int) -> YpqParams:
     """Resolve integers (p, q) into metric parameters.
 
-    Requires 0 < q < p with gcd(p, q) = 1.  The closed forms are evaluated
-    once, on the square root n as a Fraction in exact mode (so every value
-    is a Fraction) and as a float otherwise.  The cubic-root identities are
-    re-verified, exactly in exact mode and numerically in both.
+    Requires whole numbers 0 < q < p (a float is refused, not truncated)
+    with gcd(p, q) = 1.  The closed forms are evaluated once, on the square
+    root n as a Fraction in exact mode (so every value is a Fraction) and
+    as a float otherwise.  The cubic-root identities are re-verified,
+    exactly in exact mode and numerically in both.
     """
-    p, q = int(p), int(q)
+    p, q = whole_number("p", p), whole_number("q", q)
     if not (0 < q < p):
         raise ValueError(f"need 0 < q < p, got (p, q) = ({p}, {q})")
     if math.gcd(p, q) != 1:
@@ -229,6 +234,7 @@ def _constant_diagonal(diag: tuple[float, ...], xs):
 
 def flat_torus(n: int) -> MetricField:
     """Flat torus: identity metric, every axis periodic with period 2 pi."""
+    n = whole_number("dimension", n)
     if n < 1:
         raise ValueError("dimension must be positive")
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)
@@ -252,6 +258,7 @@ def _sphere_components(radius: float, xs):
 
 def round_sphere(n: int, radius: float = 1.0) -> MetricField:
     """Round n-sphere of the given radius in a dense hyperspherical chart."""
+    n = whole_number("sphere dimension", n)
     if n < 2:
         raise ValueError("sphere dimension must be >= 2")
     if radius <= 0.0:
@@ -305,6 +312,9 @@ def perturbed_torus(n: int, seed: int = 7) -> MetricField:
     standard library's ``random.Random(seed)`` (Mersenne Twister), which the
     interpreter has already loaded: ``numpy.random`` would add ~15 ms and
     ~6 MB of resident memory to every run that builds the fixture."""
+    n = whole_number("dimension", n)
+    if n < 1:
+        raise ValueError("dimension must be positive")
     rng = random.Random(seed)
     amps = tuple(0.35 * (0.5 + 0.5 * rng.random()) for _ in range(n))
     box = CoordBox(intervals=((0.0, TWO_PI),) * n, periodic=(True,) * n)

@@ -155,6 +155,7 @@ def gauss_nodes(n: int, interval: tuple[float, float]) -> tuple[np.ndarray, np.n
 
     Nodes are strictly interior to the interval; weights sum to ``hi - lo``.
     """
+    n = whole_number("node count", n)
     if n < 1:
         raise ValueError("node count must be >= 1")
     lo, hi = float(interval[0]), float(interval[1])
@@ -247,14 +248,20 @@ def _single_level(f, box, counts):
 
 @dataclass(frozen=True)
 class BoxResult:
-    """Quadrature result: the fine level's value at ``counts`` and the
-    coarse level's at ``coarse_counts``."""
+    """Quadrature result: the fine level's value and the coarse level's at
+    ``coarse_counts``; the fine ``counts`` and the error estimate are derived."""
 
     value: float
-    error_estimate: float
-    counts: tuple[int, ...]
     coarse_value: float
     coarse_counts: tuple[int, ...]
+
+    @property
+    def error_estimate(self) -> float:
+        return abs(self.value - self.coarse_value)
+
+    @property
+    def counts(self) -> tuple[int, ...]:
+        return tuple(c * REFINEMENT_FACTOR for c in self.coarse_counts)
 
 
 def check_budget(counts: tuple[int, ...]) -> None:
@@ -283,6 +290,5 @@ def integrate_box(f, box, spec: QuadratureSpec) -> BoxResult:
     coarse_counts = (spec.nodes,) * len(box)
     check_budget(coarse_counts)
     coarse = _single_level(f, box, coarse_counts)
-    counts = (spec.nodes * REFINEMENT_FACTOR,) * len(box)
-    fine = _single_level(f, box, counts)
-    return BoxResult(fine, abs(fine - coarse), counts, coarse, coarse_counts)
+    fine = _single_level(f, box, tuple(c * REFINEMENT_FACTOR for c in coarse_counts))
+    return BoxResult(fine, coarse, coarse_counts)

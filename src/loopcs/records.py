@@ -20,7 +20,7 @@ __all__ = [
     "sweep_to_csv",
 ]
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 def format_float(x: float) -> str:

@@ -99,8 +99,8 @@ def _curvature_identities():
         if val > worst[1]:
             worst = (f"{m.name}:{name}", val)
         if not report.passed:
-            return False, f"{m.name} failed {name} at {val:.3e} (tol 1e-9)"
-    return True, f"worst residual {worst[0]} = {worst[1]:.2e} (tol 1e-9)"
+            return False, f"{m.name} failed {name} at {val:.3e} (tol {geometry.IDENTITY_TOL:g})"
+    return True, f"worst residual {worst[0]} = {worst[1]:.2e} (tol {geometry.IDENTITY_TOL:g})"
 
 
 def _einstein_property():
@@ -109,7 +109,8 @@ def _einstein_property():
     pts = m.box.sample_interior(rng, 100)
     res = metrics.einstein_residual(geometry.riemann(m, pts),
                                     metrics.EINSTEIN_CONSTANT_DIM5)
-    return res <= 1e-8, f"max |Ric - 4 g| relative {res:.2e} (tol 1e-8)"
+    return (res <= metrics.EINSTEIN_TOL,
+            f"max |Ric - 4 g| relative {res:.2e} (tol {metrics.EINSTEIN_TOL:g})")
 
 
 def _dim3_vanishing():

@@ -613,3 +613,45 @@ def test_headline_run_imports_nothing_after_cli():
                      stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
         out, err = proc.communicate(timeout=300)
         assert json.loads(out) == [0, []], (argv, err)
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["wcs", "--metric", "ypq", "--p", "7"], "--metric ypq requires --p and --q"),
+    (["wcs", "--metric", "ypq-a", "--action", "rotate:alpha"], "--metric ypq-a requires --a"),
+    (["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:7"],
+     "axis index 7 out of range for dim 5"),
+    (["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "rotate:alpha:1:2"],
+     "expected rotate:AXIS or rotate:AXIS:SPEED"),
+    (["wcs", "--metric", "ypq", "--p", "7", "--q", "3", "--action", "iterate:alpha"],
+     "expected iterate:AXIS:N"),
+    (["sweep", "--sweep-pq", "7-3"], "bad (p, q) entry '7-3'; expected P:Q"),
+], ids=["ypq-without-q", "ypq-a-without-a", "axis-out-of-range", "rotate-extra-field",
+        "iterate-without-n", "pq-without-colon"])
+def test_malformed_inputs_exit_2_with_their_message(argv, message, monkeypatch, capsys):
+    from loopcs import cycles
+
+    monkeypatch.setattr(cycles, "riemann", lambda *args: pytest.fail("evaluated"))
+    assert run(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_line_without_equals_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("metric = flat_torus3\nnodes 4\n")
+    assert run(["wcs", "--config", str(cfg)]) == 2
+    assert f"{cfg}:2: expected 'key = value'" in capsys.readouterr().err
+
+
+def test_rotation_with_no_box_axis_probes_no_orbit(tmp_path, monkeypatch):
+    # Every axis of the flat 3-torus is constant, so the rotation leaves no
+    # grid axis to probe: the ratio is never evaluated, the value is 0 and
+    # every axis is weighted by its extent.
+    from loopcs import cycles
+
+    monkeypatch.setattr(cycles, "_ratio_batch", lambda *args: pytest.fail("probed"))
+    out = tmp_path / "res.json"
+    assert run(["wcs", "--metric", "flat_torus3", "--action", "rotate:x0", "--nodes", "4",
+                "--out", str(out)]) == 0
+    data = json.loads(out.read_text())
+    assert data["value"] == 0 and data["node_counts"] == [0, 0, 0]
+    assert data["provenance"]["masked_axes"] == ["x0", "x1", "x2"]

@@ -682,6 +682,18 @@ def test_empty_batch_gives_an_empty_density(y73, case, batch):
         assert isinstance(values, np.ndarray) and values.shape == batch
 
 
+@pytest.mark.parametrize("shape", [(6,), (2,), (5, 2)])
+@pytest.mark.parametrize("action", [CircleAction.rotation(0), CircleAction.trivial()],
+                         ids=["rotate-x0", "trivial"])
+def test_density_points_must_carry_the_chart_coordinates(shape, action, monkeypatch):
+    # A (6,) point was read as two points under the rotation, and as a
+    # zero density under the trivial action; each is refused by name now,
+    # before any curvature is evaluated.
+    monkeypatch.setattr(cycles, "riemann", lambda *args: pytest.fail("evaluated"))
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*the 3 coordinates"):
+        pullback_density(metrics.perturbed_torus(3), action, np.full(shape, 1.0))
+
+
 def test_orbit_reduction_passes_the_condition_guard(y73):
     # At 64 -> 128 nodes the theta poles trip the 1e12 guard on the full
     # grid; the reduced path evaluates the density at theta = pi/2 only.
@@ -859,8 +871,10 @@ def test_result_provenance_complete(y73):
     prov = res.provenance
     for key in ("metric", "action", "k", "variant", "s_scale", "orientation",
                 "orbit_speed", "speed_convention", "normalization", "version",
-                "node_counts", "masked_axes", "params"):
+                "masked_axes", "params"):
         assert key in prov, key
+    # The node counts are stated once, on the result (the record's top level).
+    assert "node_counts" not in prov and res.node_counts == (0, 12, 0, 12, 0)
     assert prov["orientation"] == "phi^theta^y^psi^alpha"
     assert prov["params"]["exact_mode"] is True
     assert res.wall_time > 0.0

@@ -8,7 +8,6 @@ from loopcs import cycles, geometry, metrics
 from loopcs.cycles import CircleAction, integrate_cycle
 from loopcs.geometry import (
     SingularMetricError,
-    christoffel,
     curvature_endo,
     metric_jets,
     riemann,
@@ -30,16 +29,15 @@ def constant_curvature_lowered(g, K):
 def test_flat_metric_vanishes():
     m = metrics.flat_torus(3)
     pts = m.box.sample_interior(np.random.default_rng(0), 10)
-    gam = christoffel(m, pts)
-    assert np.max(np.abs(gam)) == 0.0
     pack = riemann(m, pts)
+    assert np.max(np.abs(pack.gamma)) == 0.0
     assert np.max(np.abs(pack.riemann_down)) == 0.0
     assert np.max(np.abs(pack.ricci)) == 0.0
 
 
 def test_sphere_christoffels_at_pi_over_3():
     m = metrics.round_sphere(2)
-    gam = christoffel(m, np.array([np.pi / 3, 0.3]))
+    gam = riemann(m, np.array([np.pi / 3, 0.3])).gamma
     # Gamma^theta_{phi phi} = -sin cos = -sqrt(3)/4; Gamma^phi_{theta phi} = cot
     assert gam[0, 1, 1] == pytest.approx(-np.sqrt(3) / 4, abs=1e-13)
     assert gam[1, 0, 1] == pytest.approx(1 / np.sqrt(3), abs=1e-13)
@@ -119,8 +117,8 @@ def test_finite_difference_oracle_confirms_jet_route(case):
         metric = metrics.ypq_metric(metrics.solve_ypq(7, 3))
         x0 = np.array([1.0, 1.2, 2.0, 0.1, 0.5])
     gamma_fd, rup_fd = _fd_curvature(metric, x0)
-    gamma = christoffel(metric, x0)
     pack = riemann(metric, x0)
+    gamma = pack.gamma
     gscale = max(np.max(np.abs(gamma)), 1.0)
     rscale = max(np.max(np.abs(pack.riemann_up)), 1.0)
     assert np.max(np.abs(gamma - gamma_fd)) / gscale < 1e-6
@@ -304,6 +302,31 @@ def test_validate_curvature_reports():
         "antisym_second_pair", "pair_swap", "first_bianchi", "ricci_symmetry"}
 
 
+@pytest.mark.parametrize("entry", [metric_jets, geometry.metric_values, riemann,
+                                   validate_curvature])
+@pytest.mark.parametrize("shape", [(4,), (6,), (2,), (2, 4)])
+def test_points_must_carry_the_chart_coordinates(entry, shape):
+    # A fourth coordinate was dropped without a word on the 3-torus.
+    m = metrics.perturbed_torus(3)
+    with pytest.raises(ValueError, match=rf"shape \({shape[0]},.*the 3 coordinates"):
+        entry(m, np.full(shape, 1.0))
+
+
+def test_box_flags_must_match_its_intervals():
+    with pytest.raises(ValueError, match="must align"):
+        geometry.CoordBox(((0.0, 1.0), (0.0, 2.0)), (True,))
+
+
+def test_gamma_has_one_entry_point():
+    # Gamma is the pack's: riemann(...).gamma, the same bits as the
+    # first-kind terms raised by the guarded inverse.
+    m = metrics.ypq_metric(metrics.solve_ypq(7, 3))
+    x = np.array([[1.0, 1.2, 2.0, 0.1, 0.5], [0.3, 2.0, 5.0, -0.2, 0.1]])
+    g, dg, _ = metric_jets(m, x)
+    assert np.array_equal(riemann(m, x).gamma, geometry._gamma_terms(g, dg)[2])
+    assert not hasattr(geometry, "christoffel")
+
+
 def test_validate_rejects_exterior_points():
     m = metrics.round_sphere(2)
     with pytest.raises(geometry.ChartDomainError):
@@ -313,7 +336,7 @@ def test_validate_rejects_exterior_points():
 def test_singular_metric_guard():
     m = metrics.round_sphere(2)
     with pytest.raises(SingularMetricError):
-        christoffel(m, np.array([1e-9, 1.0]))
+        riemann(m, np.array([1e-9, 1.0]))
 
 
 def metric_batch(smallest):

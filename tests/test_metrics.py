@@ -9,6 +9,7 @@ import pytest
 from loopcs import geometry, metrics
 from loopcs.jets import ChartDomainError
 from loopcs.metrics import solve_ypq, ypq_metric, ypq_params_from_a
+from loopcs.quadrature import gauss_nodes
 
 
 def cubic_residual_exact(a: Fraction, y: Fraction) -> Fraction:
@@ -51,6 +52,24 @@ def test_solve_21_not_exact():
 def test_solve_rejects_invalid_pairs(p, q):
     with pytest.raises(ValueError):
         solve_ypq(p, q)
+
+
+@pytest.mark.parametrize("build,name", [
+    (lambda: solve_ypq(7.5, 3), "p"),
+    (lambda: solve_ypq(np.float64(7.9), 3), "p"),
+    (lambda: solve_ypq(7, 3.0), "q"),
+    (lambda: metrics.perturbed_torus(0), "dimension"),
+    (lambda: metrics.perturbed_torus(-2), "dimension"),
+    (lambda: metrics.flat_torus(2.5), "dimension"),
+    (lambda: metrics.round_sphere(2.5), "sphere dimension"),
+    (lambda: gauss_nodes(True, (0.0, 1.0)), "node count"),
+], ids=["p-7.5", "p-float64-7.9", "q-3.0", "torus-0", "torus-minus-2", "flat-2.5",
+        "sphere-2.5", "nodes-True"])
+def test_counts_and_indices_are_whole_numbers(build, name):
+    # A float is refused by name, not truncated (7.5 was the (7,3) member)
+    # or left to fail inside a range; a bool is no count (True was 1 node).
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        build()
 
 
 def test_exact_pairs_scan():

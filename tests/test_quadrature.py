@@ -209,6 +209,11 @@ def test_non_finite_value_reports_node():
         integrate_box(nan_at_mid, [(0.0, 1.0)], QuadratureSpec(nodes=32))
 
 
+def test_wrong_integrand_shape_is_a_quadrature_error():
+    with pytest.raises(QuadratureError, match=r"shape \(16, 1\), expected \(16,\)"):
+        integrate_box(lambda p: np.ones((len(p), 1)), [(0.0, 1.0)], QuadratureSpec(nodes=16))
+
+
 def test_budget_counts_only_levels_that_can_run():
     # Exactly two levels, the fine one at twice the nodes, so the budget is
     # charged for 2 * nodes per axis: 2048^2 = 2^22 points fit it exactly,

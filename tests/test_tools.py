@@ -81,11 +81,14 @@ def test_census_counts_source_lines_and_the_one_loop_nodes_setting():
     # components are partials of module-level functions, not dataclasses that
     # copy their builder's parameters, the Y^{p,q} values are not mirrored by
     # a second, exact set, and interior samples keep one margin.  Every
-    # caller of symbol_endo names its variant.
-    assert int(counts["settable values"]) == 58
+    # caller of symbol_endo names its variant.  Gamma has one entry point,
+    # riemann(...).gamma, and a result derives what it can: the box's error
+    # estimate and fine counts, and the sweep's fitted exponent.
+    assert int(counts["settable values"]) == 55
     gone = ("rel_tol", "max_refinements", "growth", "refinement_factor", "confirm_value",
             "evaluate(", "run_all(", "Components.", "_ConstantDiagonal.", "_exact",
-            "sample_interior(margin=", "symbol_endo(variant=")
+            "sample_interior(margin=", "symbol_endo(variant=", "christoffel(",
+            "BoxResult.error_estimate", "SweepResult.fitted_exponent")
     assert not [name for name in names if any(g in name for g in gone)]
 
 
